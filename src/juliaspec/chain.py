@@ -88,7 +88,6 @@ class ChainConfig:
         self.base = base
         self.p = p
         self._pv = []  # exact values p_1, p_2, ...
-        self._pf = []  # float mirrors, for sampling
         self._prefix = [Fraction(1)]  # ∏_{j<=r} p_j, exact
 
     # -- parameter access ---------------------------------------------------
@@ -98,14 +97,11 @@ class ChainConfig:
         if j < 1:
             raise OutOfRangeError(f"probability index must be >= 1, got {j}")
         while len(self._pv) < j:
-            v = self.p.value_at(len(self._pv) + 1)
-            self._pv.append(v)
-            self._pf.append(float(v))
+            self._pv.append(self.p.value_at(len(self._pv) + 1))
         return self._pv[j - 1]
 
     def p_float(self, j: int) -> float:
-        self.p_at(j)
-        return self._pf[j - 1]
+        return float(self.p_at(j))
 
     def success_prefix(self, r: int):
         """∏_{j<=r} p_j (empty product 1), exact where possible."""

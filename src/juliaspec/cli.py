@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from . import chain as chain_mod
 from .canonical import CANONICAL_NAMES, canonical_config
@@ -28,8 +29,8 @@ from .errors import (
     JuliaspecError,
     VerificationError,
 )
-from .operator import build_truncation, eigenvalue_report, write_matrix_csv
-from .render import GridSpec, component_of_zero, count_components, render_field, write_field_csv, write_image
+from .operator import build_truncation, eigenvalue_report, write_eigenvalue_csv, write_matrix_csv
+from .render import GridSpec, component_of_zero, count_components, render_field, write_field_csv, write_image, write_points_csv
 from .spectra import classify, parse_space, residual_l1, spectrum_summary
 from .verify import run_verify
 
@@ -121,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-prefix")
 
     p = sub.add_parser("verify", help="run the invariant suite; nonzero exit on failure")
-    _add_config_flags(p)
+    p.add_argument("--seed", type=int, help="override the seed of every canonical configuration")
     p.add_argument("--out", help="artifact directory (default: verify-out)")
     return ap
 
@@ -146,10 +147,15 @@ def _param(args, rc: RunConfig, key: str, default=None):
     return v
 
 
-def _open_out(path):
+@contextmanager
+def _open_out(args, rc: RunConfig):
+    """The --out file (else the config's "out"), or stdout when neither is set."""
+    path = getattr(args, "out", None) or rc.command.get("out")
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
 
 
 def _print_json(obj):
@@ -213,12 +219,8 @@ def _cmd_simulate(args) -> int:
     start = int(_param(args, rc, "start", 1))
     steps = int(_param(args, rc, "steps", 200))
     traj = cfg.simulate(start=start, steps=steps, seed=rc.seed)
-    out, close = _open_out(getattr(args, "out", None) or rc.command.get("out"))
-    try:
+    with _open_out(args, rc) as out:
         chain_mod.write_trajectory_csv(cfg, traj, out)
-    finally:
-        if close:
-            out.close()
     trajectories = _param(args, rc, "trajectories")
     if trajectories is not None:
         horizon = int(_param(args, rc, "horizon", 100_000))
@@ -236,7 +238,7 @@ def _cmd_simulate(args) -> int:
         }
         text = json.dumps(payload, indent=2, sort_keys=True)
         # Keep the CSV stream clean when it goes to stdout.
-        print(text, file=sys.stderr if not close else sys.stdout)
+        print(text, file=sys.stderr if out is sys.stdout else sys.stdout)
     return 0
 
 
@@ -278,14 +280,8 @@ def _cmd_preimages(args) -> int:
     target = parse_complex(_param(args, rc, "target", "1"))
     depth = int(_param(args, rc, "depth", 3))
     pts = dyn_preimages(rc.system(), target, depth)
-    out, close = _open_out(getattr(args, "out", None) or rc.command.get("out"))
-    try:
-        out.write("re,im\n")
-        for z in pts:
-            out.write(f"{z.real!r},{z.imag!r}\n")
-    finally:
-        if close:
-            out.close()
+    with _open_out(args, rc) as out:
+        write_points_csv(pts, out)
     return 0
 
 
@@ -294,14 +290,8 @@ def _cmd_residual_set(args) -> int:
     depth = int(_param(args, rc, "depth", 5))
     tol = float(_param(args, rc, "tol", 1e-8))
     rep = residual_l1(rc.system(), depth, tol)
-    out, close = _open_out(getattr(args, "out", None) or rc.command.get("out"))
-    try:
-        out.write("re,im\n")
-        for z in rep.points:
-            out.write(f"{z.real!r},{z.imag!r}\n")
-    finally:
-        if close:
-            out.close()
+    with _open_out(args, rc) as out:
+        write_points_csv(rep.points, out)
     note = {"regime": rep.regime, "note": rep.note, "conjecture": rep.conjecture}
     print(json.dumps(note, sort_keys=True), file=sys.stderr)
     return 0
@@ -321,17 +311,14 @@ def _cmd_truncate(args) -> int:
     with open(matrix_path, "w", encoding="utf-8", newline="\n") as fh:
         write_matrix_csv(trunc, fh)
     with open(eig_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("re,im,modulus,verdict\n")
-        for row in report:
-            fh.write(f"{row['re']!r},{row['im']!r},{row['modulus']!r},{row['verdict']}\n")
+        write_eigenvalue_csv(report, fh)
     _print_json({"size": size, "exact": trunc.exact, "matrix": matrix_path, "eigenvalues": eig_path})
     return 0
 
 
 def _cmd_verify(args) -> int:
-    out_dir = getattr(args, "out", None) or "verify-out"
-    seed = getattr(args, "seed", None)
-    results = run_verify(out_dir, seed=seed)
+    out_dir = args.out or "verify-out"
+    results = run_verify(out_dir, seed=args.seed)
     for r in results:
         print(f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail}")
     failed = [r for r in results if not r.ok]

@@ -13,15 +13,18 @@ monotonically — so |f̃_r(z)| > 1 + slack is a sound escape certificate.
 Eigenvector structure: with h_r(z) = (z - (1 - p_r)) / p_r, the factors
 ι_λ(r) = h_r(f̃_{r-1}(λ)) obey ι_λ(r+1) = h_{r+1}(ι_λ(r)^{d_r}) and satisfy
 f̃_r(λ) = ι_λ(r)^{d_r}; the candidate eigenvector of the transition operator
-at λ is v_λ(n) = Π_r ι_λ(r)^{a_r(n)} over the digits of n.
+at λ is v_λ(n) = Π_r ι_λ(r)^{a_r(n)} over the digits of n.  One generator,
+`FiberedSystem.orbit`, runs this recursion on one table of (1 - p_j, p_j, d_j).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count, islice
 
 from .errors import (
     BudgetExceededError,
@@ -41,6 +44,7 @@ __all__ = [
     "factor_trace",
     "factor_values",
     "eigvec_entry",
+    "eigvec_head",
     "dual_eigvec_entry",
     "preimages",
     "dedup_points",
@@ -77,47 +81,54 @@ class FiberedSystem:
             raise OutOfRangeError("FiberedSystem needs a probability spec (codomain 'p')")
         self.base = base
         self.p = p
-        self._pf: list[float] = []
+        self._levels: list[tuple[float, float, int]] = []
+
+    def level(self, j: int) -> tuple[float, float, int]:
+        """(1 - p_j, p_j, d_j) for fiber index j >= 1, from the level table."""
+        if j < 1:
+            raise OutOfRangeError(f"fiber index must be >= 1, got {j}")
+        for i in range(len(self._levels) + 1, j + 1):
+            p = self.p.float_at(i)
+            self._levels.append((1.0 - p, p, self.digit_base(i)))
+        return self._levels[j - 1]
 
     def digit_base(self, j: int) -> int:
         return self.base.digit_base(j)
 
     def p_float(self, j: int) -> float:
-        if j < 1:
-            raise OutOfRangeError(f"fiber index must be >= 1, got {j}")
-        while len(self._pf) < j:
-            self._pf.append(self.p.float_at(len(self._pf) + 1))
-        return self._pf[j - 1]
+        return self.level(j)[1]
 
     def affine(self, j: int, z: complex) -> complex:
         """h_j(z) = (z - (1 - p_j)) / p_j."""
-        p = self.p_float(j)
-        return (z - (1.0 - p)) / p
+        c, p, _ = self.level(j)
+        return (z - c) / p
 
     def fiber(self, j: int, z: complex) -> complex:
         """One fiber map f_j(z) = h_j(z)^{d_j}."""
         return _ipow(self.affine(j, z), self.digit_base(j))
 
+    def orbit(self, z: complex) -> Iterator[tuple[complex, complex]]:
+        """Endless (ι_j, f̃_j(z)), j = 1, 2, ...: ι_j = h_j(f̃_{j-1}(z)), f̃_j = ι_j^{d_j}."""
+        w, levels = complex(z), self._levels
+        for j in count():
+            c, p, d = levels[j] if j < len(levels) else self.level(j + 1)
+            iota = (w - c) / p
+            w = _ipow(iota, d)
+            yield iota, w
+
     def composed(self, j: int, z: complex) -> complex:
         """f̃_j(z) = f_j(...f_1(z)); f̃_0 is the identity."""
-        if j < 0:
-            raise OutOfRangeError(f"composition depth must be >= 0, got {j}")
-        w = complex(z)
-        for l in range(1, j + 1):
-            w = self.fiber(l, w)
-        return w
+        return self.composed_with_derivative(j, z)[0]
 
     def composed_with_derivative(self, j: int, z: complex) -> tuple[complex, complex]:
         """(f̃_j(z), f̃_j'(z)) in one forward pass (chain rule)."""
+        if j < 0:
+            raise OutOfRangeError(f"composition depth must be >= 0, got {j}")
         v = complex(z)
         dv = 1 + 0j
-        for l in range(1, j + 1):
-            p = self.p_float(l)
-            d = self.digit_base(l)
-            w = (v - (1.0 - p)) / p
-            dw = dv / p
-            v = _ipow(w, d)
-            dv = d * _ipow(w, d - 1) * dw
+        # zip reads level l of the table only after orbit has grown it to l.
+        for (iota, v), (_, p, d) in zip(islice(self.orbit(v), j), self._levels):
+            dv = d * _ipow(iota, d - 1) * (dv / p)
         return v, dv
 
 
@@ -148,8 +159,7 @@ def escape_classify(
     w = complex(z)
     if w == 1:  # invariant fixed point of every fiber map
         return EscapeOutcome(False, None, 1.0, budget, radius, certified_bounded=True)
-    for j in range(1, budget + 1):
-        w = sys.fiber(j, w)
+    for j, (_, w) in enumerate(islice(sys.orbit(w), budget), 1):
         m = abs(w)
         if m > radius:
             return EscapeOutcome(True, j, m, budget, radius)
@@ -205,8 +215,7 @@ def factor_trace(
     rho_from = threshold_index(sys.p, RHO) if limit_is_one(sys.p) else None
     values: list[complex] = []
     near_one_run = 0
-    v = sys.affine(1, lam)
-    for k in range(1, budget + 1):
+    for k, (v, _) in enumerate(islice(sys.orbit(lam), budget), 1):
         values.append(v)
         m = abs(v)
         if m > 1.0 + slack:
@@ -223,8 +232,6 @@ def factor_trace(
                 return FactorTrace(
                     lam, tuple(values), TraceStatus.CONVERGES_TO_ZERO, k, budget
                 )
-        if k < budget:
-            v = sys.affine(k + 1, _ipow(v, sys.digit_base(k)))
     return FactorTrace(lam, tuple(values), TraceStatus.BOUNDED_AT_BUDGET, None, budget)
 
 
@@ -235,14 +242,7 @@ def factor_values(sys: FiberedSystem, lam: complex, count: int) -> list[complex]
     lam = complex(lam)
     if lam == 1:
         return [1.0 + 0j] * count
-    out: list[complex] = []
-    if count:
-        v = sys.affine(1, lam)
-        out.append(v)
-        for k in range(1, count):
-            v = sys.affine(k + 1, _ipow(v, sys.digit_base(k)))
-            out.append(v)
-    return out
+    return [iota for iota, _ in islice(sys.orbit(lam), count)]
 
 
 def eigvec_entry(
@@ -257,6 +257,17 @@ def eigvec_entry(
         if a:
             out *= _ipow(factors[r], a)
     return out
+
+
+def eigvec_head(sys: FiberedSystem, lam: complex, length: int) -> list[complex]:
+    """v_λ(0..length-1) as kron_r (1, ι_r, ..., ι_r^{d_r-1}), equal bit for bit to eigvec_entry."""
+    head = [1 + 0j]
+    for r, iota in enumerate(factor_values(sys, lam, sys.base.level_of(length - 1)), 1):
+        q = len(head)
+        for a in range(1, sys.digit_base(r)):
+            pw = _ipow(iota, a)
+            head.extend([v * pw for v in head[: min(q, length - len(head))]])
+    return head
 
 
 def dual_eigvec_entry(
@@ -342,11 +353,10 @@ def preimages(
         )
     points = [complex(target)]
     for j in range(depth, 0, -1):
-        p = sys.p_float(j)
-        c = 1.0 - p
+        c, p, d = sys.level(j)
         nxt = []
         for u in points:
-            for w in _droots(u, sys.digit_base(j)):
+            for w in _droots(u, d):
                 nxt.append(c + p * w)
         points = nxt
     if polish and depth > 0:
@@ -367,9 +377,9 @@ def dedup_points(points, tol: float) -> list[complex]:
 class ResidualSets:
     """Depth-truncated residual candidate set X and its two ingredient unions.
 
-    `ones` collects preimages of 1 at depths 1..depth; `zeros` collects
-    preimages of 0 at depths 0..depth (depth 0 contributes the point 0
-    itself).  `points` is ones minus anything within tol of zeros.
+    `ones` holds the preimages of 1 at `depth`, which contain those at every
+    smaller depth since f_j(1) = 1; `zeros` collects preimages of 0 at depths
+    0..depth (0 itself at depth 0).  `points` is ones minus zeros (within tol).
     """
 
     depth: int
@@ -383,12 +393,10 @@ def residual_set(sys: FiberedSystem, depth: int, tol: float = 1e-8) -> ResidualS
     """Compute X at the given depth: ∪ f̃_n^{-1}{1} minus ∪ f̃_n^{-1}{0}."""
     if depth < 1:
         raise OutOfRangeError(f"depth must be >= 1, got {depth}")
-    ones_all: list[complex] = []
     zeros_all: list[complex] = [0j]
     for n in range(1, depth + 1):
-        ones_all.extend(preimages(sys, 1.0, n))
         zeros_all.extend(preimages(sys, 0.0, n))
-    ones = dedup_points(ones_all, tol)
+    ones = dedup_points(preimages(sys, 1.0, depth), tol)
     zeros = dedup_points(zeros_all, tol)
     kept = tuple(z for z in ones if all(abs(z - w) > tol for w in zeros))
     return ResidualSets(depth=depth, tol=tol, points=kept, ones=tuple(ones), zeros=tuple(zeros))

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .chain import ChainConfig
-from .dynamics import FiberedSystem, eigvec_entry, factor_values
+from .dynamics import FiberedSystem, eigvec_head, escape_classify
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -38,6 +38,7 @@ __all__ = [
     "weyl_defect",
     "truncated_eigenvalues",
     "eigenvalue_report",
+    "write_eigenvalue_csv",
     "write_matrix_csv",
 ]
 
@@ -147,10 +148,8 @@ def weyl_vector(sys: FiberedSystem, lam: complex, level: int, size: int) -> np.n
     k = sys.base.place_value(level)
     if size < k + 1:
         raise OutOfRangeError(f"size {size} cannot hold a head of length {k + 1}")
-    factors = factor_values(sys, lam, level + 1)
     w = np.zeros(size, dtype=complex)
-    for m in range(k + 1):
-        w[m] = eigvec_entry(sys, lam, m, factors)
+    w[: k + 1] = eigvec_head(sys, lam, k + 1)
     return w
 
 
@@ -216,10 +215,11 @@ def column0_coefficient(cfg: ChainConfig, level: int):
     return float(head) - float(partial)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def weyl_defect(
     cfg: ChainConfig, sys: FiberedSystem, lam: complex, level: int, alpha: float = 2.0
 ) -> WeylDefect:
-    """Measure the α-norm defect at truncation size 2 q_level and bound it."""
+    """Measure the α-norm defect at truncation size 2 q_level and bound it; raise on overflow."""
     alpha = float(alpha)
     if alpha < 1:
         raise OutOfRangeError(f"alpha must be >= 1, got {alpha}")
@@ -240,6 +240,8 @@ def weyl_defect(
     bound = (
         big_c * (c0 * abs(w[0]) ** alpha + ck * abs(w[k]) ** alpha)
     ) ** (1.0 / alpha) / norm_w
+    if not np.isfinite([norm_w, defect, bound]).all():
+        raise OutOfRangeError(f"Weyl defect at λ={lam}, level {level} overflows: λ escapes")
     return WeylDefect(
         lam=lam,
         alpha=alpha,
@@ -278,8 +280,6 @@ def eigenvalue_report(
     the size grows, the fraction of eigenvalues certified to escape the
     filled set shrinks.
     """
-    from .dynamics import escape_classify
-
     out = []
     for z in truncated_eigenvalues(cfg, size):
         lam = complex(z)
@@ -294,6 +294,13 @@ def eigenvalue_report(
             {"re": lam.real, "im": lam.imag, "modulus": abs(lam), "verdict": verdict}
         )
     return out
+
+
+def write_eigenvalue_csv(report: list[dict], fileobj) -> None:
+    """Write eigenvalue_report rows as re,im,modulus,verdict (floats by repr)."""
+    fileobj.write("re,im,modulus,verdict\n")
+    for row in report:
+        fileobj.write(f"{row['re']!r},{row['im']!r},{row['modulus']!r},{row['verdict']}\n")
 
 
 def write_matrix_csv(trunc: SparseTruncation, fileobj) -> None:

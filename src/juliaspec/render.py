@@ -30,6 +30,7 @@ __all__ = [
     "count_components",
     "write_image",
     "write_field_csv",
+    "write_points_csv",
     "INSIDE_COLOR",
 ]
 
@@ -128,7 +129,7 @@ def render_field(sys: FiberedSystem, grid: GridSpec) -> EscapeField:
     """Classify every pixel center by iterating the fiber compositions.
 
     The active pixel set is compacted after every level, so late iterations
-    only touch the still-bounded points.
+    only touch the still-bounded points.  FiberedSystem.orbit over arrays.
     """
     xs = grid.re_min + (np.arange(grid.width) + 0.5) * grid.dx
     ys = grid.im_max - (np.arange(grid.height) + 0.5) * grid.dy
@@ -138,9 +139,8 @@ def render_field(sys: FiberedSystem, grid: GridSpec) -> EscapeField:
     active = np.arange(z.size)
     w = z
     for j in range(1, grid.max_iter + 1):
-        p = sys.p_float(j)
-        d = sys.digit_base(j)
-        w = ((w - (1.0 - p)) / p) ** d
+        c, p, d = sys.level(j)
+        w = ((w - c) / p) ** d
         escaped = np.abs(w) > grid.radius
         if escaped.any():
             steps[active[escaped]] = j
@@ -229,3 +229,10 @@ def write_field_csv(field: EscapeField, fileobj) -> None:
                 fileobj.write(f"{z.real!r},{z.imag!r},inside,{grid.max_iter}\n")
             else:
                 fileobj.write(f"{z.real!r},{z.imag!r},escaped,{s}\n")
+
+
+def write_points_csv(points, fileobj) -> None:
+    """Write complex points as re,im rows (floats by repr, so they round-trip)."""
+    fileobj.write("re,im\n")
+    for z in points:
+        fileobj.write(f"{z.real!r},{z.imag!r}\n")

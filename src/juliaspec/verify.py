@@ -22,15 +22,15 @@ from .canonical import CANONICAL_NAMES, canonical_config
 from .chain import ChainConfig, Recurrence
 from .dynamics import (
     FiberedSystem,
-    eigvec_entry,
+    eigvec_head,
     escape_classify,
     factor_trace,
     factor_values,
     preimages,
     residual_set,
 )
-from .operator import eigenvalue_report, weyl_defect
-from .render import EscapeField, GridSpec, render_field, write_field_csv, write_image
+from .operator import eigenvalue_report, weyl_defect, write_eigenvalue_csv
+from .render import EscapeField, GridSpec, render_field, write_field_csv, write_image, write_points_csv
 
 __all__ = ["CheckResult", "run_verify"]
 
@@ -105,10 +105,8 @@ def _eigen_identity(
     cfg: ChainConfig, sys: FiberedSystem, lams, limit: int, tol: float
 ) -> tuple[bool, str]:
     worst = 0.0
-    levels = cfg.base.level_of(max(limit, 1)) + 2
     for lam in lams:
-        factors = factor_values(sys, lam, levels)
-        values = [eigvec_entry(sys, lam, n, factors) for n in range(limit + 1)]
+        values = eigvec_head(sys, lam, limit + 1)
         for n in range(limit):
             row = cfg.transition_row(n)
             acc = 0j
@@ -141,8 +139,7 @@ def _factor_routes(sys: FiberedSystem, lams, depth: int, tol: float) -> tuple[bo
 
 def _escape_disk_bound(sys: FiberedSystem, rng: np.random.Generator) -> tuple[bool, str]:
     # Everything strictly outside D̄(1-p_1, p_1) leaves at the first level.
-    center = 1.0 - sys.p_float(1)
-    radius = sys.p_float(1)
+    center, radius, _ = sys.level(1)
     for _ in range(50):
         rho = radius + 0.01 + rng.random()
         theta = 2.0 * np.pi * rng.random()
@@ -303,15 +300,11 @@ def run_verify(out_dir: str, seed: int | None = None) -> list[CheckResult]:
         chain_mod.write_trajectory_csv(cfg_d, traj, fh)
 
     with open(os.path.join(out_dir, "residual-dendrite.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("re,im\n")
-        for z in rs.points:
-            fh.write(f"{z.real!r},{z.imag!r}\n")
+        write_points_csv(rs.points, fh)
 
     eig = eigenvalue_report(cfg_d, sys_d, size=32, budget=40)
     with open(os.path.join(out_dir, "eigenvalues-dendrite.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("re,im,modulus,verdict\n")
-        for row in eig:
-            fh.write(f"{row['re']!r},{row['im']!r},{row['modulus']!r},{row['verdict']}\n")
+        write_eigenvalue_csv(eig, fh)
 
     summary = {
         "seed": {name: rc.seed for name, rc in configs.items()},

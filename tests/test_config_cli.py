@@ -331,3 +331,7 @@ def test_argparse_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+    for flag in ("--canonical", "--config"):  # verify always runs every canonical config
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", flag, "dendrite"])
+        assert exc.value.code == 2

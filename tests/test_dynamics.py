@@ -12,6 +12,7 @@ from juliaspec.dynamics import (
     RHO,
     FiberedSystem,
     TraceStatus,
+    _ipow,
     dedup_points,
     dual_eigvec_entry,
     eigvec_entry,
@@ -54,19 +55,35 @@ def test_affine_and_fiber_closed_forms(systems):
 
 
 def test_composed_matches_manual_chain(systems):
+    # Every consumer of the orbit recursion equals, bit for bit, a chain of
+    # the single-level maps affine and fiber written out by hand.
     rng = np.random.default_rng(3)
     for name, sys in systems.items():
-        for lam in disk_points(rng, 6):
-            w = complex(lam)
-            for j in range(1, 7):
+        for lam in disk_points(rng, 40):
+            lam = complex(lam)
+            iotas, ws, w, dw = [], [], lam, 1 + 0j
+            for j in range(1, 13):
+                iota = sys.affine(j, w)
+                d = sys.digit_base(j)
+                dw = d * _ipow(iota, d - 1) * (dw / sys.p_float(j))
                 w = sys.fiber(j, w)
-                got = sys.composed(j, lam)
-                assert got == pytest.approx(w, rel=1e-12, abs=1e-12), (name, j)
+                iotas.append(iota)
+                ws.append(w)
+                assert sys.composed(j, lam) == w, (name, j)
+                assert sys.composed_with_derivative(j, lam) == (w, dw), (name, j)
                 if abs(w) > 1e6:
                     break  # escaped; one more level may overflow to inf/nan
+            levels = len(ws)
+            assert factor_values(sys, lam, levels) == iotas, name
+            trace = factor_trace(sys, lam, levels)
+            assert list(trace.values) == iotas[: len(trace.values)], name
+            out = escape_classify(sys, lam, levels)
+            assert out.modulus == abs(ws[(out.step or levels) - 1]), name
     assert systems["dendrite"].composed(0, 0.3 + 0.1j) == 0.3 + 0.1j
     with pytest.raises(OutOfRangeError):
         systems["dendrite"].composed(-1, 0j)
+    with pytest.raises(OutOfRangeError):
+        systems["dendrite"].composed_with_derivative(-1, 0j)
 
 
 def test_composed_with_derivative_agrees_with_finite_differences(systems):
@@ -320,6 +337,16 @@ def test_residual_set_ternary_keeps_everything(systems):
     rs = residual_set(systems["ternary-p12"], depth=2)
     assert rs.points == rs.ones  # no exclusions in the odd-base case
     assert len(rs.points) == 9  # distinct depth-<=2 preimages of the fixed point
+
+
+def test_preimages_of_one_are_nested(systems):
+    # f_j(1) = 1, so each depth's preimages of 1 reappear one level deeper;
+    # residual_set relies on this to take `ones` from the deepest tree alone.
+    for name, sys in systems.items():
+        for depth in range(1, 5):
+            deeper = preimages(sys, 1.0, depth + 1)
+            for z in preimages(sys, 1.0, depth):
+                assert min(abs(z - w) for w in deeper) <= 1e-8, (name, depth, z)
 
 
 def test_residual_set_validation(systems):

@@ -8,6 +8,7 @@ form that a brute-force series sum must reproduce.
 
 import io
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -108,14 +109,18 @@ def test_rows_past_head_touch_only_columns_zero_and_q(chains):
 
 
 def test_weyl_vector_head_and_padding(systems):
-    sys = systems["binary-p34"]
+    # The Kronecker-product head equals the per-index digit products exactly.
     lam = 0.3 + 0.2j
+    for name, sys in systems.items():
+        for level in (3, 5):
+            k = sys.base.place_value(level)
+            w = weyl_vector(sys, lam, level, 2 * k)
+            assert w.shape == (2 * k,)
+            for m in range(k + 1):
+                assert w[m] == eigvec_entry(sys, lam, m), (name, level, m)
+            assert np.all(w[k + 1 :] == 0)
+    sys = systems["binary-p34"]
     k = sys.base.place_value(3)
-    w = weyl_vector(sys, lam, 3, 2 * k)
-    assert w.shape == (2 * k,)
-    for m in range(k + 1):
-        assert w[m] == eigvec_entry(sys, lam, m)
-    assert np.all(w[k + 1 :] == 0)
     with pytest.raises(OutOfRangeError):
         weyl_vector(sys, lam, 3, k)  # cannot hold entries 0..k
     with pytest.raises(OutOfRangeError):
@@ -135,6 +140,17 @@ def test_weyl_defect_matches_dense_recomputation(chains, systems):
         assert d.defect == pytest.approx(want, rel=1e-12)
         assert d.head_norm == pytest.approx(np.linalg.norm(w, ord=alpha), rel=1e-12)
         json.dumps(d.to_json())
+
+
+def test_weyl_defect_raises_where_it_would_overflow(chains, systems):
+    # λ = 0.3+0.2i escapes the dendrite's filled set; by level 10 its head
+    # overflows double precision, which used to surface as defect = bound = nan.
+    cfg, sys = chains["dendrite"], systems["dendrite"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(OutOfRangeError):
+            weyl_defect(cfg, sys, 0.3 + 0.2j, level=10)
+        assert np.isfinite(weyl_defect(cfg, sys, 0.3 + 0.2j, level=9).defect)
 
 
 def test_weyl_rows_inside_head_are_annihilated(chains, systems):

@@ -75,13 +75,12 @@ def test_field_shape_validation():
 
 
 def test_render_agrees_with_scalar_escape_test(systems):
-    grid = GridSpec(-1.3, 0.9, -0.8, 1.1, 9, 7, 30)
-    for name in ("ternary-p12", "binary-geometric"):
-        sys = systems[name]
+    grid = GridSpec(-1.3, 0.9, -0.8, 1.1, 64, 64, 200)
+    for name, sys in systems.items():
         field = render_field(sys, grid)
-        for row in range(7):
-            for col in range(9):
-                out = escape_classify(sys, grid.complex_at(row, col), 30)
+        for row in range(64):
+            for col in range(64):
+                out = escape_classify(sys, grid.complex_at(row, col), 200)
                 if out.escaped:
                     assert field.steps[row, col] == out.step, (name, row, col)
                 else:
