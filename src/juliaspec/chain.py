@@ -245,6 +245,11 @@ def _count_hits_lockstep(
     qs = [1]
     while qs[-1] <= bound:
         qs.append(qs[-1] * cfg.base.digit_base(len(qs)))
+    if qs[-1] > np.iinfo(np.int64).max:
+        raise IntegerOverflowError(
+            f"place value q_{len(qs) - 1} above start {start} + horizon {horizon} "
+            "does not fit the 64-bit signed lockstep engine"
+        )
     jmax = len(qs) - 1
     qs = np.array(qs, dtype=np.int64)
     pref = np.array([float(cfg.success_prefix(r)) for r in range(jmax + 1)], dtype=float)

@@ -141,12 +141,12 @@ class BaseSequence:
             j += 1
 
     def level_of(self, n: int) -> int:
-        """Smallest L >= 0 with n < q_L (the number of digits of n)."""
-        n = self._check_state(n)
-        level = 0
-        while n >= self.place_value(level):
-            level += 1
-        return level
+        """The number of digits of n (0 for n = 0): the smallest L >= 0 with n < q_L.
+
+        Counted from the digits, so it holds up to the capacity even where
+        q_L itself would exceed it.
+        """
+        return len(self.to_digits(n))
 
 
 @dataclass(frozen=True)

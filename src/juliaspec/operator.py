@@ -12,6 +12,10 @@ factor products) with zeros and measures the α-norm defect of (A - λI)
 against it on a window of twice the head length; the defect is small
 because the only rows that feel the cut touch columns 0 and q_n, with
 coefficient masses that telescope into closed forms.
+
+Truncation spectra take one of two routes: at a place value q_n they are the
+preimage tree f̃_n⁻¹{1 - p_{n+1}} (O(n·q_n)), at any other size a dense
+eigensolve (O(size³)).
 """
 
 from __future__ import annotations
@@ -22,12 +26,13 @@ from fractions import Fraction
 import numpy as np
 
 from .chain import ChainConfig
-from .dynamics import FiberedSystem, eigvec_head, escape_classify
+from .dynamics import FiberedSystem, eigvec_head, escape_classify, preimages
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
     OutOfRangeError,
 )
+from .numeration import BaseSequence
 from .sequences import ProductVerdict, product_verdict, tail_product
 
 __all__ = [
@@ -259,14 +264,60 @@ def weyl_defect(
 # -- eigenvalue clouds -------------------------------------------------------
 
 
+def _place_index(base: BaseSequence, size: int) -> int | None:
+    """n with size = q_n, or None: size = q_n exactly when every digit of size - 1 is maximal."""
+    if not 1 <= size <= base.capacity + 1:
+        return None
+    n = base.level_of(size - 1)
+    return n if base.counter(size - 1) > n else None
+
+
 def truncated_eigenvalues(cfg: ChainConfig, size: int) -> np.ndarray:
-    """Eigenvalues of the size×size truncation, sorted by decreasing modulus."""
-    if size > _EIG_SIZE_CAP:
+    """Eigenvalues of the size×size truncation, sorted by decreasing modulus.
+
+    At a place value size = q_n they are the preimage tree f̃_n⁻¹{1 - p_{n+1}}
+    (up to 2^20 of them), because, with P_r = p_1···p_r,
+
+        det(zI - A_{q_n}) = Π_{j<=n} p_j^{q_n/q_{j-1}} · (f̃_n(z) - (1 - p_{n+1})).
+
+    Derivation.  Let A_n(c) be the q_n-truncation with its one corner entry
+    (row q_n - 1, column 0: the jump of all n maximal digits back to 0)
+    set to c·P_n; the dropped-mass truncation is A_n(1 - p_{n+1}), and
+    A_0(c) = [c].  Claim: det(zI - A_n(c)) = K_n (f̃_n(z) - c) with
+    K_n = Π_{j<=n} p_j^{q_n/q_{j-1}}.  Split the states by their top digit
+    a < d = d_n into d blocks of size m = q_{n-1}.  A row whose low digits
+    are not all maximal stays in its block, and each block sees A_{n-1}
+    there.  The row a·m + m - 1 jumps to a·m + m with mass P_n when
+    a < d - 1, and to 0 with mass (1 - p_{n+1}) P_n = c P_n when
+    a = d - 1; its other moves stay in the block, the r = n - 1 one at the
+    block's corner.  So, with E = e_{m-1} e_0ᵀ and C the cyclic shift
+    a -> a + 1 whose wrap d - 1 -> 0 has weight c,
+
+        A_n(c) = I_d ⊗ B + P_n (C ⊗ E),     B = A_{n-1}(1 - p_n).
+
+    Write D = det(zI - B) and ρ = ((zI - B)⁻¹)[0, m-1].  Sylvester's
+    identity on the rank-d factorisation C ⊗ e_{m-1} e_0ᵀ gives
+    det(zI - A_n(c)) = D^d det(I_d - P_n ρ C) = D^d (1 - c (P_n ρ)^d).
+    The cofactor behind ρ leaves out row m - 1 and column 0, so it does
+    not see B's corner, while det(zI - A_{n-1}(c')) is affine in c' with
+    slope -P_{n-1} times that cofactor; the claim at n - 1 fixes it at
+    K_{n-1}/P_{n-1}.  Hence P_n ρ = p_n K_{n-1}/D = 1/ι with
+    ι = h_n(f̃_{n-1}(z)), as D = K_{n-1} p_n ι.  Then
+    det(zI - A_n(c)) = K_{n-1}^d p_n^d (ι^d - c) = K_n (f̃_n(z) - c),
+    a polynomial identity that holds for every z.
+
+    Every other size goes to a dense eigensolve, refused above 4096.
+    """
+    n = _place_index(cfg.base, size)
+    if n is not None:
+        sys = FiberedSystem(cfg.base, cfg.p)
+        vals = np.array(preimages(sys, 1.0 - sys.p_float(n + 1), n), dtype=complex)
+    elif size > _EIG_SIZE_CAP:
         raise BudgetExceededError(
             f"dense eigensolve refused for size {size} > {_EIG_SIZE_CAP}"
         )
-    a = build_truncation(cfg, size).to_dense()
-    vals = np.linalg.eigvals(a)
+    else:
+        vals = np.linalg.eigvals(build_truncation(cfg, size).to_dense())
     order = np.lexsort((vals.imag, vals.real, -np.abs(vals)))
     return vals[order]
 

@@ -29,7 +29,13 @@ from .dynamics import (
     preimages,
     residual_set,
 )
-from .operator import eigenvalue_report, weyl_defect, write_eigenvalue_csv
+from .operator import (
+    build_truncation,
+    eigenvalue_report,
+    truncated_eigenvalues,
+    weyl_defect,
+    write_eigenvalue_csv,
+)
 from .render import EscapeField, GridSpec, render_field, write_field_csv, write_image, write_points_csv
 
 __all__ = ["CheckResult", "run_verify"]
@@ -118,6 +124,34 @@ def _eigen_identity(
     return True, f"max eigen-identity residual {worst:.3e}"
 
 
+def _tree_vs_dense(cfg: ChainConfig, levels) -> tuple[bool, str]:
+    # At size q_n, truncated_eigenvalues returns the tree f̃_n⁻¹{1 - p_{n+1}}.
+    # Match the dense eigensolve to it as multisets.  Newton and LAPACK reach only
+    # about ε^{1/k} at a k-fold root, so each pair's tolerance is (1e4 ε)^{1/k},
+    # with k the size of the tree point's cluster.
+    # Imported here: scipy.optimize adds ~0.16 s and ~23 MB to every CLI start.
+    from scipy.optimize import linear_sum_assignment
+
+    worst, worst_ratio, largest = 0.0, 0.0, 1
+    for n in levels:
+        size = cfg.base.place_value(n)
+        tree = truncated_eigenvalues(cfg, size)
+        dense = np.linalg.eigvals(build_truncation(cfg, size).to_dense())
+        dist = np.abs(tree[:, None] - dense[None, :])
+        rows, cols = linear_sum_assignment(dist)
+        mult = (np.abs(tree[:, None] - tree[None, :]) <= 1e-6).sum(axis=1)[rows]
+        err = dist[rows, cols]
+        tol = (1e4 * np.finfo(float).eps) ** (1.0 / mult)
+        worst = max(worst, float(err.max()))
+        worst_ratio = max(worst_ratio, float((err / tol).max()))
+        largest = max(largest, int(mult.max()))
+    sizes = ", ".join(f"q_{n}" for n in levels)
+    detail = f"max |tree - dense| {worst:.3e} at {sizes} (largest cluster {largest})"
+    if worst_ratio > 1:
+        return False, detail + " exceeds the cluster tolerance"
+    return True, detail
+
+
 def _factor_routes(sys: FiberedSystem, lams, depth: int, tol: float) -> tuple[bool, str]:
     # Route 1: the factor recursion; route 2: apply the affine map to the
     # composed orbit directly.  Also the power identity composed = factor^d.
@@ -203,6 +237,11 @@ def run_verify(out_dir: str, seed: int | None = None) -> list[CheckResult]:
         check(f"factor-routes[{name}]", ok, detail)
         ok, detail = _escape_disk_bound(sys, rng)
         check(f"escape-disk-bound[{name}]", ok, detail)
+
+    # Truncation spectra at place values: the preimage tree against the dense oracle.
+    for name, rc in configs.items():
+        ok, detail = _tree_vs_dense(rc.chain(), (3, 4))
+        check(f"truncation-tree-vs-dense[{name}]", ok, detail)
 
     # Recurrence classification and Monte Carlo witnesses.
     dendrite = configs["dendrite"]

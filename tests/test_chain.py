@@ -149,6 +149,13 @@ def test_harmonic_vector_is_block_constant(chains):
         cfg.harmonic_value(0)
 
 
+def test_harmonic_vector_at_the_capacity_ceiling(chains):
+    # 2^64 - 1 has 64 binary digits; q_64 = 2^64 itself is past the capacity.
+    assert chains["dendrite"].harmonic_value(2**64 - 1) == 2**63
+    assert chains["dendrite"].harmonic_value(2**63) == 2**63
+    assert chains["dendrite"].harmonic_value(2**63 - 1) == 2**62
+
+
 # -- sampling ----------------------------------------------------------------
 
 
@@ -210,6 +217,14 @@ def test_return_statistics_transient_start_high():
     # True return probability from q_3 = 8 is about 0.06 here.
     assert stats_.fraction < 0.2
     assert stats_.hits == round(stats_.fraction * stats_.trajectories)
+
+
+def test_return_statistics_refuses_states_past_int64(chains):
+    cfg = chains["dendrite"]
+    with pytest.raises(IntegerOverflowError):
+        cfg.return_statistics(start=2**63 - 800, trajectories=3, horizon=10, seed=1)
+    stats_ = cfg.return_statistics(start=2**62 - 800, trajectories=3, horizon=10, seed=1)
+    assert stats_.hits == 0
 
 
 def test_return_statistics_is_deterministic(chains):

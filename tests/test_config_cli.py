@@ -6,6 +6,9 @@ the documented mapping (0 ok, 2 config/usage, 3 budget, 4 verification).
 """
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -303,6 +306,27 @@ def test_exit_code_3_eigensolve_cap(capsys):
                "--out-prefix", "unused"])
     assert rc == 3
     assert "budget exceeded" in capsys.readouterr().err
+
+
+def test_exit_code_3_truncation_past_the_tree_cap(tmp_path, capsys):
+    rc = main(["truncate", "--canonical", "dendrite", "--size", str(1 << 21),  # q_21
+               "--out-prefix", str(tmp_path / "tr")])
+    assert rc == 3
+    assert "budget exceeded" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_exit_code_3_monte_carlo_past_int64():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "juliaspec.cli", "simulate", "--canonical", "dendrite",
+         "--start", "9223372036854775000", "--trajectories", "3", "--horizon", "10"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert "budget exceeded" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_exit_code_3_preimage_budget(capsys):

@@ -104,6 +104,7 @@ def test_level_counts_digits(name):
         if n:
             assert base.place_value(level - 1) <= n < base.place_value(level)
     assert base.level_of(0) == 0
+    assert base.level_of(base.capacity) == len(base.to_digits(base.capacity))
 
 
 def test_from_digits_validates_each_digit():

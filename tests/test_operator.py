@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from juliaspec.chain import ChainConfig
 from juliaspec.dynamics import FiberedSystem, eigvec_entry
@@ -31,7 +32,8 @@ from juliaspec.operator import (
     weyl_vector,
     write_matrix_csv,
 )
-from juliaspec.sequences import random_uniform
+from juliaspec.sequences import constant, prefix_then, random_uniform
+from juliaspec.verify import _tree_vs_dense
 
 
 # -- truncation block --------------------------------------------------------
@@ -241,6 +243,45 @@ def test_truncated_eigenvalues_shape_and_bounds(chains):
 def test_truncated_eigenvalues_cap(chains):
     with pytest.raises(BudgetExceededError):
         truncated_eigenvalues(chains["dendrite"], 4097)
+
+
+def _multiset_gap(a, b) -> float:
+    """Largest distance in the closest one-to-one pairing of two point multisets."""
+    dist = np.abs(np.asarray(a)[:, None] - np.asarray(b)[None, :])
+    rows, cols = linear_sum_assignment(dist)
+    return float(dist[rows, cols].max())
+
+
+def test_tree_route_matches_dense_eigensolve(chains):
+    for name, cfg in chains.items():
+        for n in range(7):
+            size = cfg.base.place_value(n)
+            vals = truncated_eigenvalues(cfg, size)
+            assert vals.shape == (size,)
+            assert np.all(np.diff(np.abs(vals)) <= 0), (name, n)
+            dense = np.linalg.eigvals(build_truncation(cfg, size).to_dense())
+            assert _multiset_gap(vals, dense) <= 1e-11, (name, n)
+    assert truncated_eigenvalues(chains["dendrite"], 1).tolist() == [0.5]  # [1 - p_1]
+
+
+def test_tree_route_keeps_repeated_roots():
+    # p_{n+1} = 1 makes the target 0, the critical value of f_n: every
+    # eigenvalue of the q_n truncation is then a d-fold root.
+    base = BaseSequence(3)
+    cfg = ChainConfig(base, prefix_then(["1/2", "1/2", "1"], constant("1/2")))
+    vals = truncated_eigenvalues(cfg, 9)
+    dense = np.linalg.eigvals(build_truncation(cfg, 9).to_dense())
+    assert _multiset_gap(vals, dense) <= 1e-9
+    assert len({complex(round(z.real, 6), round(z.imag, 6)) for z in vals}) == 3
+    ok, detail = _tree_vs_dense(cfg, (2,))
+    assert ok and "largest cluster 3" in detail, detail
+
+
+def test_tree_route_past_the_dense_cap(chains, systems):
+    vals = truncated_eigenvalues(chains["dendrite"], 8192)  # q_13
+    assert vals.shape == (8192,)
+    err = max(abs(systems["dendrite"].composed(13, z) - 0.5) for z in vals)
+    assert err <= 1e-8
 
 
 def test_eigenvalue_report_tags(chains, systems):
