@@ -18,7 +18,7 @@ dynamics     fiber maps, escape tests, eigenvector factors, preimage trees
 spectra      per-space spectral classification with certificates
 operator     finite truncations, Weyl defect vectors, eigenvalue clouds
 render       raster escape fields, connectivity, PPM/CSV artifacts
-config       JSON run configuration and schema validation
+config       JSON run configuration and its validation
 canonical    the five packaged example configurations
 verify       cross-module invariant suite with deterministic artifacts
 cli          command-line entry points
@@ -26,7 +26,7 @@ cli          command-line entry points
 
 from .canonical import CANONICAL_NAMES, all_canonical, canonical_config
 from .chain import ChainConfig, Recurrence, ReturnStatistics, TransitionRow
-from .config import CONFIG_SCHEMA, RunConfig, load_config_file, parse_config
+from .config import RunConfig, load_config_file, parse_config
 from .dynamics import (
     RHO,
     EscapeOutcome,
@@ -94,7 +94,6 @@ __all__ = [
     "C",
     "C0",
     "CANONICAL_NAMES",
-    "CONFIG_SCHEMA",
     "ChainConfig",
     "ConfigError",
     "DigitExpansion",

@@ -87,42 +87,47 @@ class ChainConfig:
             raise OutOfRangeError("ChainConfig needs a probability spec (codomain 'p')")
         self.base = base
         self.p = p
-        self._pv = []  # exact values p_1, p_2, ...
-        self._prefix = [Fraction(1)]  # ∏_{j<=r} p_j, exact
+        self._levels: list[tuple] = []
 
     # -- parameter access ---------------------------------------------------
 
-    def p_at(self, j: int):
-        """p_j, exact where the spec is rational."""
+    def level(self, j: int) -> tuple:
+        """(p_j, P_j = p_1···p_j, (1 - p_j) P_{j-1}) for j >= 1, exact where the spec is rational.
+
+        The third entry is the mass of the move that fails at write j.
+        """
         if j < 1:
             raise OutOfRangeError(f"probability index must be >= 1, got {j}")
-        while len(self._pv) < j:
-            self._pv.append(self.p.value_at(len(self._pv) + 1))
-        return self._pv[j - 1]
+        while len(self._levels) < j:
+            p = self.p.value_at(len(self._levels) + 1)
+            prev = self._levels[-1][1] if self._levels else Fraction(1)
+            self._levels.append((p, prev * p, (1 - p) * prev))
+        return self._levels[j - 1]
+
+    def p_at(self, j: int):
+        """p_j, exact where the spec is rational."""
+        return self.level(j)[0]
 
     def p_float(self, j: int) -> float:
-        return float(self.p_at(j))
+        return float(self.level(j)[0])
 
     def success_prefix(self, r: int):
         """∏_{j<=r} p_j (empty product 1), exact where possible."""
         if r < 0:
             raise OutOfRangeError(f"prefix length must be >= 0, got {r}")
-        while len(self._prefix) <= r:
-            nxt = self._prefix[-1] * self.p_at(len(self._prefix))
-            self._prefix.append(nxt)
-        return self._prefix[r]
+        return self.level(r)[1] if r else Fraction(1)
 
     # -- transition structure ----------------------------------------------
 
     def transition_row(self, n: int) -> TransitionRow:
         """Row n of the transition matrix, zero entries omitted."""
         zeta = self.base.counter(n)
+        up = self.level(zeta)[1]  # grows the table to ζ
         entries = []
         for r in range(zeta - 1, -1, -1):  # down-jumps and the self-loop, ascending targets
-            mass = (1 - self.p_at(r + 1)) * self.success_prefix(r)
+            mass = self._levels[r][2]
             if mass != 0:
                 entries.append((n - (self.base.place_value(r) - 1), mass))
-        up = self.success_prefix(zeta)
         if up != 0:
             succ = n + 1
             if succ > self.base.capacity:

@@ -219,14 +219,17 @@ def _cmd_simulate(args) -> int:
     start = int(_param(args, rc, "start", 1))
     steps = int(_param(args, rc, "steps", 200))
     traj = cfg.simulate(start=start, steps=steps, seed=rc.seed)
-    with _open_out(args, rc) as out:
-        chain_mod.write_trajectory_csv(cfg, traj, out)
+    # Estimate before writing: a refused estimate must not leave a trajectory artifact behind.
     trajectories = _param(args, rc, "trajectories")
+    stats = None
     if trajectories is not None:
         horizon = int(_param(args, rc, "horizon", 100_000))
         stats = cfg.return_statistics(
             start=start, trajectories=int(trajectories), horizon=horizon, seed=rc.seed
         )
+    with _open_out(args, rc) as out:
+        chain_mod.write_trajectory_csv(cfg, traj, out)
+    if stats is not None:
         payload = {
             "start": stats.start,
             "trajectories": stats.trajectories,

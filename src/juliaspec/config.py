@@ -1,9 +1,9 @@
 """Run configuration: one JSON document describing (p̄, d̄, seed, command).
 
-The document is validated structurally against CONFIG_SCHEMA (jsonschema)
-before any computation, then the sequence descriptions are parsed with the
-stricter per-kind range checks.  CLI flags may override individual fields
-after loading.
+The document's top level is checked before any computation: an object with
+keys p and d, optionally seed, command and capacity_bits, each in range.  The
+sequence descriptions are then parsed with the stricter per-kind range checks.
+CLI flags may override individual fields after loading.
 """
 
 from __future__ import annotations
@@ -11,39 +11,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 
-import jsonschema
-
 from .chain import ChainConfig
 from .dynamics import FiberedSystem
 from .errors import ConfigError
 from .numeration import BaseSequence
 from .sequences import SequenceSpec, spec_from_json, spec_to_json
 
-__all__ = ["CONFIG_SCHEMA", "RunConfig", "parse_config", "load_config_file"]
+__all__ = ["RunConfig", "parse_config", "load_config_file"]
 
-_SEQ_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {
-            "type": "string",
-            "enum": ["constant", "periodic", "geometric", "harmonic", "prefix", "random"],
-        }
-    },
-    "required": ["kind"],
-}
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "p": _SEQ_SCHEMA,
-        "d": _SEQ_SCHEMA,
-        "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
-        "command": {"type": "object"},
-        "capacity_bits": {"type": "integer", "minimum": 64, "maximum": 512},
-    },
-    "required": ["p", "d"],
-    "additionalProperties": False,
-}
+_KEYS = ("p", "d", "seed", "command", "capacity_bits")
+_INT_RANGES = {"seed": (0, 2**64 - 1), "capacity_bits": (64, 512)}
 
 
 @dataclass(frozen=True)
@@ -83,10 +60,25 @@ class RunConfig:
 
 def parse_config(obj) -> RunConfig:
     """Validate a JSON document and build the RunConfig; ConfigError on defects."""
-    try:
-        jsonschema.validate(obj, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config rejected by schema: {exc.message}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"config must be an object, got {type(obj).__name__}")
+    for key in obj:
+        if key not in _KEYS:
+            raise ConfigError(f"config has unknown key {key!r}")
+    for key in ("p", "d"):
+        if key not in obj:
+            raise ConfigError(f"config is missing key {key!r}")
+    for key, (lo, hi) in _INT_RANGES.items():
+        v = obj.get(key, lo)
+        # Integral floats such as 1.0 count as integers; booleans do not.
+        if isinstance(v, bool) or not (
+            isinstance(v, int) or isinstance(v, float) and v.is_integer()
+        ):
+            raise ConfigError(f"config {key} must be an integer, got {v!r}")
+        if not lo <= v <= hi:
+            raise ConfigError(f"config {key} must lie in [{lo}, {hi}], got {v!r}")
+    if not isinstance(obj.get("command", {}), dict):
+        raise ConfigError("config command must be an object")
     p = spec_from_json(obj["p"], "p")
     d = spec_from_json(obj["d"], "d")
     return RunConfig(

@@ -20,10 +20,11 @@ eigensolve (O(size³)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .chain import ChainConfig
 from .dynamics import FiberedSystem, eigvec_head, escape_classify, preimages
@@ -58,13 +59,15 @@ class SparseTruncation:
     rows[n] lists (column, value) pairs in increasing column order; values
     are Fractions when `exact`, floats otherwise.  outflow[n] is the mass of
     row n that fell outside the window (kept for inspection, never folded
-    back into the surviving entries).
+    back into the surviving entries).  `matrix` is the same block as a float
+    CSR matrix (exact entries rounded once); the float actions go through it.
     """
 
     size: int
     rows: tuple[tuple[tuple[int, Fraction | float], ...], ...]
     outflow: tuple[Fraction | float, ...]
     exact: bool
+    matrix: csr_array = field(repr=False, compare=False)
 
     def entry(self, n: int, m: int):
         """Matrix entry at (row n, column m); 0 when absent."""
@@ -81,41 +84,24 @@ class SparseTruncation:
         return sum((val for _, val in self.rows[n]), Fraction(0) if self.exact else 0.0)
 
     def to_dense(self) -> np.ndarray:
-        """Dense float64 matrix (exact entries are rounded once, here)."""
-        a = np.zeros((self.size, self.size))
-        for n, row in enumerate(self.rows):
-            for col, val in row:
-                a[n, col] = float(val)
-        return a
+        """Dense float64 matrix."""
+        return self.matrix.toarray()
 
     def apply(self, vec) -> np.ndarray:
         """Row action (A v)(n) = Σ_m A[n, m] v(m) in complex floats."""
+        return self.matrix @ self._check_vector(vec)
+
+    def apply_dual(self, vec) -> np.ndarray:
+        """Column action (u A)(m) = Σ_n u(n) A[n, m] in complex floats."""
+        return self._check_vector(vec) @ self.matrix
+
+    def _check_vector(self, vec) -> np.ndarray:
         v = np.asarray(vec, dtype=complex)
         if v.shape != (self.size,):
             raise DimensionMismatchError(
                 f"vector of shape {v.shape} does not match truncation size {self.size}"
             )
-        out = np.zeros(self.size, dtype=complex)
-        for n, row in enumerate(self.rows):
-            acc = 0j
-            for col, val in row:
-                acc += float(val) * v[col]
-            out[n] = acc
-        return out
-
-    def apply_dual(self, vec) -> np.ndarray:
-        """Column action (u A)(m) = Σ_n u(n) A[n, m] in complex floats."""
-        u = np.asarray(vec, dtype=complex)
-        if u.shape != (self.size,):
-            raise DimensionMismatchError(
-                f"vector of shape {u.shape} does not match truncation size {self.size}"
-            )
-        out = np.zeros(self.size, dtype=complex)
-        for n, row in enumerate(self.rows):
-            if u[n] != 0:
-                for col, val in row:
-                    out[col] += u[n] * float(val)
-        return out
+        return v
 
     def _check_index(self, i: int):
         if not (0 <= i < self.size):
@@ -136,7 +122,13 @@ def build_truncation(cfg: ChainConfig, size: int) -> SparseTruncation:
         lost = sum((v for t, v in row.entries if t >= size), zero)
         rows.append(kept)
         outflow.append(lost)
-    return SparseTruncation(size=size, rows=tuple(rows), outflow=tuple(outflow), exact=exact)
+    values = [float(v) for row in rows for _, v in row]
+    cols = [t for row in rows for t, _ in row]
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    matrix = csr_array((values, cols, indptr), shape=(size, size))
+    return SparseTruncation(
+        size=size, rows=tuple(rows), outflow=tuple(outflow), exact=exact, matrix=matrix
+    )
 
 
 # -- Weyl defect vectors -----------------------------------------------------

@@ -40,6 +40,10 @@ def test_parse_config_minimal_defaults():
     assert rc.capacity_bits == 64
     assert rc.chain().p_at(1) == Fraction(1, 2)
     assert rc.base().digit_base(5) == 2
+    # Integral floats count as JSON integers.
+    rc = parse_config({**MINIMAL, "seed": 1.0, "capacity_bits": 128.0})
+    assert (rc.seed, rc.capacity_bits) == (1, 128)
+    assert type(rc.seed) is int and type(rc.capacity_bits) is int
 
 
 @pytest.mark.parametrize(
@@ -54,6 +58,11 @@ def test_parse_config_minimal_defaults():
         {**MINIMAL, "p": {"kind": "fibonacci"}},
         {**MINIMAL, "p": {"value": "1/2"}},  # kind missing
         {**MINIMAL, "command": "render"},  # must be an object
+        [MINIMAL],  # not an object
+        {**MINIMAL, "seed": True},  # booleans are not integers
+        {**MINIMAL, "seed": 2.5},
+        {**MINIMAL, "capacity_bits": True},
+        {**MINIMAL, "p": "x"},
     ],
 )
 def test_parse_config_rejects_bad_documents(doc):
@@ -327,6 +336,25 @@ def test_exit_code_3_monte_carlo_past_int64():
     assert proc.returncode == 3
     assert "budget exceeded" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_exit_code_3_monte_carlo_leaves_no_trajectory(tmp_path, capsys):
+    out = tmp_path / "sim.csv"
+    rc = main(["simulate", "--canonical", "dendrite", "--start", "9223372036854775000",
+               "--trajectories", "3", "--horizon", "10", "--steps", "3", "--out", str(out)])
+    assert rc == 3
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_import_skips_heavy_modules():
+    # A module-level import is paid by every CLI start (setup time, peak RSS).
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, juliaspec.cli; print(sorted({'jsonschema', 'scipy.optimize'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_exit_code_3_preimage_budget(capsys):

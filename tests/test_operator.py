@@ -50,12 +50,18 @@ def test_rows_plus_outflow_restore_stochasticity(chains):
 
 
 def test_entries_match_transition_rows(chains):
+    # The float matrix behind to_dense/apply is pinned to the exact rows it is built from.
+    float_chain = ChainConfig(BaseSequence(3), random_uniform("1/3", "9/10", 5))
+    for name, cfg in {**chains, "random-uniform": float_chain}.items():
+        tr = build_truncation(cfg, 30)
+        dense = tr.to_dense()
+        for n in range(30):
+            row = cfg.transition_row(n)
+            for m in range(30):
+                assert tr.entry(n, m) == row.probability_to(m), (name, n, m)
+                assert dense[n, m] == float(tr.entry(n, m)), (name, n, m)
     cfg = chains["mixed23-harmonic"]
     tr = build_truncation(cfg, 30)
-    for n in range(30):
-        row = cfg.transition_row(n)
-        for m in range(30):
-            assert tr.entry(n, m) == row.probability_to(m)
     assert tr.entry(5, 20) == Fraction(0)
     with pytest.raises(OutOfRangeError):
         tr.entry(30, 0)
