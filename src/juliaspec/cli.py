@@ -14,7 +14,9 @@ All randomness flows from the single 64-bit seed in the configuration
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import re
 import sys
 from contextlib import contextmanager
 
@@ -37,13 +39,20 @@ from .verify import run_verify
 __all__ = ["main", "build_parser", "parse_complex"]
 
 
+# 'i' as the imaginary unit, but not inside the words 'inf', 'infinity' or 'nan'.
+_UNIT_I = re.compile(r"(?i:infinity|inf|nan)|i")
+
+
 def parse_complex(text: str) -> complex:
-    """Parse '0.3+0.2i', '1+0j', '-0.5i' or plain reals into a complex number."""
-    t = str(text).strip().replace(" ", "").replace("i", "j")
+    """Parse '0.3+0.2i', '1+0j', '-0.5i' or plain reals into a finite complex number."""
+    t = _UNIT_I.sub(lambda m: "j" if m[0] == "i" else m[0], str(text).strip().replace(" ", ""))
     try:
-        return complex(t)
+        z = complex(t)
     except ValueError as exc:
         raise ConfigError(f"cannot parse complex number {text!r}") from exc
+    if not cmath.isfinite(z):
+        raise ConfigError(f"complex number {text!r} is not finite")
+    return z
 
 
 def _add_config_flags(p: argparse.ArgumentParser):

@@ -21,10 +21,13 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import count, islice
+
+import numpy as np
 
 from .errors import (
     BudgetExceededError,
@@ -59,6 +62,8 @@ RHO = 2.0 * (math.sqrt(2.0) - 1.0)
 _DEFAULT_SLACK = 1e-9
 _ONE_TOL = 1e-9
 _PREIMAGE_CAP = 1 << 20
+#: Leaves per array pass of the Newton polish; bounds its working memory.
+_POLISH_BLOCK = 4096
 
 
 def _ipow(z: complex, n: int) -> complex:
@@ -82,6 +87,7 @@ class FiberedSystem:
         self.base = base
         self.p = p
         self._levels: list[tuple[float, float, int]] = []
+        self._residual: dict[tuple[int, float], ResidualSets] = {}
 
     def level(self, j: int) -> tuple[float, float, int]:
         """(1 - p_j, p_j, d_j) for fiber index j >= 1, from the level table."""
@@ -309,30 +315,131 @@ def _unit_root(k: int, d: int) -> complex:
     return cmath.exp(2j * math.pi * k / d)
 
 
-def _droots(u: complex, d: int) -> list[complex]:
-    """All d-th roots of u (a d-fold 0 when u = 0)."""
+def _droots(u: complex, d: int, units: list[complex]) -> list[complex]:
+    """All d-th roots of u (a d-fold 0 when u = 0); units[k] is `_unit_root(k, d)`."""
     if u == 0:
         return [0j] * d
     r = abs(u) ** (1.0 / d)
     theta = cmath.phase(u)
     principal = complex(r, 0.0) if theta == 0.0 else r * cmath.exp(1j * theta / d)
-    return [principal * _unit_root(k, d) for k in range(d)]
+    return [principal * w for w in units]
 
 
-def _polish(sys: FiberedSystem, depth: int, target: complex, z: complex) -> complex:
-    """One damped Newton pass on f̃_depth(z) - target."""
-    v, dv = sys.composed_with_derivative(depth, z)
-    best = abs(v - target)
-    if best == 0 or dv == 0:
-        return z
-    step = (v - target) / dv
+# The split-complex helpers below take (re, im) pairs of float64 arrays and
+# repeat, operation for operation, the C code CPython 3.11 runs for `complex`:
+# numpy's own complex product may fuse multiply-adds, and its division by a
+# real p multiplies by 1/p, so neither gives Python's bits.  Scalar operands
+# are 0-d arrays, which numpy combines with an array faster than a float.
+
+_ZERO = np.array(0.0)
+
+
+def _real_divisor(p: float):
+    """(ratio, denom) of CPython's complex quotient by p + 0j, as 0-d arrays."""
+    ratio = 0.0 / p
+    return np.array(ratio), np.array(p + 0.0 * ratio)
+
+
+_HALVE = _real_divisor(2.0)
+
+
+def _c_mul(ar, ai, br, bi):
+    """a·b, as CPython's complex product."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _c_div_real(ar, ai, divisor):
+    """a / (p + 0j), divisor = `_real_divisor(p)`; the ±0.0 terms give Python's signs of zero."""
+    ratio, denom = divisor
+    return (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
+
+
+def _c_div(ar, ai, br, bi):
+    """a / b, as CPython's complex quotient (Smith's method, branch on |b.re| >= |b.im|).
+
+    Where b has a NaN part Python returns NaN; the second branch does too.
+    """
+    ratio = bi / br
+    denom = br + bi * ratio
+    rr, ri = (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
+    ratio = br / bi
+    denom = br * ratio + bi
+    sr, si = (ar * ratio + ai) / denom, (ai * ratio - ar) / denom
+    by_real = np.abs(br) >= np.abs(bi)
+    return np.where(by_real, rr, sr), np.where(by_real, ri, si)
+
+
+def _c_ipow(zr, zi, n: int):
+    """`_ipow` for n >= 1: the same square-and-multiply from 1 + 0j."""
+    out = None
+    br, bi = zr, zi
+    while n:
+        if n & 1:
+            # (1 + 0j)·b is b - 0.0·b.imag, b.imag + 0.0·b.real: 1.0·x is exact.
+            out = (br - _ZERO * bi, bi + _ZERO * br) if out is None else _c_mul(*out, br, bi)
+        n >>= 1
+        if n:
+            br, bi = _c_mul(br, bi, br, bi)
+    return out
+
+
+def _split_levels(sys: FiberedSystem, depth: int) -> list:
+    """Levels 1..depth as (c, `_real_divisor(p)`, d, float(d)), c and float(d) as 0-d arrays."""
+    return [
+        (np.array(c), _real_divisor(p), d, np.array(float(d)))
+        for c, p, d in map(sys.level, range(1, depth + 1))
+    ]
+
+
+def _composed_arrays(levels, zr, zi, derivative: bool):
+    """`FiberedSystem.composed_with_derivative` over split arrays of points, bit for bit.
+
+    `levels` comes from `_split_levels`.  Returns (v.re, v.im, dv.re, dv.im);
+    the derivative parts are None unless asked for.
+    """
+    vr, vi = zr, zi
+    dr = di = None
+    if derivative:
+        dr, di = np.ones_like(zr), np.zeros_like(zi)
+    for c, divisor, d, fd in levels:
+        # w - c leaves the imaginary part as it is (im - 0.0 == im, signed zeros too).
+        ir, ii = _c_div_real(vr - c, vi, divisor)
+        vr, vi = _c_ipow(ir, ii, d)
+        if derivative:
+            # d * g is complex(d) * g.
+            gr, gi = _c_mul(fd, _ZERO, *_c_ipow(ir, ii, d - 1))
+            dr, di = _c_mul(gr, gi, *_c_div_real(dr, di, divisor))
+    return vr, vi, dr, di
+
+
+def _polish_block(levels, target: complex, leaves):
+    """One damped Newton pass on f̃_depth(z) - target for every point of a complex array.
+
+    Per point: take the Newton step, then keep the first of z - step,
+    z - step/2, z - step/4, z - step/8 whose residual is no larger than that of
+    z, else z itself.  Each try evaluates only the points still undecided.
+    """
+    zr, zi = leaves.real.copy(), leaves.imag.copy()
+    vr, vi, dr, di = _composed_arrays(levels, zr, zi, derivative=True)
+    er, ei = vr - target.real, vi - target.imag
+    best = np.hypot(er, ei)
+    idx = np.flatnonzero((best != 0) & (np.hypot(dr, di) != 0))  # dv == 0 iff |dv| == 0
+    if not idx.size:
+        return leaves
+    sr, si = _c_div(er[idx], ei[idx], dr[idx], di[idx])
+    best = best[idx]
+    out = leaves.copy()
     for _ in range(4):
-        cand = z - step
-        vc, _ = sys.composed_with_derivative(depth, cand)
-        if abs(vc - target) <= best:
-            return cand
-        step /= 2
-    return z
+        cr, ci = zr[idx] - sr, zi[idx] - si
+        vr, vi, _, _ = _composed_arrays(levels, cr, ci, derivative=False)
+        ok = np.hypot(vr - target.real, vi - target.imag) <= best
+        out.real[idx[ok]], out.imag[idx[ok]] = cr[ok], ci[ok]
+        miss = ~ok
+        if not miss.any():
+            break
+        idx, best = idx[miss], best[miss]
+        sr, si = _c_div_real(sr[miss], si[miss], _HALVE)
+    return out
 
 
 def preimages(
@@ -343,7 +450,11 @@ def preimages(
     Levels are peeled outermost-first: solutions of f̃_n = w are preimages
     under f_n of solutions of f̃_{n-1} = w.  Each branch extracts d_j-th
     roots and undoes the affine map; a final damped Newton pass polishes
-    every leaf against the full composition.
+    every leaf against the full composition.  The polish runs over numpy
+    arrays of `_POLISH_BLOCK` leaves at a time, with real and imaginary parts
+    kept apart so that every float operation is the one CPython's `complex`
+    arithmetic performs: the leaves equal, bit for bit, a per-leaf scalar
+    polish through `composed_with_derivative`.
     """
     if depth < 0:
         raise OutOfRangeError(f"depth must be >= 0, got {depth}")
@@ -351,25 +462,52 @@ def preimages(
         raise BudgetExceededError(
             f"preimage tree at depth {depth} exceeds {_PREIMAGE_CAP} leaves"
         )
-    points = [complex(target)]
+    target = complex(target)
+    points = [target]
     for j in range(depth, 0, -1):
         c, p, d = sys.level(j)
-        nxt = []
-        for u in points:
-            for w in _droots(u, d):
-                nxt.append(c + p * w)
-        points = nxt
-    if polish and depth > 0:
-        points = [_polish(sys, depth, complex(target), z) for z in points]
-    return points
+        units = [_unit_root(k, d) for k in range(d)]
+        points = [c + p * w for u in points for w in _droots(u, d, units)]
+    if not polish or depth == 0:
+        return points
+    levels = _split_levels(sys, depth)
+    leaves = np.array(points, dtype=complex)
+    out: list[complex] = []
+    # Overflow and NaN pass silently, as they do in `complex` arithmetic.
+    with np.errstate(all="ignore"):
+        for lo in range(0, len(points), _POLISH_BLOCK):
+            out.extend(_polish_block(levels, target, leaves[lo : lo + _POLISH_BLOCK]).tolist())
+    return out
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0):
+        raise OutOfRangeError(f"tol must be finite and >= 0, got {tol}")
+
+
+def _near(pts: list, res: list[float], z, tol: float) -> list:
+    """The points of `pts` (sorted by real part `res`) with |re - z.re| <= 2·tol.
+
+    Any w with abs(z - w) <= tol lies in this window: the factor 2 covers the
+    rounding of z.re ± 2·tol and of z - w.
+    """
+    return pts[bisect_left(res, z.real - 2 * tol) : bisect_right(res, z.real + 2 * tol)]
 
 
 def dedup_points(points, tol: float) -> list[complex]:
-    """Representatives of tol-clusters, in sorted (re, im) order."""
+    """Representatives of tol-clusters, in sorted (re, im) order.
+
+    Greedy: walking the points in sorted order, keep a point unless a kept one
+    lies within tol.  Kept points are appended in order, so the candidates are
+    found by bisecting their real parts.
+    """
+    _check_tol(tol)
     kept: list[complex] = []
+    res: list[float] = []
     for z in sorted(points, key=lambda w: (w.real, w.imag)):
-        if not any(abs(z - w) <= tol for w in kept):
+        if not any(abs(z - w) <= tol for w in _near(kept, res, z, tol)):
             kept.append(z)
+            res.append(z.real)
     return kept
 
 
@@ -390,13 +528,25 @@ class ResidualSets:
 
 
 def residual_set(sys: FiberedSystem, depth: int, tol: float = 1e-8) -> ResidualSets:
-    """Compute X at the given depth: ∪ f̃_n^{-1}{1} minus ∪ f̃_n^{-1}{0}."""
+    """Compute X at the given depth: ∪ f̃_n^{-1}{1} minus ∪ f̃_n^{-1}{0}.
+
+    Memoized per (depth, tol) on the system; the result is frozen.
+    """
     if depth < 1:
         raise OutOfRangeError(f"depth must be >= 1, got {depth}")
+    _check_tol(tol)
+    key = (depth, tol)
+    if key in sys._residual:
+        return sys._residual[key]
     zeros_all: list[complex] = [0j]
     for n in range(1, depth + 1):
         zeros_all.extend(preimages(sys, 0.0, n))
     ones = dedup_points(preimages(sys, 1.0, depth), tol)
     zeros = dedup_points(zeros_all, tol)
-    kept = tuple(z for z in ones if all(abs(z - w) > tol for w in zeros))
-    return ResidualSets(depth=depth, tol=tol, points=kept, ones=tuple(ones), zeros=tuple(zeros))
+    zeros_re = [w.real for w in zeros]
+    kept = tuple(
+        z for z in ones if all(abs(z - w) > tol for w in _near(zeros, zeros_re, z, tol))
+    )
+    rs = ResidualSets(depth=depth, tol=tol, points=kept, ones=tuple(ones), zeros=tuple(zeros))
+    sys._residual[key] = rs
+    return rs

@@ -31,9 +31,9 @@ __all__ = ["BaseSequence", "DigitExpansion"]
 
 
 class BaseSequence:
-    """Handle for one base sequence d̄ with memoized place values.
+    """Handle for one base sequence d̄ with memoized digit bases and place values.
 
-    The memo of place values q_j is append-only and guarded by a lock, so a
+    The memos of d_j and q_j are append-only and guarded by one lock, so a
     single instance may serve concurrent readers.
     """
 
@@ -47,8 +47,9 @@ class BaseSequence:
         self.spec = spec
         self.capacity_bits = capacity_bits
         self.capacity = (1 << capacity_bits) - 1
+        self._d: list[int] = []  # d_1, d_2, ...
         self._q = [1]  # q_0 = d_0 = 1
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
 
     def __repr__(self):
         return f"BaseSequence({self.spec!r}, capacity_bits={self.capacity_bits})"
@@ -65,7 +66,13 @@ class BaseSequence:
 
     def digit_base(self, j: int) -> int:
         """d_j for j >= 1 (d_0 = 1 is implicit and never queried)."""
-        return int(self.spec.value_at(j))
+        if not isinstance(j, int) or j < 1:
+            return int(self.spec.value_at(j))  # raises OutOfRangeError
+        if j > len(self._d):
+            with self._lock:
+                while j > len(self._d):
+                    self._d.append(int(self.spec.value_at(len(self._d) + 1)))
+        return self._d[j - 1]
 
     def place_value(self, j: int) -> int:
         """q_j = d_0·d_1···d_j, exact; raises on capacity overflow."""

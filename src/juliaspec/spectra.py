@@ -23,6 +23,7 @@ from .dynamics import (
     FactorTrace,
     FiberedSystem,
     TraceStatus,
+    _check_tol,
     _ipow,
     escape_classify,
     factor_trace,
@@ -398,6 +399,7 @@ class ResidualReport:
 
 def residual_l1(sys: FiberedSystem, depth: int, tol: float = 1e-8) -> ResidualReport:
     """Depth-truncated residual set of l^1 with its regime annotation."""
+    _check_tol(tol)
     pv = product_verdict(sys.p)
     if pv is ProductVerdict.CONVERGES_POSITIVE:
         return ResidualReport(

@@ -115,8 +115,15 @@ def test_parse_complex_forms():
     assert parse_complex("1+0j") == 1.0
     assert parse_complex("-0.5i") == -0.5j
     assert parse_complex("2") == 2.0
+    assert parse_complex("(0.3+0.2i)") == 0.3 + 0.2j
     with pytest.raises(ConfigError):
         parse_complex("elephant")
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "Infinity", "1+nani", "0.5+infj"])
+def test_parse_complex_rejects_non_finite(text):
+    with pytest.raises(ConfigError, match="not finite"):
+        parse_complex(text)
 
 
 # -- commands ----------------------------------------------------------------
@@ -164,6 +171,32 @@ def test_residual_set_transient_note(tmp_path, capsys):
     note = json.loads(capsys.readouterr().err)
     assert note["regime"] == "transient"
     assert note["conjecture"] is True
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_residual_set_rejects_bad_tol(tol, capsys):
+    rc = main(["residual-set", "--canonical", "binary-p34", "--depth", "4", f"--tol={tol}"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tol" in captured.err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--canonical", "binary-p34", "--space", "c0", "--lambda={}"],
+        ["spectrum-report", "--canonical", "binary-p34", "--lambdas=0.1,{}"],
+        ["preimages", "--canonical", "binary-p34", "--depth", "2", "--target={}"],
+    ],
+)
+def test_non_finite_complex_arguments_exit_2(argv, value, capsys):
+    rc = main([a.format(value) for a in argv])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not finite" in captured.err
 
 
 def test_command_object_supplies_defaults_flags_override(tmp_path, capsys):
@@ -350,7 +383,7 @@ def test_cli_import_skips_heavy_modules():
     # A module-level import is paid by every CLI start (setup time, peak RSS).
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, juliaspec.cli; print(sorted({'jsonschema', 'scipy.optimize'} & set(sys.modules)))"
+    code = "import sys, juliaspec.cli; print(sorted({'jsonschema', 'scipy.optimize', 'scipy.spatial'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr

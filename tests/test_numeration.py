@@ -163,3 +163,21 @@ def test_digit_expansion_round_trip_and_format():
     assert str(DigitExpansion.of_int(base, 0)) == ""
     with pytest.raises(DigitOutOfRangeError):
         DigitExpansion(base, (2, 0))
+
+
+def test_digit_bases_are_read_once(monkeypatch):
+    from juliaspec.sequences import SequenceSpec
+
+    reads = []
+    value_at = SequenceSpec.value_at
+    monkeypatch.setattr(
+        SequenceSpec, "value_at", lambda self, j: reads.append(j) or value_at(self, j)
+    )
+    base = BaseSequence(periodic([2, 3], "d"))
+    for n in range(2000):
+        base.counter(n), base.to_digits(n)
+    assert base.place_value(9) == 2**5 * 3**4
+    assert [base.digit_base(j) for j in range(1, 6)] == [2, 3, 2, 3, 2]
+    assert sorted(reads) == list(range(1, len(reads) + 1))  # each d_j read once
+    with pytest.raises(OutOfRangeError):
+        base.digit_base(0)
