@@ -157,6 +157,8 @@ class ChainConfig:
 
     def simulate(self, start: int, steps: int, seed: int) -> list[int]:
         """Trajectory [X_0, ..., X_steps] from a seeded generator."""
+        if steps < 0:
+            raise OutOfRangeError(f"steps must be >= 0, got {steps}")
         self.base._check_state(start, "start state")
         rng = np.random.default_rng(seed)
         traj = [start]

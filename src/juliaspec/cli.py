@@ -199,7 +199,7 @@ def _cmd_render(args) -> int:
         overlays.append((rep.points, (255, 255, 255)))
     elif overlay == "eigenvalues":
         size = int(_param(args, rc, "trunc-size", 32))
-        pts = [complex(e["re"], e["im"]) for e in eigenvalue_report(rc.chain(), sys_, size)]
+        pts = [complex(e["re"], e["im"]) for e in eigenvalue_report(sys_, size)]
         overlays.append((pts, (255, 215, 0)))
 
     prefix = _param(args, rc, "out-prefix", "juliaspec-render")
@@ -312,14 +312,13 @@ def _cmd_residual_set(args) -> int:
 def _cmd_truncate(args) -> int:
     rc = _resolve(args)
     size = int(args.size)
-    cfg = rc.chain()
     prefix = _param(args, rc, "out-prefix", "juliaspec-trunc")
     matrix_path = f"{prefix}-matrix.csv"
     eig_path = f"{prefix}-eigenvalues.csv"
-    # Solve before writing: a refused eigensolve must not leave a partial
+    # Solve before writing: a refused size must not leave a partial
     # artifact pair behind.
-    report = eigenvalue_report(cfg, rc.system(), size, budget=int(_param(args, rc, "budget", 60)))
-    trunc = build_truncation(cfg, size)
+    report = eigenvalue_report(rc.system(), size, budget=int(_param(args, rc, "budget", 60)))
+    trunc = build_truncation(rc.chain(), size)
     with open(matrix_path, "w", encoding="utf-8", newline="\n") as fh:
         write_matrix_csv(trunc, fh)
     with open(eig_path, "w", encoding="utf-8", newline="\n") as fh:

@@ -15,6 +15,10 @@ Eigenvector structure: with h_r(z) = (z - (1 - p_r)) / p_r, the factors
 f̃_r(λ) = ι_λ(r)^{d_r}; the candidate eigenvector of the transition operator
 at λ is v_λ(n) = Π_r ι_λ(r)^{a_r(n)} over the digits of n.  One generator,
 `FiberedSystem.orbit`, runs this recursion on one table of (1 - p_j, p_j, d_j).
+
+Preimage trees: the level trees T_k = f̃_k⁻¹{1 - p_{k+1}} (`level_tree`,
+memoized per system) are the spectra of the finite truncations, and
+f̃_n⁻¹{0} is T_{n-1} taken d_n times, since f_n vanishes only at 1 - p_n.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ __all__ = [
     "eigvec_head",
     "dual_eigvec_entry",
     "preimages",
+    "level_tree",
     "dedup_points",
     "ResidualSets",
     "residual_set",
@@ -87,6 +92,7 @@ class FiberedSystem:
         self.base = base
         self.p = p
         self._levels: list[tuple[float, float, int]] = []
+        self._trees: dict[int, np.ndarray] = {}
         self._residual: dict[tuple[int, float], ResidualSets] = {}
 
     def level(self, j: int) -> tuple[float, float, int]:
@@ -113,10 +119,15 @@ class FiberedSystem:
         """One fiber map f_j(z) = h_j(z)^{d_j}."""
         return _ipow(self.affine(j, z), self.digit_base(j))
 
-    def orbit(self, z: complex) -> Iterator[tuple[complex, complex]]:
-        """Endless (ι_j, f̃_j(z)), j = 1, 2, ...: ι_j = h_j(f̃_{j-1}(z)), f̃_j = ι_j^{d_j}."""
+    def orbit(self, z: complex, start: int = 1) -> Iterator[tuple[complex, complex]]:
+        """Endless (ι_j, f̃_j), j = start, start + 1, ...: ι_j = h_j(f̃_{j-1}), f̃_j = ι_j^{d_j}.
+
+        z is f̃_{start-1}: from start = 1, the point itself.
+        """
+        if start < 1:
+            raise OutOfRangeError(f"orbit start level must be >= 1, got {start}")
         w, levels = complex(z), self._levels
-        for j in count():
+        for j in count(start - 1):
             c, p, d = levels[j] if j < len(levels) else self.level(j + 1)
             iota = (w - c) / p
             w = _ipow(iota, d)
@@ -156,16 +167,21 @@ class EscapeOutcome:
 
 
 def escape_classify(
-    sys: FiberedSystem, z: complex, budget: int, slack: float = _DEFAULT_SLACK
+    sys: FiberedSystem, z: complex, budget: int, slack: float = _DEFAULT_SLACK, start: int = 1
 ) -> EscapeOutcome:
-    """Iterate f̃_j at z until |f̃_j| > 1 + slack or the budget runs out."""
+    """Iterate f̃_j at z until |f̃_j| > 1 + slack or the budget runs out.
+
+    With start > 1, z stands for f̃_{start-1} of some point whose earlier
+    levels are known not to decide the test; levels start..budget run.
+    """
     if budget < 1:
         raise OutOfRangeError(f"budget must be >= 1, got {budget}")
     radius = 1.0 + slack
     w = complex(z)
     if w == 1:  # invariant fixed point of every fiber map
         return EscapeOutcome(False, None, 1.0, budget, radius, certified_bounded=True)
-    for j, (_, w) in enumerate(islice(sys.orbit(w), budget), 1):
+    levels = islice(sys.orbit(w, start), max(budget - start + 1, 0))
+    for j, (_, w) in enumerate(levels, start):
         m = abs(w)
         if m > radius:
             return EscapeOutcome(True, j, m, budget, radius)
@@ -480,6 +496,20 @@ def preimages(
     return out
 
 
+def level_tree(sys: FiberedSystem, k: int) -> np.ndarray:
+    """T_k = f̃_k⁻¹{1 - p_{k+1}}, q_k points in tree order; memoized per system, read-only.
+
+    T_k is the spectrum of the q_k truncation (`operator.truncated_eigenvalues`)
+    and f̃_{k+1} vanishes on it.
+    """
+    tree = sys._trees.get(k)
+    if tree is None:
+        tree = np.array(preimages(sys, sys.level(k + 1)[0], k), dtype=complex)
+        tree.flags.writeable = False
+        sys._trees[k] = tree
+    return tree
+
+
 def _check_tol(tol: float) -> None:
     if not (math.isfinite(tol) and tol >= 0):
         raise OutOfRangeError(f"tol must be finite and >= 0, got {tol}")
@@ -517,7 +547,9 @@ class ResidualSets:
 
     `ones` holds the preimages of 1 at `depth`, which contain those at every
     smaller depth since f_j(1) = 1; `zeros` collects preimages of 0 at depths
-    0..depth (0 itself at depth 0).  `points` is ones minus zeros (within tol).
+    0..depth: 0 itself and the level trees T_0, ..., T_{depth-1}, as
+    f̃_n⁻¹{0} is T_{n-1} taken d_n times.  `points` is ones minus zeros
+    (within tol).
     """
 
     depth: int
@@ -539,8 +571,8 @@ def residual_set(sys: FiberedSystem, depth: int, tol: float = 1e-8) -> ResidualS
     if key in sys._residual:
         return sys._residual[key]
     zeros_all: list[complex] = [0j]
-    for n in range(1, depth + 1):
-        zeros_all.extend(preimages(sys, 0.0, n))
+    for k in range(depth):
+        zeros_all.extend(level_tree(sys, k).tolist())
     ones = dedup_points(preimages(sys, 1.0, depth), tol)
     zeros = dedup_points(zeros_all, tol)
     zeros_re = [w.real for w in zeros]

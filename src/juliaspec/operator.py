@@ -13,9 +13,10 @@ against it on a window of twice the head length; the defect is small
 because the only rows that feel the cut touch columns 0 and q_n, with
 coefficient masses that telescope into closed forms.
 
-Truncation spectra take one of two routes: at a place value q_n they are the
-preimage tree f̃_n⁻¹{1 - p_{n+1}} (O(n·q_n)), at any other size a dense
-eigensolve (O(size³)).
+Truncation spectra come from one table of preimage trees: the size-N
+spectrum is the union of a_k copies of T_{k-1} = f̃_{k-1}⁻¹{1 - p_k} over the
+digits a_k of N, N leaves in all, and every eigenvalue of one tree gets the
+same escape tag.
 """
 
 from __future__ import annotations
@@ -27,13 +28,19 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .chain import ChainConfig
-from .dynamics import FiberedSystem, eigvec_head, escape_classify, preimages
+from .dynamics import (
+    _PREIMAGE_CAP,
+    EscapeOutcome,
+    FiberedSystem,
+    eigvec_head,
+    escape_classify,
+    level_tree,
+)
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
     OutOfRangeError,
 )
-from .numeration import BaseSequence
 from .sequences import ProductVerdict, product_verdict, tail_product
 
 __all__ = [
@@ -47,10 +54,6 @@ __all__ = [
     "write_eigenvalue_csv",
     "write_matrix_csv",
 ]
-
-# Dense eigensolves beyond this size are refused rather than left to crawl.
-_EIG_SIZE_CAP = 4096
-
 
 @dataclass(frozen=True)
 class SparseTruncation:
@@ -256,19 +259,15 @@ def weyl_defect(
 # -- eigenvalue clouds -------------------------------------------------------
 
 
-def _place_index(base: BaseSequence, size: int) -> int | None:
-    """n with size = q_n, or None: size = q_n exactly when every digit of size - 1 is maximal."""
-    if not 1 <= size <= base.capacity + 1:
-        return None
-    n = base.level_of(size - 1)
-    return n if base.counter(size - 1) > n else None
-
-
-def truncated_eigenvalues(cfg: ChainConfig, size: int) -> np.ndarray:
+def truncated_eigenvalues(sys: FiberedSystem, size: int) -> np.ndarray:
     """Eigenvalues of the size×size truncation, sorted by decreasing modulus.
 
-    At a place value size = q_n they are the preimage tree f̃_n⁻¹{1 - p_{n+1}}
-    (up to 2^20 of them), because, with P_r = p_1···p_r,
+    They are the multiset union of a_k copies of T_{k-1} = f̃_{k-1}⁻¹{1 - p_k},
+    where (a_1, a_2, ...) are the digits of size: size leaves in all.  A
+    size above 2^20 is refused before any tree is built.
+
+    Place values.  At size = q_n the spectrum is T_n, because, with
+    P_r = p_1···p_r,
 
         det(zI - A_{q_n}) = Π_{j<=n} p_j^{q_n/q_{j-1}} · (f̃_n(z) - (1 - p_{n+1})).
 
@@ -298,45 +297,66 @@ def truncated_eigenvalues(cfg: ChainConfig, size: int) -> np.ndarray:
     det(zI - A_n(c)) = K_{n-1}^d p_n^d (ι^d - c) = K_n (f̃_n(z) - c),
     a polynomial identity that holds for every z.
 
-    Every other size goes to a dense eigensolve, refused above 4096.
+    Every size.  Let a be the top digit of size, at position n + 1, so
+    size = a·q_n + r with r < q_n.  Split the states [0, a·q_n) by digit
+    n + 1 into a blocks of q_n states.  A row of block b whose low n digits
+    are not all maximal moves only inside the block, as in A_n.  The row
+    with all of them maximal also falls back to the block's first state
+    with mass (1 - p_{n+1}) P_n, the corner of A_n(1 - p_{n+1}), and its one
+    move out of the block goes forward, to the next block's first state.
+    The states [a·q_n, size) have low n digits t < r <= q_n - 1, never all
+    maximal, so their rows change only low digits: they are the rows of
+    the size-r truncation A_r shifted by a·q_n, and none reaches below
+    a·q_n.  So the matrix is block upper-triangular, with a diagonal blocks
+    A_n(1 - p_{n+1}) and one block A_r.  Its spectrum is a copies of T_n and
+    that of A_r, and r has the lower digits of size: induction on size.
     """
-    n = _place_index(cfg.base, size)
-    if n is not None:
-        sys = FiberedSystem(cfg.base, cfg.p)
-        vals = np.array(preimages(sys, 1.0 - sys.p_float(n + 1), n), dtype=complex)
-    elif size > _EIG_SIZE_CAP:
-        raise BudgetExceededError(
-            f"dense eigensolve refused for size {size} > {_EIG_SIZE_CAP}"
-        )
-    else:
-        vals = np.linalg.eigvals(build_truncation(cfg, size).to_dense())
+    if size < 1:
+        raise OutOfRangeError(f"truncation size must be >= 1, got {size}")
+    if size > _PREIMAGE_CAP:
+        raise BudgetExceededError(f"truncation size {size} exceeds {_PREIMAGE_CAP} leaves")
+    digits = sys.base.to_digits(size)
+    vals = np.concatenate([level_tree(sys, k) for k, a in enumerate(digits) for _ in range(a)])
     order = np.lexsort((vals.imag, vals.real, -np.abs(vals)))
     return vals[order]
 
 
-def eigenvalue_report(
-    cfg: ChainConfig, sys: FiberedSystem, size: int, budget: int = 60
-) -> list[dict]:
+def _verdict(o: EscapeOutcome) -> str:
+    if o.escaped:
+        return "escaped"
+    return "certified-bounded" if o.certified_bounded else "bounded-at-budget"
+
+
+def _block_outcome(sys: FiberedSystem, k: int, budget: int) -> EscapeOutcome:
+    """The escape test of every λ in T_k, as one orbit of 0 started at level k + 2.
+
+    On T_k, f̃_k = 1 - p_{k+1}, so ι_{k+1} = 0 and f̃_{k+1} = 0 exactly.  No
+    level j <= k decides the test: |f̃_j| > 1 would grow on to |f̃_k| > 1,
+    and f̃_j = 1 would stay 1.  Level k + 1 gives 0, neither 1 nor outside
+    the radius; the levels from k + 2 on are the orbit of 0.
+    """
+    return escape_classify(sys, 0j, budget, start=k + 2)
+
+
+def eigenvalue_report(sys: FiberedSystem, size: int, budget: int = 60) -> list[dict]:
     """Eigenvalues of the truncation tagged with their escape-test verdicts.
 
-    The tags show how the finite spectra accumulate on the filled set: as
-    the size grows, the fraction of eigenvalues certified to escape the
-    filled set shrinks.
+    Each tree T_k of the union is tagged once (`_block_outcome`).  At a place
+    value the spectrum is one tree, so all of it shares one tag: the
+    escaped fraction is 0 or 1.  A point in two trees T_j and T_k, j < k,
+    gets the same tag from both, as the orbit of 0 from level j + 2 is 0 at
+    level k + 1.
     """
-    out = []
-    for z in truncated_eigenvalues(cfg, size):
-        lam = complex(z)
-        o = escape_classify(sys, lam, budget)
-        if o.escaped:
-            verdict = "escaped"
-        elif o.certified_bounded:
-            verdict = "certified-bounded"
-        else:
-            verdict = "bounded-at-budget"
-        out.append(
-            {"re": lam.real, "im": lam.imag, "modulus": abs(lam), "verdict": verdict}
-        )
-    return out
+    vals = truncated_eigenvalues(sys, size).tolist()
+    tags: dict[complex, str] = {}
+    for k, a in enumerate(sys.base.to_digits(size)):
+        if a:
+            tag = _verdict(_block_outcome(sys, k, budget))
+            tags.update(dict.fromkeys(level_tree(sys, k).tolist(), tag))
+    return [
+        {"re": lam.real, "im": lam.imag, "modulus": abs(lam), "verdict": tags[lam]}
+        for lam in vals
+    ]
 
 
 def write_eigenvalue_csv(report: list[dict], fileobj) -> None:

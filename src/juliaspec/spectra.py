@@ -14,6 +14,7 @@ Decision rules are cited by descriptive identifiers in the witness payloads
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -86,8 +87,8 @@ C = Space("c")
 
 def l_alpha(alpha) -> Space:
     alpha = float(alpha)
-    if alpha < 1:
-        raise OutOfRangeError(f"l^alpha needs alpha >= 1, got {alpha}")
+    if not (math.isfinite(alpha) and alpha >= 1):
+        raise OutOfRangeError(f"l^alpha needs a finite alpha >= 1, got {alpha}")
     return Space("lalpha", alpha)
 
 

@@ -26,10 +26,13 @@ from .dynamics import (
     escape_classify,
     factor_trace,
     factor_values,
+    level_tree,
     preimages,
     residual_set,
 )
 from .operator import (
+    _block_outcome,
+    _verdict,
     build_truncation,
     eigenvalue_report,
     truncated_eigenvalues,
@@ -128,18 +131,19 @@ def _eigen_identity(
     return True, f"max eigen-identity residual {worst:.3e}"
 
 
-def _tree_vs_dense(cfg: ChainConfig, levels) -> tuple[bool, str]:
-    # At size q_n, truncated_eigenvalues returns the tree f̃_n⁻¹{1 - p_{n+1}}.
-    # Match the dense eigensolve to it as multisets.  Newton and LAPACK reach only
-    # about ε^{1/k} at a k-fold root, so each pair's tolerance is (1e4 ε)^{1/k},
-    # with k the size of the tree point's cluster.
+def _tree_vs_dense(cfg: ChainConfig, levels, sizes=()) -> tuple[bool, str]:
+    # truncated_eigenvalues returns the tree f̃_n⁻¹{1 - p_{n+1}} at size q_n and a
+    # union of such trees at any other size.  Match the dense eigensolve to it as
+    # multisets.  Newton and LAPACK reach only about ε^{1/k} at a k-fold root, so
+    # each pair's tolerance is (1e4 ε)^{1/k}, with k the size of the tree point's
+    # cluster.
     # Imported here: scipy.optimize adds ~0.16 s and ~23 MB to every CLI start.
     from scipy.optimize import linear_sum_assignment
 
+    sys = FiberedSystem(cfg.base, cfg.p)
     worst, worst_ratio, largest = 0.0, 0.0, 1
-    for n in levels:
-        size = cfg.base.place_value(n)
-        tree = truncated_eigenvalues(cfg, size)
+    for size in [cfg.base.place_value(n) for n in levels] + list(sizes):
+        tree = truncated_eigenvalues(sys, size)
         dense = np.linalg.eigvals(build_truncation(cfg, size).to_dense())
         dist = np.abs(tree[:, None] - dense[None, :])
         rows, cols = linear_sum_assignment(dist)
@@ -149,11 +153,26 @@ def _tree_vs_dense(cfg: ChainConfig, levels) -> tuple[bool, str]:
         worst = max(worst, float(err.max()))
         worst_ratio = max(worst_ratio, float((err / tol).max()))
         largest = max(largest, int(mult.max()))
-    sizes = ", ".join(f"q_{n}" for n in levels)
-    detail = f"max |tree - dense| {worst:.3e} at {sizes} (largest cluster {largest})"
+    names = ", ".join([f"q_{n}" for n in levels] + [str(size) for size in sizes])
+    detail = f"max |tree - dense| {worst:.3e} at {names} (largest cluster {largest})"
     if worst_ratio > 1:
         return False, detail + " exceeds the cluster tolerance"
     return True, detail
+
+
+def _block_tags(sys: FiberedSystem, levels, budget: int) -> tuple[bool, str]:
+    # eigenvalue_report tags each tree T_k from one escape test; the per-λ test
+    # must agree with it, escape step included.
+    tags = []
+    for k in levels:
+        block = _block_outcome(sys, k, budget)
+        want = (_verdict(block), block.step)
+        for lam in level_tree(sys, k).tolist():
+            o = escape_classify(sys, lam, budget)
+            if (_verdict(o), o.step) != want:
+                return False, f"λ={lam!r} in T_{k}: {_verdict(o)} at step {o.step}, block {want}"
+        tags.append(f"T_{k} {want[0]}" + (f" at step {block.step}" if block.escaped else ""))
+    return True, f"per-λ escape tests match the block tags at budget {budget}: " + ", ".join(tags)
 
 
 def _factor_routes(sys: FiberedSystem, lams, depth: int, tol: float) -> tuple[bool, str]:
@@ -242,10 +261,14 @@ def run_verify(out_dir: str, seed: int | None = None) -> list[CheckResult]:
         ok, detail = _escape_disk_bound(sys, rng)
         check(f"escape-disk-bound[{name}]", ok, detail)
 
-    # Truncation spectra at place values: the preimage tree against the dense oracle.
+    # Truncation spectra from the tree table against the dense oracle, and the
+    # block tags of eigenvalue_report against per-λ escape tests.
     for name, rc in configs.items():
-        ok, detail = _tree_vs_dense(rc.chain(), (3, 4))
+        ok, detail = _tree_vs_dense(rc.chain(), (3, 4), (45, 199))
         check(f"truncation-tree-vs-dense[{name}]", ok, detail)
+    for name, rc in configs.items():
+        ok, detail = _block_tags(rc.system(), (3, 4), 40)
+        check(f"truncation-block-tags[{name}]", ok, detail)
 
     # Recurrence classification and Monte Carlo witnesses.
     dendrite = configs["dendrite"]
@@ -345,7 +368,7 @@ def run_verify(out_dir: str, seed: int | None = None) -> list[CheckResult]:
     with open(os.path.join(out_dir, "residual-dendrite.csv"), "w", encoding="utf-8", newline="\n") as fh:
         write_points_csv(rs.points, fh)
 
-    eig = eigenvalue_report(cfg_d, sys_d, size=32, budget=40)
+    eig = eigenvalue_report(sys_d, size=32, budget=40)
     with open(os.path.join(out_dir, "eigenvalues-dendrite.csv"), "w", encoding="utf-8", newline="\n") as fh:
         write_eigenvalue_csv(eig, fh)
 

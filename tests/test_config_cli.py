@@ -343,11 +343,32 @@ def test_exit_code_2_bad_grid(capsys):
     assert rc == 2
 
 
-def test_exit_code_3_eigensolve_cap(capsys):
-    rc = main(["truncate", "--canonical", "dendrite", "--size", "5000",
-               "--out-prefix", "unused"])
+def test_exit_code_3_eigensolve_cap(tmp_path, capsys):
+    # The tree table serves every size up to 2^20 leaves; one more is refused.
+    rc = main(["truncate", "--canonical", "dendrite", "--size", str((1 << 20) + 1),
+               "--out-prefix", str(tmp_path / "tr")])
     assert rc == 3
     assert "budget exceeded" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_truncate_builds_the_matrix_once(monkeypatch, tmp_path, capsys):
+    import juliaspec.cli as cli
+    import juliaspec.operator as op
+
+    calls = []
+    real = op.build_truncation
+
+    def counting(cfg, size):
+        calls.append(size)
+        return real(cfg, size)
+
+    monkeypatch.setattr(op, "build_truncation", counting)
+    monkeypatch.setattr(cli, "build_truncation", counting)
+    rc = main(["truncate", "--canonical", "binary-p34", "--size", "45",
+               "--out-prefix", str(tmp_path / "tr")])
+    assert rc == 0
+    assert calls == [45]
 
 
 def test_exit_code_3_truncation_past_the_tree_cap(tmp_path, capsys):
@@ -355,6 +376,30 @@ def test_exit_code_3_truncation_past_the_tree_cap(tmp_path, capsys):
                "--out-prefix", str(tmp_path / "tr")])
     assert rc == 3
     assert "budget exceeded" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--canonical", "binary-p34", "--space", "lnan", "--lambda=0.1"],
+        ["spectrum-report", "--canonical", "binary-p34", "--alphas=nan"],
+        ["spectrum-report", "--canonical", "binary-p34", "--alphas=inf"],
+    ],
+)
+def test_exit_code_2_non_finite_alpha(argv, capsys):
+    rc = main(argv)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "alpha" in captured.err
+
+
+def test_exit_code_2_negative_steps(tmp_path, capsys):
+    out = tmp_path / "sim.csv"
+    rc = main(["simulate", "--canonical", "dendrite", "--steps", "-1", "--out", str(out)])
+    assert rc == 2
+    assert "steps" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

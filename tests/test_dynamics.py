@@ -5,6 +5,8 @@ direct evaluation through the orbit, derivatives against finite differences,
 preimages by substitution into the forward composition.
 """
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,25 @@ def test_exact_fixed_point_hit_is_certified(systems):
     # 0 maps to 1 in one step at p = 1/2, d = 2 — exactly, even in floats.
     out = escape_classify(systems["dendrite"], 0.0, budget=10)
     assert out.certified_bounded and out.modulus == 1.0
+
+
+def test_orbit_and_escape_test_from_a_start_level(systems):
+    # Started at level s from f̃_{s-1}(z), the orbit is the tail of the full one.
+    for name, sys in systems.items():
+        z = preimages(sys, 0.3 - 0.2j, 3)[1]
+        full = list(islice(sys.orbit(z), 12))
+        w = full[2][1]  # f̃_3(z), near 0.3 - 0.2i
+        n = next((j for j, (_, v) in enumerate(full) if abs(v) > 1e6), 12)  # before overflow
+        assert list(islice(sys.orbit(w, start=4), n - 3)) == full[3:n], name
+        whole = escape_classify(sys, z, 12)
+        tail = escape_classify(sys, w, 12, start=4)
+        if whole.step is None or whole.step >= 4:
+            assert (tail.escaped, tail.step, tail.certified_bounded) == (
+                whole.escaped, whole.step, whole.certified_bounded), name
+    out = escape_classify(systems["binary-p34"], 0j, 5, start=7)  # no level left to run
+    assert not out.escaped and not out.certified_bounded
+    with pytest.raises(OutOfRangeError):
+        next(systems["dendrite"].orbit(0j, start=0))
 
 
 # -- factor recursion --------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from juliaspec.chain import ChainConfig
-from juliaspec.dynamics import FiberedSystem, eigvec_entry
+from juliaspec.dynamics import FiberedSystem, eigvec_entry, escape_classify, level_tree, preimages
 from juliaspec.errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -233,8 +233,8 @@ def test_column0_coefficient_inconclusive_fallback():
 # -- eigenvalue clouds -------------------------------------------------------
 
 
-def test_truncated_eigenvalues_shape_and_bounds(chains):
-    vals = truncated_eigenvalues(chains["dendrite"], 32)
+def test_truncated_eigenvalues_shape_and_bounds(systems):
+    vals = truncated_eigenvalues(systems["dendrite"], 32)
     assert vals.shape == (32,)
     mods = np.abs(vals)
     # Sub-stochastic real matrix: spectrum in the closed unit disk,
@@ -246,9 +246,19 @@ def test_truncated_eigenvalues_shape_and_bounds(chains):
     )
 
 
-def test_truncated_eigenvalues_cap(chains):
+def test_truncated_eigenvalues_cap(monkeypatch, systems):
+    # Past the old 4096 cap of the dense route: q_12 + 1 is T_12 plus T_0.
+    vals = truncated_eigenvalues(systems["dendrite"], 4097)
+    assert vals.shape == (4097,)
+    assert np.count_nonzero(vals == 0.5) == 1  # T_0 = {1 - p_1}
+    # The 2^20 leaf cap refuses before any tree is built.
+    import juliaspec.operator as op
+
+    monkeypatch.setattr(op, "level_tree", None)
     with pytest.raises(BudgetExceededError):
-        truncated_eigenvalues(chains["dendrite"], 4097)
+        truncated_eigenvalues(systems["dendrite"], (1 << 20) + 1)
+    with pytest.raises(OutOfRangeError):
+        truncated_eigenvalues(systems["dendrite"], 0)
 
 
 def _multiset_gap(a, b) -> float:
@@ -258,16 +268,30 @@ def _multiset_gap(a, b) -> float:
     return float(dist[rows, cols].max())
 
 
-def test_tree_route_matches_dense_eigensolve(chains):
+def test_tree_route_matches_dense_eigensolve(chains, systems):
     for name, cfg in chains.items():
-        for n in range(7):
-            size = cfg.base.place_value(n)
-            vals = truncated_eigenvalues(cfg, size)
+        sizes = [cfg.base.place_value(n) for n in range(7)] + [45, 100, 199]
+        for size in sizes:
+            vals = truncated_eigenvalues(systems[name], size)
             assert vals.shape == (size,)
-            assert np.all(np.diff(np.abs(vals)) <= 0), (name, n)
+            assert np.all(np.diff(np.abs(vals)) <= 0), (name, size)
             dense = np.linalg.eigvals(build_truncation(cfg, size).to_dense())
-            assert _multiset_gap(vals, dense) <= 1e-11, (name, n)
-    assert truncated_eigenvalues(chains["dendrite"], 1).tolist() == [0.5]  # [1 - p_1]
+            assert _multiset_gap(vals, dense) <= 1e-11, (name, size)
+    assert truncated_eigenvalues(systems["dendrite"], 1).tolist() == [0.5]  # [1 - p_1]
+
+
+def test_level_tree_is_the_zeros_tree_without_its_multiplicity(systems):
+    # f̃_n⁻¹{0} is T_{n-1} taken d_n times, in the same tree order.
+    for name, sys in systems.items():
+        for n in range(1, 9):
+            if sys.base.place_value(n) > 1300:
+                break
+            zeros = np.array(preimages(sys, 0.0, n)).reshape(sys.digit_base(n), -1)
+            gap = np.abs(zeros - level_tree(sys, n - 1)).max()
+            assert gap <= 1e-15, (name, n, gap)
+    tree = level_tree(systems["dendrite"], 3)
+    assert tree is level_tree(systems["dendrite"], 3)
+    assert not tree.flags.writeable
 
 
 def test_tree_route_keeps_repeated_roots():
@@ -275,7 +299,7 @@ def test_tree_route_keeps_repeated_roots():
     # eigenvalue of the q_n truncation is then a d-fold root.
     base = BaseSequence(3)
     cfg = ChainConfig(base, prefix_then(["1/2", "1/2", "1"], constant("1/2")))
-    vals = truncated_eigenvalues(cfg, 9)
+    vals = truncated_eigenvalues(FiberedSystem(base, cfg.p), 9)
     dense = np.linalg.eigvals(build_truncation(cfg, 9).to_dense())
     assert _multiset_gap(vals, dense) <= 1e-9
     assert len({complex(round(z.real, 6), round(z.imag, 6)) for z in vals}) == 3
@@ -283,15 +307,15 @@ def test_tree_route_keeps_repeated_roots():
     assert ok and "largest cluster 3" in detail, detail
 
 
-def test_tree_route_past_the_dense_cap(chains, systems):
-    vals = truncated_eigenvalues(chains["dendrite"], 8192)  # q_13
+def test_tree_route_past_the_dense_cap(systems):
+    vals = truncated_eigenvalues(systems["dendrite"], 8192)  # q_13
     assert vals.shape == (8192,)
     err = max(abs(systems["dendrite"].composed(13, z) - 0.5) for z in vals)
     assert err <= 1e-8
 
 
-def test_eigenvalue_report_tags(chains, systems):
-    rep = eigenvalue_report(chains["ternary-p12"], systems["ternary-p12"], 27)
+def test_eigenvalue_report_tags(systems):
+    rep = eigenvalue_report(systems["ternary-p12"], 27)
     assert len(rep) == 27
     allowed = {"escaped", "certified-bounded", "bounded-at-budget"}
     for item in rep:
@@ -299,6 +323,17 @@ def test_eigenvalue_report_tags(chains, systems):
         assert item["verdict"] in allowed
         assert item["modulus"] == pytest.approx(abs(complex(item["re"], item["im"])))
     json.dumps(rep)
+
+
+def test_eigenvalue_report_block_tags_match_per_lambda_tests(systems):
+    # Off the place values the union mixes trees; each point keeps its own tree's tag.
+    verdict = {(True, False): "escaped", (False, True): "certified-bounded",
+               (False, False): "bounded-at-budget"}
+    for name, sys in systems.items():
+        for size, budget in ((45, 40), (100, 3), (199, 60)):
+            for item in eigenvalue_report(sys, size, budget):
+                o = escape_classify(sys, complex(item["re"], item["im"]), budget)
+                assert item["verdict"] == verdict[o.escaped, o.certified_bounded], (name, size)
 
 
 # -- CSV output --------------------------------------------------------------

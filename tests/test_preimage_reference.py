@@ -147,9 +147,10 @@ def test_residual_set_matches_quadratic_filter(name):
             break
         for tol in (1e-8, 1e-3):
             rs = residual_set(sys, depth, tol)
+            # The level trees T_{n-1} = f̃_{n-1}⁻¹{1 - p_n}: f̃_n⁻¹{0} without its d_n-fold copies.
             zeros_all = [0j]
             for n in range(1, depth + 1):
-                zeros_all.extend(preimages(sys, 0.0, n))
+                zeros_all.extend(preimages(sys, 1.0 - sys.p_float(n), n - 1))
             zeros = quadratic_dedup(zeros_all, tol)
             ones = quadratic_dedup(preimages(sys, 1.0, depth), tol)
             kept = [z for z in ones if all(abs(z - w) > tol for w in zeros)]
@@ -183,7 +184,7 @@ def test_residual_set_built_once_per_system(monkeypatch):
     lams = [0.1 + 0.2j, -0.3j, 0.5, 0.9 + 0.1j, 1.0]
     report = spectrum_summary(rc.chain(), sys, lams=lams, depth=depth, alphas=(1.0,))
     assert len(report["lambdas"]) == 5
-    # One tree per zero depth 1..depth and one for the ones: a single build.
-    assert sorted(calls) == sorted(list(range(1, depth + 1)) + [depth])
+    # One level tree T_k per k < depth and one tree for the ones: a single build.
+    assert sorted(calls) == sorted(list(range(depth)) + [depth])
     assert residual_set(sys, depth) is residual_set(sys, depth)
     assert residual_set(sys, depth, 1e-6) is not residual_set(sys, depth)
