@@ -24,9 +24,9 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import IntegerOverflowError, NotIrreducibleError, OutOfRangeError
+from .errors import ConfigError, IntegerOverflowError, NotIrreducibleError, OutOfRangeError
 from .numeration import BaseSequence, DigitExpansion
-from .sequences import ProductVerdict, SequenceSpec, irreducible, product_verdict
+from .sequences import ProductVerdict, SequenceSpec, irreducible, product_verdict, tail_product
 
 __all__ = [
     "ChainConfig",
@@ -177,9 +177,14 @@ class ChainConfig:
         SeedSequence(seed), so each path is a pure function of (seed, k) and
         the result does not depend on scheduling or batch layout.  The engine
         advances all trajectories in lockstep using the first-failure inverse
-        CDF (one uniform per step), which induces exactly the row law; the
+        CDF: one uniform per step gives the number w of writes that succeed,
+        and the step advances iff ζ(n) <= w ⟺ n mod q_w ≠ q_w - 1 (the low w
+        digits of n spell q_w - 1 exactly when all are maximal), and falls to
+        n + 1 - q_w otherwise.  That induces exactly the row law; the
         per-write sampler `step` is kept as the reference mechanism and the
-        two are pinned together by a chi-square agreement test.
+        two are pinned together by a chi-square agreement test.  A trajectory
+        stops at its first visit to 0.  `return_probability` is the value the
+        fraction tends to as the horizon grows.
         """
         if trajectories < 1 or horizon < 0:
             raise OutOfRangeError("need trajectories >= 1 and horizon >= 0")
@@ -228,6 +233,45 @@ class ChainConfig:
         level = self.base.level_of(m)  # q_{level-1} <= m < q_level
         return 1 / self._harmonic_denominator(level)
 
+    def return_probability(self, m: int) -> float:
+        """Probability that the chain started at m ever visits 0 (time 0 counts).
+
+        It is 1 when the chain is null recurrent.  When it is transient it is
+        1 - u(m), with u(m) the probability of never visiting 0:
+
+            u(m) = ∏_{j >= L+1} p_j = harmonic_value(m) · ∏_{j >= 2} p_j
+            for m in block L = [q_{L-1}, q_L).
+
+        Derivation.  Block L holds the states whose top nonzero digit sits at
+        place L - 1.  A failure after r < ζ(n) successful writes clears only the
+        r low digits, and an advance stays in the block unless n = q_L - 1, the
+        one state of the block whose L low digits are all maximal (ζ = L + 1).
+        From q_L - 1, the move that fails write L + 1 clears every digit and
+        lands on 0, with mass (1 - p_{L+1}) P_L; the advance lands on q_L, the
+        bottom of block L + 1, with mass P_{L+1}; a failure after r < L writes
+        lands on q_L - q_r >= q_{L-1}, inside the block.  Every p_j > 0, so the
+        chain reaches q_L - 1 from anywhere in the finite block with probability
+        1, and leaves it with probability P_L > 0 at each visit; given that it
+        leaves, it moves up with probability P_{L+1} / P_L = p_{L+1}.  By the
+        strong Markov property at each exit, avoiding 0 forever from block L
+        means moving up out of blocks L, L + 1, ... in turn, which has
+        probability ∏_{j >= L+1} p_j.  That tail is 0 exactly when ∏ p_j = 0,
+        the null-recurrent case; in the transient case it is ∏ p_j / P_L, and
+        1 / P_L = harmonic_value(m) / p_1.
+
+        Raises NotIrreducibleError when the dichotomy is void and ConfigError
+        when the product criterion is inconclusive.  The transient value is a
+        float: the limit ∏ p_j is one.
+        """
+        recurrence = self.classify_recurrence()
+        if recurrence is Recurrence.INCONCLUSIVE:
+            raise ConfigError("recurrence is inconclusive for this spec: no return probability")
+        self.base._check_state(m, "start state")
+        if m == 0 or recurrence is Recurrence.NULL_RECURRENT:
+            return 1.0
+        limit, _ = tail_product(self.p, None)
+        return 1.0 - float(self.harmonic_value(m)) * (limit / self.p_float(1))
+
     def _harmonic_denominator(self, level: int):
         den = Fraction(1) if self.p.is_rational() else 1.0
         for j in range(2, level + 1):
@@ -247,7 +291,30 @@ def _wilson_interval(hits: int, n: int, z: float = 1.959963984540054):
 def _count_hits_lockstep(
     cfg: ChainConfig, start: int, trajectories: int, horizon: int, seed: int
 ) -> int:
-    """Vectorized count of trajectories visiting 0, per-trajectory substreams."""
+    """Vectorized count of trajectories visiting 0, per-trajectory substreams.
+
+    Each step draws one uniform u and reads off w, the number of writes that
+    succeed: the largest r with P_r = p_1···p_r >= u, so P(w >= r) = P_r (the
+    float prefixes are nonincreasing, as the exact ones are).  The move is
+    decided by one modulo, with no ζ(n) in sight:
+
+        ζ(n) <= w  ⟺  n mod q_w ≠ q_w - 1.
+
+    Proof: n mod q_w is the number spelled by the low w digits of n, and
+    Σ_{j<w} (d_{j+1} - 1) q_j telescopes to q_w - 1, so n mod q_w = q_w - 1
+    exactly when those w digits are all maximal, i.e. when ζ(n) > w.  The
+    increment needs its ζ(n) writes, so the chain advances to n + 1 iff
+    ζ(n) <= w, and otherwise the (w+1)-th write fails after w successes and
+    the chain falls to n - (q_w - 1) = n + 1 - q_w.  Both branches read the
+    same q_w.  The search caps w at the top level jmax with q_jmax > start +
+    horizon + 2; every state reached stays below q_jmax - 1, where
+    n mod q_jmax = n ≠ q_jmax - 1, so the cap never turns an advance into a fall.
+
+    Per 512-step block, each live trajectory's uniforms become a row of w
+    (uint8: q_63 >= 2^63 bounds w by 63).  A trajectory leaves the batch at
+    its first visit to 0 and its stream is never read again, so a hit count
+    does not depend on when the others stop.
+    """
     bound = start + horizon + 2  # states move up by at most 1 per step
     qs = [1]
     while qs[-1] <= bound:
@@ -257,40 +324,33 @@ def _count_hits_lockstep(
             f"place value q_{len(qs) - 1} above start {start} + horizon {horizon} "
             "does not fit the 64-bit signed lockstep engine"
         )
-    jmax = len(qs) - 1
     qs = np.array(qs, dtype=np.int64)
-    pref = np.array([float(cfg.success_prefix(r)) for r in range(jmax + 1)], dtype=float)
+    # Ascending; searchsorted counts the prefixes P_1..P_jmax that are >= u.
+    neg_pref = -np.array([float(cfg.success_prefix(r)) for r in range(1, len(qs))])
+    if start == 0:
+        return trajectories
 
     children = np.random.SeedSequence(seed).spawn(trajectories)
     gens = [np.random.default_rng(c) for c in children]
     block = 512
-
     states = np.full(trajectories, start, dtype=np.int64)
-    hit = states == 0
-    uniforms = np.empty((trajectories, block))
-    neg_pref = -pref[1:]  # ascending; searchsorted counts prefixes >= u
-
-    for t in range(horizon):
-        if t % block == 0:
-            for k, g in enumerate(gens):
-                uniforms[k] = g.random(block)
-        u = uniforms[:, t % block]
-
-        zeta = np.ones(trajectories, dtype=np.int64)
-        mask = states % qs[1] == qs[1] - 1
-        j = 1
-        while mask.any():
-            j += 1
-            zeta[mask] = j
-            mask &= states % qs[j] == qs[j] - 1
-
-        advance = u <= pref[zeta]
-        writes = np.searchsorted(neg_pref, -u, side="right")  # failures: successful writes
-        states = np.where(advance, states + 1, states - (qs[writes] - 1))
-        hit |= states == 0
-        if hit.all():
-            break
-    return int(hit.sum())
+    for t0 in range(0, horizon, block):
+        steps = min(block, horizon - t0)
+        writes = np.empty((steps, len(gens)), dtype=np.uint8)
+        for k, g in enumerate(gens):
+            writes[:, k] = np.searchsorted(neg_pref, -g.random(steps), side="right")
+        for i in range(steps):
+            q = qs.take(writes[i])
+            states += 1
+            states -= q * (states % q == 0)  # n + 1 ≡ 0 (mod q_w): the fall
+            if not states.all():
+                live = states != 0
+                states = states[live]
+                writes = writes[:, live]
+                gens = [g for g, keep in zip(gens, live) if keep]
+                if not gens:
+                    return trajectories
+    return trajectories - len(gens)
 
 
 def write_trajectory_csv(cfg: ChainConfig, trajectory, fileobj) -> None:

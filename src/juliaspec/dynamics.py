@@ -510,9 +510,16 @@ def level_tree(sys: FiberedSystem, k: int) -> np.ndarray:
     return tree
 
 
-def _check_tol(tol: float) -> None:
+def _check_tol(tol: float, *, positive: bool = False) -> None:
+    """Refuse a non-finite or negative tol, and tol = 0 where `positive` is set.
+
+    Two polished float trees never agree to the last bit at a shared point, so
+    a residual set needs tol > 0: at tol = 0 its answer is rounding noise.
+    """
     if not (math.isfinite(tol) and tol >= 0):
         raise OutOfRangeError(f"tol must be finite and >= 0, got {tol}")
+    if positive and tol == 0:
+        raise OutOfRangeError("tol must be > 0 to compare two preimage trees")
 
 
 def _near(pts: list, res: list[float], z, tol: float) -> list:
@@ -566,7 +573,7 @@ def residual_set(sys: FiberedSystem, depth: int, tol: float = 1e-8) -> ResidualS
     """
     if depth < 1:
         raise OutOfRangeError(f"depth must be >= 1, got {depth}")
-    _check_tol(tol)
+    _check_tol(tol, positive=True)
     key = (depth, tol)
     if key in sys._residual:
         return sys._residual[key]

@@ -400,7 +400,7 @@ class ResidualReport:
 
 def residual_l1(sys: FiberedSystem, depth: int, tol: float = 1e-8) -> ResidualReport:
     """Depth-truncated residual set of l^1 with its regime annotation."""
-    _check_tol(tol)
+    _check_tol(tol, positive=True)
     pv = product_verdict(sys.p)
     if pv is ProductVerdict.CONVERGES_POSITIVE:
         return ResidualReport(

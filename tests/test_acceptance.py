@@ -275,8 +275,9 @@ def test_criterion_05_factor_route_agreement(systems):
 
 
 def test_criterion_06_recurrence_dichotomy_and_monte_carlo(chains):
-    """Verdicts from the product criterion plus a Monte Carlo sanity check on
-    the return-to-0 fractions."""
+    """Verdicts from the product criterion plus a Monte Carlo check on the
+    return-to-0 fractions: thresholds, and Wilson intervals that bracket the
+    exact return probabilities."""
     transient_cfg = ChainConfig(BaseSequence(2), geometric(1, "1/2"))
     assert chains["dendrite"].classify_recurrence() is Recurrence.NULL_RECURRENT
     assert chains["mixed23-harmonic"].classify_recurrence() is Recurrence.NULL_RECURRENT
@@ -285,15 +286,19 @@ def test_criterion_06_recurrence_dichotomy_and_monte_carlo(chains):
         start=1, trajectories=200, horizon=100_000, seed=20260823
     )
     assert recurrent.fraction >= 0.95
+    # The Wilson intervals must also bracket the exact return probabilities.
+    assert recurrent.ci_low <= chains["dendrite"].return_probability(1) <= recurrent.ci_high
     start = transient_cfg.base.place_value(3)
     transient = transient_cfg.return_statistics(
         start=start, trajectories=200, horizon=100_000, seed=20260823
     )
     assert transient.fraction <= 0.90
+    exact = transient_cfg.return_probability(start)
+    assert transient.ci_low <= exact <= transient.ci_high, (transient, exact)
     print(
         f"criterion-06 recurrence: PASS "
         f"(verdicts exact; return fractions {recurrent.fraction:.3f} recurrent "
-        f"vs {transient.fraction:.3f} transient)"
+        f"vs {transient.fraction:.3f} transient; exact 1 vs {exact:.4f})"
     )
 
 

@@ -21,12 +21,15 @@ from scipy import stats
 
 from juliaspec.chain import ChainConfig, Recurrence, write_trajectory_csv
 from juliaspec.errors import (
+    ConfigError,
     IntegerOverflowError,
     NotIrreducibleError,
     OutOfRangeError,
 )
 from juliaspec.numeration import BaseSequence
-from juliaspec.sequences import constant, geometric, random_base, random_uniform
+from juliaspec.operator import build_truncation
+from juliaspec.sequences import constant, geometric, periodic, random_base, random_uniform
+from juliaspec.verify import _hit_probability
 
 
 def oracle_row(cfg: ChainConfig, n: int) -> dict:
@@ -268,6 +271,56 @@ def test_recurrence_inconclusive_for_straddling_random_spec():
     assert cfg.classify_recurrence() is Recurrence.INCONCLUSIVE
     low = ChainConfig(BaseSequence(2), random_uniform("1/4", "3/4", 3))
     assert low.classify_recurrence() is Recurrence.NULL_RECURRENT
+
+
+# -- return probabilities ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "d,gamma,start",
+    [(2, "1/2", 8), ((2, 3), "1/3", 2), (3, "1/3", 3)],
+    ids=["binary-from-8", "mixed23-from-2", "ternary-from-3"],
+)
+def test_return_probability_bounds_the_finite_horizon_value(d, gamma, start):
+    base = BaseSequence(periodic(d, "d") if isinstance(d, tuple) else d)
+    cfg = ChainConfig(base, geometric(1, gamma))
+    closed = cfg.return_probability(start)
+    within = _hit_probability(cfg, start, 20_000)
+    assert within <= closed <= within + 3e-4, (closed, within)
+
+
+def test_return_probability_is_block_constant_and_one_when_recurrent(chains):
+    cfg = chains["binary-geometric"]
+    assert cfg.return_probability(0) == 1.0
+    for lo, hi in ((1, 2), (2, 4), (4, 8), (8, 16)):
+        assert len({cfg.return_probability(m) for m in range(lo, hi)}) == 1
+    # From [8, 16): 1 - u = 1 - ∏_{j>=5} (1 - 4^-j) ≈ Σ_{j>=5} 4^-j = 4^-5 · 4/3.
+    assert abs(cfg.return_probability(8) - 4.0**-5 * 4 / 3) < 1e-6
+    for name in ("dendrite", "binary-p34", "ternary-p12", "mixed23-harmonic"):
+        assert chains[name].return_probability(12345) == 1.0
+
+
+def test_return_probability_rejects_void_and_inconclusive_dichotomies(chains):
+    with pytest.raises(NotIrreducibleError):
+        ChainConfig(BaseSequence(2), constant(1)).return_probability(3)
+    with pytest.raises(ConfigError):
+        ChainConfig(BaseSequence(2), random_uniform("1/2", 1, 3)).return_probability(3)
+    with pytest.raises(OutOfRangeError):
+        chains["binary-geometric"].return_probability(-1)
+
+
+def test_hit_probability_window_matches_the_full_iteration(chains):
+    cfg = chains["mixed23-harmonic"]
+    start, horizon = 5, 2500  # crosses two re-cuts of the window
+    a = build_truncation(cfg, start + horizon + 2).matrix
+    v = np.zeros(a.shape[0])
+    v[0] = 1.0
+    for _ in range(horizon):
+        v = a @ v
+        v[0] = 1.0
+    assert _hit_probability(cfg, start, horizon) == v[start]
+    assert _hit_probability(cfg, start, 0) == 0.0
+    assert _hit_probability(cfg, 0, 3) == 1.0
 
 
 # -- CSV output --------------------------------------------------------------

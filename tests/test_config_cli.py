@@ -173,7 +173,7 @@ def test_residual_set_transient_note(tmp_path, capsys):
     assert note["conjecture"] is True
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "0"])
 def test_residual_set_rejects_bad_tol(tol, capsys):
     rc = main(["residual-set", "--canonical", "binary-p34", "--depth", "4", f"--tol={tol}"])
     assert rc == 2

@@ -25,7 +25,7 @@ from juliaspec.dynamics import (
     residual_set,
 )
 from juliaspec.errors import OutOfRangeError
-from juliaspec.spectra import spectrum_summary
+from juliaspec.spectra import residual_l1, spectrum_summary
 
 
 def scalar_polish(sys, depth, target, z):
@@ -165,6 +165,16 @@ def test_tol_must_be_finite_and_nonnegative(systems, tol):
         dedup_points([0j, 1 + 0j], tol)
     with pytest.raises(OutOfRangeError):
         residual_set(systems["binary-p34"], 3, tol)
+
+
+def test_residual_sets_refuse_tol_zero(systems):
+    # Exact comparison of two polished trees is rounding noise; dedup alone may use it.
+    assert dedup_points([0j, 0j, 1 + 0j], 0.0) == [0j, 1 + 0j]
+    with pytest.raises(OutOfRangeError):
+        residual_set(systems["dendrite"], 3, 0.0)
+    for name in ("dendrite", "binary-geometric"):  # the transient report returns early
+        with pytest.raises(OutOfRangeError):
+            residual_l1(systems[name], 3, 0.0)
 
 
 def test_residual_set_built_once_per_system(monkeypatch):
