@@ -27,9 +27,8 @@ from juliaspec.errors import (
     OutOfRangeError,
 )
 from juliaspec.numeration import BaseSequence
-from juliaspec.operator import build_truncation
 from juliaspec.sequences import constant, geometric, periodic, random_base, random_uniform
-from juliaspec.verify import _hit_probability
+from juliaspec.verify import _hit_probability, _mc_vs_exact, run_verify
 
 
 def oracle_row(cfg: ChainConfig, n: int) -> dict:
@@ -309,18 +308,17 @@ def test_return_probability_rejects_void_and_inconclusive_dichotomies(chains):
         chains["binary-geometric"].return_probability(-1)
 
 
-def test_hit_probability_window_matches_the_full_iteration(chains):
-    cfg = chains["mixed23-harmonic"]
-    start, horizon = 5, 2500  # crosses two re-cuts of the window
-    a = build_truncation(cfg, start + horizon + 2).matrix
-    v = np.zeros(a.shape[0])
-    v[0] = 1.0
-    for _ in range(horizon):
-        v = a @ v
-        v[0] = 1.0
-    assert _hit_probability(cfg, start, horizon) == v[start]
-    assert _hit_probability(cfg, start, 0) == 0.0
-    assert _hit_probability(cfg, 0, 3) == 1.0
+def test_mc_vs_exact_checks_ignore_the_verify_seed(tmp_path):
+    # Under --seed 3 a run seeded with 3 gives 2/400 hits from q_3 on
+    # binary-geometric, whose Wilson interval [0.0014, 0.0180] misses the exact
+    # 0.00130; the checks must run with the canonical seed instead.
+    results = {r.name: r for r in run_verify(str(tmp_path), seed=3)}
+    q3 = BaseSequence(2).place_value(3)
+    for name, start in (("dendrite", 1), ("binary-geometric", q3)):
+        got = results[f"mc-vs-exact[{name}]"]
+        assert got.ok, got.detail
+        assert (got.ok, got.detail) == _mc_vs_exact(name, start, 400, 2000)
+        assert "canonical seed 20260823" in got.detail
 
 
 # -- CSV output --------------------------------------------------------------
