@@ -274,7 +274,10 @@ def _cmd_spectrum_report(args) -> int:
     raw = _param(args, rc, "lambdas")
     lams = [parse_complex(t) for t in str(raw).split(",")] if raw else []
     raw_alphas = _param(args, rc, "alphas", "1,2")
-    alphas = [float(t) for t in str(raw_alphas).split(",")]
+    try:
+        alphas = [float(t) for t in str(raw_alphas).split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse alpha values {raw_alphas!r}") from exc
     report = spectrum_summary(
         rc.chain(),
         rc.system(),

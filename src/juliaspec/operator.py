@@ -32,6 +32,7 @@ from .dynamics import (
     _PREIMAGE_CAP,
     EscapeOutcome,
     FiberedSystem,
+    _c_mul,
     eigvec_head,
     escape_classify,
     level_tree,
@@ -228,7 +229,9 @@ def weyl_defect(
     size = 2 * k
     trunc = build_truncation(cfg, size)
     w = weyl_vector(sys, lam, level, size)
-    u = trunc.apply(w) - lam * w
+    # λ·w as Python's complex product: numpy's complex multiply may fuse multiply-adds.
+    lam_re, lam_im = _c_mul(lam.real, lam.imag, w.real, w.imag)
+    u = trunc.apply(w) - (lam_re + 1j * lam_im)
     norm_w = float(np.linalg.norm(w, ord=alpha))
     defect = float(np.linalg.norm(u, ord=alpha)) / norm_w
 

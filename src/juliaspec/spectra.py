@@ -10,6 +10,14 @@ never upgraded to a claim.
 Decision rules are cited by descriptive identifiers in the witness payloads
 (e.g. "escape-certificate", "contraction-certificate-rho",
 "point-empty-when-p-does-not-approach-1") so reports are self-describing.
+
+One orbit per λ: the escape test and the factor trace run at most once for
+a λ, and every space reads the same two results; `spectrum_summary` shares
+them across all its spaces.  Whether the point spectrum of a space is empty
+for every λ is decided in one place, in this order: on l^α the summability
+gate (Σ (1-p_j)^α diverges), then on c_0, c and l^α the gate "p̄ does not
+tend to 1" (c keeps its constant eigenvector at λ = 1).  The summary's
+per-space point entries and the per-λ verdicts both read that decision.
 """
 
 from __future__ import annotations
@@ -17,10 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .chain import ChainConfig
 from .dynamics import (
     RHO,
+    EscapeOutcome,
     FactorTrace,
     FiberedSystem,
     TraceStatus,
@@ -148,17 +158,73 @@ class SpectralVerdict:
         }
 
 
-def _trace_witness(trace: FactorTrace) -> dict:
-    tail = trace.values[-3:]
-    return {
-        "trace-status": trace.status.value,
-        "trace-index": trace.status_index,
-        "trace-length": len(trace.values),
-        "last-factors": [[v.real, v.imag] for v in tail],
-    }
+class _Orbit:
+    """One λ's orbit: its escape test and its factor trace, each run at most once, on first use."""
+
+    def __init__(self, sys: FiberedSystem, lam: complex, budget: int):
+        self.sys, self.lam, self.budget = sys, complex(lam), budget
+
+    @cached_property
+    def escape(self) -> EscapeOutcome:
+        return escape_classify(self.sys, self.lam, self.budget)
+
+    @cached_property
+    def trace(self) -> FactorTrace:
+        return factor_trace(self.sys, self.lam, self.budget)
+
+
+def _verdict(
+    lam, space, membership, rules, part=SpectralPart.NOT_APPLICABLE, trace=None, **fields
+) -> SpectralVerdict:
+    """A verdict whose witness holds the trace summary, the rules and `fields` ('_' read as '-')."""
+    wit: dict = {}
+    if trace is not None:
+        wit = {
+            "trace-status": trace.status.value,
+            "trace-index": trace.status_index,
+            "trace-length": len(trace.values),
+            "last-factors": [[v.real, v.imag] for v in trace.values[-3:]],
+        }
+    wit["rules"] = list(rules)
+    wit.update((k.replace("_", "-"), v) for k, v in fields.items())
+    return SpectralVerdict(lam, space, membership, part, wit)
+
+
+def _point_gate(p, space: Space) -> str | None:
+    """The rule emptying the point spectrum on c_0, c or l^α for every λ (on c: every λ ≠ 1).
+
+    The only place this is decided.  On l^α the summability gate comes
+    first; then, on every space, p̄ provably not tending to 1 (l^α ⊂ c_0,
+    and the eigenvector is unique up to scale).  None: no gate holds.
+    """
+    if space.family == "lalpha" and sum_alpha_verdict(p, space.alpha) is SumVerdict.DIVERGES:
+        return "summability-gate-alpha"
+    if not limit_is_one(p):
+        return "point-empty-when-p-does-not-approach-1"
+    return None
 
 
 # -- membership in the spectrum (= the filled set) --------------------------
+
+
+def _membership(orbit: _Orbit, space: Space) -> SpectralVerdict:
+    out, lam = orbit.escape, orbit.lam
+    if out.escaped:
+        return _verdict(
+            lam, space, Membership.NOT_IN_SPECTRUM,
+            ["spectrum-equals-filled-set", "escape-certificate"],
+            escape_step=out.step, modulus=out.modulus,
+        )
+    if out.certified_bounded:
+        rules = ["spectrum-equals-filled-set", "bounded-orbit-certificate"]
+        if space.family == "linf":
+            rules.append("linf-spectrum-is-point-spectrum")
+            return _verdict(lam, space, Membership.IN_SPECTRUM, rules, SpectralPart.POINT)
+        return _verdict(lam, space, Membership.IN_SPECTRUM, rules)
+    return _verdict(
+        lam, space, Membership.INSIDE_BUDGET_UNKNOWN, ["spectrum-equals-filled-set"],
+        modulus_at_budget=out.modulus, budget=orbit.budget,
+    )
 
 
 def spectrum_membership(
@@ -171,42 +237,47 @@ def spectrum_membership(
     spectrum is pure point); otherwise the verdict is
     INSIDE_BUDGET_UNKNOWN — bounded through the budget, uncertified.
     """
-    lam = complex(lam)
-    out = escape_classify(sys, lam, budget)
-    if out.escaped:
-        return SpectralVerdict(
-            lam,
-            space,
-            Membership.NOT_IN_SPECTRUM,
-            SpectralPart.NOT_APPLICABLE,
-            {
-                "rules": ["spectrum-equals-filled-set", "escape-certificate"],
-                "escape-step": out.step,
-                "modulus": out.modulus,
-            },
-        )
-    if out.certified_bounded:
-        part = SpectralPart.POINT if space.family == "linf" else SpectralPart.NOT_APPLICABLE
-        rules = ["spectrum-equals-filled-set", "bounded-orbit-certificate"]
-        if space.family == "linf":
-            rules.append("linf-spectrum-is-point-spectrum")
-        return SpectralVerdict(
-            lam, space, Membership.IN_SPECTRUM, part, {"rules": rules}
-        )
-    return SpectralVerdict(
-        lam,
-        space,
-        Membership.INSIDE_BUDGET_UNKNOWN,
-        SpectralPart.NOT_APPLICABLE,
-        {
-            "rules": ["spectrum-equals-filled-set"],
-            "modulus-at-budget": out.modulus,
-            "budget": budget,
-        },
-    )
+    return _membership(_Orbit(sys, lam, budget), space)
 
 
 # -- point spectra ----------------------------------------------------------
+
+
+def _point(orbit: _Orbit, space: Space) -> SpectralVerdict:
+    """Point-spectrum verdict on c_0, c or l^α: c's unit eigenvalue, the gate, then the trace."""
+    lam, p = orbit.lam, orbit.sys.p
+    if space.family == "c" and lam == 1:
+        rules = ["unit-eigenvalue-constant-eigenvector"]
+        return _verdict(lam, space, Membership.IN_SPECTRUM, rules, SpectralPart.POINT)
+    lalpha = space.family == "lalpha"
+    extra = {"alpha": space.alpha} if lalpha else {}
+    gate = _point_gate(p, space)
+    if gate:
+        return _verdict(lam, space, Membership.NOT_IN_SPECTRUM, [gate], **extra)
+    trace = orbit.trace
+    if trace.status is TraceStatus.ESCAPED:
+        return _verdict(lam, space, Membership.NOT_IN_SPECTRUM, ["escape-certificate"], trace=trace)
+    tag = []
+    if lalpha:
+        # On l^α the c_0 reading below needs p̄ monotone with a convergent series.
+        summable = sum_alpha_verdict(p, space.alpha) is SumVerdict.CONVERGES
+        if not (monotone_increasing(p) and summable):
+            return _verdict(lam, space, Membership.INSIDE_BUDGET_UNKNOWN, [], trace=trace, **extra)
+        tag = ["monotone-summable-matches-c0"]
+    if trace.status is TraceStatus.CONVERGES_TO_ONE:
+        rules = ["factors-approach-1-no-decay", *tag]
+        return _verdict(lam, space, Membership.NOT_IN_SPECTRUM, rules, trace=trace, **extra)
+    if trace.status is TraceStatus.BOUNDED_AT_BUDGET:
+        return _verdict(lam, space, Membership.INSIDE_BUDGET_UNKNOWN, tag, trace=trace, **extra)
+    k = trace.status_index
+    if lalpha:
+        partial = series_partial_sum(orbit.sys, lam, min(8, len(trace.values)))
+        extra["alpha_series_partial"] = partial ** (1.0 / space.alpha)
+    rules = ["contraction-certificate-rho", *tag]
+    return _verdict(
+        lam, space, Membership.IN_SPECTRUM, rules, SpectralPart.POINT, trace=trace,
+        rho=RHO, certificate_index=k, factor_modulus=abs(trace.values[k - 1]), **extra,
+    )
 
 
 def point_c0(sys: FiberedSystem, lam: complex, budget: int) -> SpectralVerdict:
@@ -220,60 +291,12 @@ def point_c0(sys: FiberedSystem, lam: complex, budget: int) -> SpectralVerdict:
     and λ is a certified eigenvalue; factors locked at 1 certify a
     non-decaying eigenvector.
     """
-    lam = complex(lam)
-    if limit_is_one(sys.p) is False:
-        return SpectralVerdict(
-            lam,
-            C0,
-            Membership.NOT_IN_SPECTRUM,
-            SpectralPart.NOT_APPLICABLE,
-            {"rules": ["point-empty-when-p-does-not-approach-1"]},
-        )
-    trace = factor_trace(sys, lam, budget)
-    if trace.status is TraceStatus.ESCAPED:
-        wit = _trace_witness(trace)
-        wit["rules"] = ["escape-certificate"]
-        return SpectralVerdict(
-            lam, C0, Membership.NOT_IN_SPECTRUM, SpectralPart.NOT_APPLICABLE, wit
-        )
-    if trace.status is TraceStatus.CONVERGES_TO_ONE:
-        wit = _trace_witness(trace)
-        wit["rules"] = ["factors-approach-1-no-decay"]
-        return SpectralVerdict(
-            lam, C0, Membership.NOT_IN_SPECTRUM, SpectralPart.NOT_APPLICABLE, wit
-        )
-    if trace.status is TraceStatus.CONVERGES_TO_ZERO:
-        k = trace.status_index
-        wit = _trace_witness(trace)
-        wit.update(
-            {
-                "rules": ["contraction-certificate-rho"],
-                "rho": RHO,
-                "certificate-index": k,
-                "factor-modulus": abs(trace.values[k - 1]),
-            }
-        )
-        return SpectralVerdict(lam, C0, Membership.IN_SPECTRUM, SpectralPart.POINT, wit)
-    wit = _trace_witness(trace)
-    wit["rules"] = []
-    return SpectralVerdict(
-        lam, C0, Membership.INSIDE_BUDGET_UNKNOWN, SpectralPart.NOT_APPLICABLE, wit
-    )
+    return _point(_Orbit(sys, lam, budget), C0)
 
 
 def point_c(sys: FiberedSystem, lam: complex, budget: int) -> SpectralVerdict:
     """Point spectrum on c: that of c_0, plus λ = 1 (constant eigenvector)."""
-    lam = complex(lam)
-    if lam == 1:
-        return SpectralVerdict(
-            lam,
-            C,
-            Membership.IN_SPECTRUM,
-            SpectralPart.POINT,
-            {"rules": ["unit-eigenvalue-constant-eigenvector"]},
-        )
-    inner = point_c0(sys, lam, budget)
-    return SpectralVerdict(lam, C, inner.membership, inner.part, dict(inner.witness))
+    return _point(_Orbit(sys, lam, budget), C)
 
 
 def point_lalpha(
@@ -281,47 +304,14 @@ def point_lalpha(
 ) -> SpectralVerdict:
     """Point spectrum on l^α (α >= 1).
 
-    If Σ (1-p_j)^α provably diverges the point spectrum is empty for every
-    λ.  If p̄ is certified monotone increasing with a convergent series, the
-    point spectrum coincides with that of c_0 and the c_0 verdict is reused
-    (decorated with a partial sum of the eigenvector's α-series).
+    If Σ (1-p_j)^α provably diverges, or p̄ provably does not approach 1,
+    the point spectrum is empty for every λ.  If p̄ is certified monotone
+    increasing with a convergent series, the point spectrum coincides with
+    that of c_0: the c_0 verdict is given, tagged
+    "monotone-summable-matches-c0" (and, for an eigenvalue, with a partial
+    sum of the eigenvector's α-series).  Otherwise only escape decides.
     """
-    space = l_alpha(alpha)
-    lam = complex(lam)
-    sv = sum_alpha_verdict(sys.p, alpha)
-    if sv is SumVerdict.DIVERGES:
-        return SpectralVerdict(
-            lam,
-            space,
-            Membership.NOT_IN_SPECTRUM,
-            SpectralPart.NOT_APPLICABLE,
-            {"rules": ["summability-gate-alpha"], "alpha": float(alpha)},
-        )
-    trace = factor_trace(sys, lam, budget)
-    if trace.status is TraceStatus.ESCAPED:
-        wit = _trace_witness(trace)
-        wit["rules"] = ["escape-certificate"]
-        return SpectralVerdict(
-            lam, space, Membership.NOT_IN_SPECTRUM, SpectralPart.NOT_APPLICABLE, wit
-        )
-    if monotone_increasing(sys.p) and sv is SumVerdict.CONVERGES:
-        inner = point_c0(sys, lam, budget)
-        wit = dict(inner.witness)
-        wit["rules"] = list(wit.get("rules", [])) + ["monotone-summable-matches-c0"]
-        wit["alpha"] = float(alpha)
-        if inner.membership is Membership.IN_SPECTRUM:
-            depth = min(8, len(trace.values))
-            if depth:
-                wit["alpha-series-partial"] = series_partial_sum(sys, lam, depth) ** (
-                    1.0 / float(alpha)
-                )
-        return SpectralVerdict(lam, space, inner.membership, inner.part, wit)
-    wit = _trace_witness(trace)
-    wit["rules"] = []
-    wit["alpha"] = float(alpha)
-    return SpectralVerdict(
-        lam, space, Membership.INSIDE_BUDGET_UNKNOWN, SpectralPart.NOT_APPLICABLE, wit
-    )
+    return _point(_Orbit(sys, lam, budget), l_alpha(alpha))
 
 
 def series_partial_sum(sys: FiberedSystem, lam: complex, depth: int) -> float:
@@ -400,6 +390,8 @@ class ResidualReport:
 
 def residual_l1(sys: FiberedSystem, depth: int, tol: float = 1e-8) -> ResidualReport:
     """Depth-truncated residual set of l^1 with its regime annotation."""
+    if depth < 1:
+        raise OutOfRangeError(f"depth must be >= 1, got {depth}")
     _check_tol(tol, positive=True)
     pv = product_verdict(sys.p)
     if pv is ProductVerdict.CONVERGES_POSITIVE:
@@ -459,6 +451,44 @@ def residual_verdict(space: Space) -> dict:
 # -- combined per-λ classification and per-config summary -------------------
 
 
+def _classify(orbit: _Orbit, space: Space, depth: int, tol: float) -> SpectralVerdict:
+    lam = orbit.lam
+    if space.family == "linf":
+        return _membership(orbit, space)
+
+    if space.family == "lalpha" and space.alpha == 1:
+        report = residual_l1(orbit.sys, depth, tol)
+        hit = min((abs(lam - z) for z in report.points), default=float("inf"))
+        if hit <= tol:
+            return _verdict(
+                lam, space, Membership.IN_SPECTRUM,
+                ["residual-l1-subset-of-one-preimages", f"residual-l1-{report.regime}-regime"],
+                SpectralPart.RESIDUAL_CANDIDATE, distance=hit, depth=depth,
+            )
+
+    memb = _membership(orbit, space)
+    if memb.membership is Membership.NOT_IN_SPECTRUM:
+        return memb
+    pointv = _point(orbit, space)
+    if pointv.membership is Membership.IN_SPECTRUM:
+        return pointv
+    unknown = Membership.INSIDE_BUDGET_UNKNOWN
+    if pointv.membership is unknown:
+        wit = {**memb.witness, "point-part": "undecided at budget"}
+        return SpectralVerdict(lam, space, unknown, SpectralPart.NOT_APPLICABLE, wit)
+    wit = {**pointv.witness, "point-part": "excluded"}
+    if memb.membership is unknown:
+        return SpectralVerdict(lam, space, unknown, SpectralPart.NOT_APPLICABLE, wit)
+    resid = residual_verdict(space)
+    if resid["residual"] == "empty":
+        wit["rules"] = wit["rules"] + [resid["rule"]]
+        part = SpectralPart.CONTINUOUS_BY_ELIMINATION
+    else:
+        wit["residual"] = "excluded only to truncation depth"
+        part = SpectralPart.NOT_APPLICABLE
+    return SpectralVerdict(lam, space, Membership.IN_SPECTRUM, part, wit)
+
+
 def classify(
     sys: FiberedSystem,
     lam: complex,
@@ -468,68 +498,23 @@ def classify(
     tol: float = 1e-8,
 ) -> SpectralVerdict:
     """Full verdict for one λ on one space: membership plus part resolution."""
-    lam = complex(lam)
-    if space.family == "linf":
-        return spectrum_membership(sys, lam, budget, space)
+    return _classify(_Orbit(sys, lam, budget), space, depth, tol)
 
-    if space.family == "lalpha" and space.alpha == 1:
-        report = residual_l1(sys, depth, tol)
-        hit = min(
-            (abs(lam - z) for z in report.points), default=float("inf")
-        )
-        if hit <= tol:
-            return SpectralVerdict(
-                lam,
-                space,
-                Membership.IN_SPECTRUM,
-                SpectralPart.RESIDUAL_CANDIDATE,
-                {
-                    "rules": [
-                        "residual-l1-subset-of-one-preimages",
-                        f"residual-l1-{report.regime}-regime",
-                    ],
-                    "distance": hit,
-                    "depth": depth,
-                },
-            )
 
-    memb = spectrum_membership(sys, lam, budget, space)
-    if memb.membership is Membership.NOT_IN_SPECTRUM:
-        return memb
-
-    if space.family == "c0":
-        pointv = point_c0(sys, lam, budget)
-    elif space.family == "c":
-        pointv = point_c(sys, lam, budget)
-    else:
-        pointv = point_lalpha(sys, lam, space.alpha, budget)
-
-    if pointv.membership is Membership.IN_SPECTRUM:
-        return SpectralVerdict(
-            lam, space, Membership.IN_SPECTRUM, SpectralPart.POINT, dict(pointv.witness)
-        )
-    if pointv.membership is Membership.NOT_IN_SPECTRUM:
-        wit = dict(pointv.witness)
-        wit["point-part"] = "excluded"
-        if memb.membership is Membership.IN_SPECTRUM:
-            resid = residual_verdict(space)
-            if resid["residual"] == "empty":
-                wit["rules"] = list(wit.get("rules", [])) + [resid["rule"]]
-                return SpectralVerdict(
-                    lam, space, Membership.IN_SPECTRUM, SpectralPart.CONTINUOUS_BY_ELIMINATION, wit
-                )
-            wit["residual"] = "excluded only to truncation depth"
-            return SpectralVerdict(
-                lam, space, Membership.IN_SPECTRUM, SpectralPart.NOT_APPLICABLE, wit
-            )
-        return SpectralVerdict(
-            lam, space, memb.membership, SpectralPart.NOT_APPLICABLE, wit
-        )
-    wit = dict(memb.witness)
-    wit["point-part"] = "undecided at budget"
-    return SpectralVerdict(
-        lam, space, Membership.INSIDE_BUDGET_UNKNOWN, SpectralPart.NOT_APPLICABLE, wit
-    )
+_CONTRACTION_POINT = {
+    "description": (
+        "component of the filled set's interior containing 0 "
+        "(certified pointwise via the contraction threshold)"
+    ),
+    "rule": "contraction-certificate-rho",
+}
+_STATIC_POINT = {
+    "linf": {"description": "whole spectrum", "rule": "linf-spectrum-is-point-spectrum"},
+    "c": {
+        "description": "that of c0, together with 1",
+        "rule": "unit-eigenvalue-constant-eigenvector",
+    },
+}
 
 
 def spectrum_summary(
@@ -540,7 +525,10 @@ def spectrum_summary(
     depth: int = 5,
     alphas=(1.0, 2.0),
 ) -> dict:
-    """Per-space summary report (JSON-ready) with optional per-λ verdicts."""
+    """Per-space summary report (JSON-ready) with optional per-λ verdicts.
+
+    Each λ's orbit is run once and read on every space.
+    """
     from .errors import NotIrreducibleError
 
     try:
@@ -557,46 +545,19 @@ def spectrum_summary(
         },
         "spaces": {},
     }
-    p_to_one = limit_is_one(sys.p)
     for space in spaces:
         entry: dict = {"residual": residual_verdict(space)}
-        if space.family == "linf":
-            entry["point"] = {
-                "description": "whole spectrum",
-                "rule": "linf-spectrum-is-point-spectrum",
-            }
-        elif space.family in ("c0", "lalpha"):
-            if p_to_one is False:
-                entry["point"] = {
-                    "description": "empty",
-                    "rule": "point-empty-when-p-does-not-approach-1",
-                }
-            elif space.family == "lalpha" and sum_alpha_verdict(
-                sys.p, space.alpha
-            ) is SumVerdict.DIVERGES:
-                entry["point"] = {"description": "empty", "rule": "summability-gate-alpha"}
-            else:
-                entry["point"] = {
-                    "description": (
-                        "component of the filled set's interior containing 0 "
-                        "(certified pointwise via the contraction threshold)"
-                    ),
-                    "rule": "contraction-certificate-rho",
-                }
-        else:  # c
-            entry["point"] = {
-                "description": "that of c0, together with 1",
-                "rule": "unit-eigenvalue-constant-eigenvector",
-            }
+        gate = _point_gate(sys.p, space)
+        entry["point"] = dict(
+            _STATIC_POINT.get(space.family)
+            or ({"description": "empty", "rule": gate} if gate else _CONTRACTION_POINT)
+        )
         if space.family == "lalpha" and space.alpha == 1:
             entry["residual-set"] = residual_l1(sys, depth).to_json()
         report["spaces"][str(space)] = entry
     if lams:
         report["lambdas"] = [
-            {
-                str(space): classify(sys, lam, space, budget, depth).to_json()
-                for space in spaces
-            }
-            for lam in lams
+            {str(space): _classify(orbit, space, depth, 1e-8).to_json() for space in spaces}
+            for orbit in (_Orbit(sys, lam, budget) for lam in lams)
         ]
     return report

@@ -22,6 +22,7 @@ from .canonical import CANONICAL_NAMES, canonical_config
 from .chain import ChainConfig, Recurrence
 from .dynamics import (
     FiberedSystem,
+    _c_mul,
     eigvec_head,
     escape_classify,
     factor_trace,
@@ -119,12 +120,10 @@ def _eigen_identity(
     for lam in lams:
         values = np.array(eigvec_head(sys, lam, limit + 1))
         head = values[:limit]
-        # λ·v from real products: numpy's complex multiply fuses (FMA) on some
-        # CPUs, which would make the residual in summary.json machine-dependent.
-        lam_head = (lam.real * head.real - lam.imag * head.imag) + 1j * (
-            lam.real * head.imag + lam.imag * head.real
-        )
-        resid = trunc.apply(values)[:limit] - lam_head
+        # λ·v as Python's complex product: numpy's complex multiply fuses (FMA) on
+        # some CPUs, which would make the residual in summary.json machine-dependent.
+        lam_re, lam_im = _c_mul(lam.real, lam.imag, head.real, head.imag)
+        resid = trunc.apply(values)[:limit] - (lam_re + 1j * lam_im)
         worst = max(worst, float(np.abs(resid).max()))
     if worst >= tol:
         return False, f"max eigen-identity residual {worst:.3e} >= {tol}"

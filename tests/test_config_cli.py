@@ -385,6 +385,9 @@ def test_exit_code_3_truncation_past_the_tree_cap(tmp_path, capsys):
         ["classify", "--canonical", "binary-p34", "--space", "lnan", "--lambda=0.1"],
         ["spectrum-report", "--canonical", "binary-p34", "--alphas=nan"],
         ["spectrum-report", "--canonical", "binary-p34", "--alphas=inf"],
+        ["spectrum-report", "--canonical", "binary-p34", "--alphas=abc"],
+        ["spectrum-report", "--canonical", "binary-p34", "--alphas="],
+        ["spectrum-report", "--canonical", "binary-p34", "--alphas=1,,2"],
     ],
 )
 def test_exit_code_2_non_finite_alpha(argv, capsys):
@@ -393,6 +396,17 @@ def test_exit_code_2_non_finite_alpha(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "alpha" in captured.err
+
+
+@pytest.mark.parametrize("name", ["dendrite", "binary-geometric"])
+@pytest.mark.parametrize("cmd", ["residual-set", "spectrum-report"])
+def test_exit_code_2_bad_depth(cmd, name, capsys):
+    # binary-geometric is transient: its l^1 report used to return before checking depth.
+    rc = main([cmd, "--canonical", name, "--depth=-3"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "depth" in captured.err
 
 
 def test_exit_code_2_negative_steps(tmp_path, capsys):

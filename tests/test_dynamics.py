@@ -31,6 +31,7 @@ from juliaspec.errors import (
 )
 from juliaspec.numeration import BaseSequence
 from juliaspec.sequences import constant
+from juliaspec.spectra import residual_l1
 
 
 def shift_system() -> FiberedSystem:
@@ -373,3 +374,8 @@ def test_preimages_of_one_are_nested(systems):
 def test_residual_set_validation(systems):
     with pytest.raises(OutOfRangeError):
         residual_set(systems["dendrite"], depth=0)
+    # The l^1 report checks depth before its transient early return.
+    for name in ("dendrite", "binary-geometric"):
+        for depth in (0, -3):
+            with pytest.raises(OutOfRangeError):
+                residual_l1(systems[name], depth)

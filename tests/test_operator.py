@@ -150,6 +150,30 @@ def test_weyl_defect_matches_dense_recomputation(chains, systems):
         json.dumps(d.to_json())
 
 
+def test_weyl_defect_is_python_complex_arithmetic(chains, systems):
+    # λ·w must round as Python's complex product entry by entry: numpy's complex
+    # multiply may fuse multiply-adds, which would make the defect CPU-dependent.
+    rng = np.random.default_rng(5)
+    lams = [complex(x, y) for x, y in rng.uniform(-0.6, 0.6, size=(4, 2))]
+    checked = 0
+    for name in systems:
+        cfg, sys = chains[name], systems[name]
+        for lam in lams:
+            for level in (3, 6):
+                for alpha in (1.0, 2.0):
+                    try:
+                        d = weyl_defect(cfg, sys, lam, level, alpha)
+                    except OutOfRangeError:
+                        continue  # λ escapes too fast for this level
+                    w = weyl_vector(sys, lam, level, d.size)
+                    lam_w = np.array([lam * x for x in w.tolist()])
+                    u = build_truncation(cfg, d.size).apply(w) - lam_w
+                    want = float(np.linalg.norm(u, ord=alpha)) / float(np.linalg.norm(w, ord=alpha))
+                    assert d.defect == want, (name, lam, level, alpha)
+                    checked += 1
+    assert checked >= 40
+
+
 def test_weyl_defect_raises_where_it_would_overflow(chains, systems):
     # λ = 0.3+0.2i escapes the dendrite's filled set; by level 10 its head
     # overflows double precision, which used to surface as defect = bound = nan.

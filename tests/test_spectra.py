@@ -6,15 +6,26 @@ and every closed-form series identity is checked against a brute-force sum.
 """
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import juliaspec.spectra as spectra
 from juliaspec.chain import ChainConfig
 from juliaspec.dynamics import FiberedSystem, factor_values
-from juliaspec.errors import OutOfRangeError
+from juliaspec.errors import JuliaspecError, OutOfRangeError
 from juliaspec.numeration import BaseSequence
-from juliaspec.sequences import constant, geometric, random_uniform
+from juliaspec.sequences import (
+    constant,
+    geometric,
+    harmonic,
+    periodic,
+    prefix_then,
+    random_uniform,
+)
 from juliaspec.spectra import (
     C,
     C0,
@@ -309,3 +320,96 @@ def test_spectrum_summary_not_irreducible():
     cfg = ChainConfig(BaseSequence(2), constant(1))
     rep = spectrum_summary(cfg, FiberedSystem(BaseSequence(2), constant(1)), depth=2)
     assert rep["recurrence"] == "not-irreducible"
+
+
+# -- one orbit per λ ----------------------------------------------------------
+
+
+def _count_orbit_runs(monkeypatch):
+    calls = {"escape_classify": 0, "factor_trace": 0}
+    for name in calls:
+        real = getattr(spectra, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(spectra, name, counting)
+    return calls
+
+
+def test_one_escape_test_and_one_trace_per_lambda(monkeypatch, chains, systems):
+    calls = _count_orbit_runs(monkeypatch)
+    lams = [0.0, 1.0, 0.5, 0.3 + 0.2j, -0.4 + 0.1j, 2.0, 1j]
+    for name, sys in systems.items():
+        calls.update(escape_classify=0, factor_trace=0)
+        rep = spectrum_summary(chains[name], sys, lams=lams, depth=3)
+        assert len(rep["lambdas"]) == len(lams)
+        assert calls["escape_classify"] <= len(lams), name
+        assert calls["factor_trace"] <= len(lams), name
+    for name in ("binary-geometric", "mixed23-harmonic"):
+        calls.update(factor_trace=0)
+        v = classify(systems[name], 0, l_alpha(2))
+        assert v.part is SpectralPart.POINT
+        assert calls["factor_trace"] <= 1, name
+
+
+_PROB = st.fractions(min_value=Fraction(1, 8), max_value=1, max_denominator=8)
+_PLAIN_P = st.one_of(
+    st.builds(constant, _PROB),
+    st.builds(periodic, st.lists(_PROB, min_size=1, max_size=3)),
+    st.builds(
+        geometric, st.sampled_from([Fraction(1, 2), 1]), st.sampled_from(["1/4", "1/2", "3/4"])
+    ),
+    st.builds(harmonic, st.sampled_from(["1/2", 1]), st.sampled_from([1, 2])),
+    # high = 1 with low < 1: p̄ does not tend to 1, yet Σ (1 - p_j)^α is undecided.
+    st.sampled_from([Fraction(1), Fraction(15, 16)]).flatmap(
+        lambda high: st.builds(
+            random_uniform,
+            st.fractions(min_value=Fraction(1, 2), max_value=high, max_denominator=16),
+            st.just(high),
+            st.integers(0, 2**16),
+        )
+    ),
+)
+_P_SPECS = st.one_of(
+    _PLAIN_P,
+    st.builds(prefix_then, st.lists(_PROB, min_size=1, max_size=2), _PLAIN_P),
+)
+_BASES = st.sampled_from([2, 3, periodic([2, 3], "d")])
+_COORD = st.floats(-1.5, 1.5, allow_nan=False)
+
+
+@settings(
+    max_examples=150,
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    p=_P_SPECS,
+    d=_BASES,
+    lam=st.builds(complex, _COORD, _COORD),
+    budget=st.integers(1, 60),
+    depth=st.integers(1, 4),
+)
+def test_summary_rows_are_the_per_space_verdicts(p, d, lam, budget, depth):
+    base = BaseSequence(d)
+    sys = FiberedSystem(base, p)
+    try:
+        rep = spectrum_summary(
+            ChainConfig(base, p), sys, lams=[lam], budget=budget, depth=depth,
+            alphas=(1.0, 1.5, 2.0),
+        )
+        row = rep["lambdas"][0]
+        for name, entry in rep["spaces"].items():
+            v = classify(sys, lam, parse_space(name), budget, depth)
+            assert row[name] == v.to_json(), name
+            if v.part is not SpectralPart.NOT_APPLICABLE:
+                assert v.membership is IN, name
+            if entry["point"]["description"] == "empty":
+                assert v.part is not SpectralPart.POINT, name
+                assert v.witness.get("point-part") != "undecided at budget", name
+    except JuliaspecError:
+        pass  # a refusal is a verdict too; any other exception fails the test
