@@ -2,9 +2,12 @@
 
 Pixels are sampled at their centers (no anti-aliasing: verdicts are
 set-membership claims, and averaging would blur certified escapes).  The
-whole grid is iterated in lockstep with numpy, compacting away pixels as
-they escape; that makes rendering deterministic and fast without any
-threading.  Connected-component analysis of the inside set uses
+grid is iterated in lockstep with numpy, compacting away pixels as they
+escape; that makes rendering deterministic and fast without any threading.
+Every fiber map has real coefficients, so the filled set is symmetric under
+conjugation; on a window whose rows mirror about the real axis only the top
+half is iterated and the bottom half is its copy, bit for bit (see
+render_field).  Connected-component analysis of the inside set uses
 4-connectivity, a conservative under-approximation of topological
 connectivity — raster results are evidence, not proofs.
 
@@ -14,6 +17,7 @@ within the budget ("inside at budget").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +70,9 @@ class GridSpec:
             raise OutOfRangeError(f"need im_min < im_max, got [{self.im_min}, {self.im_max}]")
         if self.width < 1 or self.height < 1:
             raise OutOfRangeError(f"grid must be at least 1x1, got {self.width}x{self.height}")
+        for name in ("re_min", "re_max", "im_min", "im_max", "dx", "dy", "radius"):
+            if not math.isfinite(getattr(self, name)):
+                raise OutOfRangeError(f"{name} must be finite, got {getattr(self, name)}")
         if self.max_iter < 1:
             raise OutOfRangeError(f"max_iter must be >= 1, got {self.max_iter}")
         if not (self.radius > 1.0):
@@ -80,6 +87,16 @@ class GridSpec:
     @property
     def dy(self) -> float:
         return (self.im_max - self.im_min) / self.height
+
+    def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(xs, ys): pixel-center real parts by column, imaginary parts by row.
+
+        Elementwise float64 arithmetic rounds like the scalar arithmetic of
+        complex_at, so complex(xs[col], ys[row]) == complex_at(row, col).
+        """
+        xs = self.re_min + (np.arange(self.width) + 0.5) * self.dx
+        ys = self.im_max - (np.arange(self.height) + 0.5) * self.dy
+        return xs, ys
 
     def complex_at(self, row: int, col: int) -> complex:
         """Center of pixel (row, col)."""
@@ -115,6 +132,8 @@ class EscapeField:
                 f"steps shape {self.steps.shape} does not match grid "
                 f"{self.grid.height}x{self.grid.width}"
             )
+        if not (0 <= self.steps.min() and self.steps.max() <= self.grid.max_iter):
+            raise OutOfRangeError(f"steps must lie in [0, {self.grid.max_iter}]")
 
     @property
     def inside(self) -> np.ndarray:
@@ -129,27 +148,39 @@ def render_field(sys: FiberedSystem, grid: GridSpec) -> EscapeField:
     """Classify every pixel center by iterating the fiber compositions.
 
     The active pixel set is compacted after every level, so late iterations
-    only touch the still-bounded points.  FiberedSystem.orbit over arrays.
-    """
-    xs = grid.re_min + (np.arange(grid.width) + 0.5) * grid.dx
-    ys = grid.im_max - (np.arange(grid.height) + 0.5) * grid.dy
-    z = (xs[None, :] + 1j * ys[:, None]).ravel()
+    only touch the still-bounded points.  Each level is the recursion of
+    FiberedSystem.orbit, (w - c) / p then ** d, computed in place over arrays.
 
-    steps = np.zeros(z.size, dtype=np.int32)
-    active = np.arange(z.size)
-    w = z
+    When the rows mirror about the real axis (ys reversed == -ys), only rows
+    [:(h + 1)//2] are iterated and the bottom rows copy them in reverse.  The
+    mirror is exact: every step (subtracting the real c, dividing by p + 0j,
+    the integer power, abs) commutes with conjugation under sign-symmetric
+    round-to-nearest, fused multiply-adds included, so conj(z) escapes at
+    the same step as z, bit for bit.
+    """
+    xs, ys = grid.axes()
+    rows = (grid.height + 1) // 2 if np.array_equal(ys[::-1], -ys) else grid.height
+    w = (xs[None, :] + 1j * ys[:rows, None]).ravel()
+
+    steps = np.zeros((grid.height, grid.width), dtype=np.int32)
+    flat = steps.reshape(-1)
+    active = np.arange(w.size)
+    mod = np.empty(w.size)
     for j in range(1, grid.max_iter + 1):
         c, p, d = sys.level(j)
-        w = ((w - c) / p) ** d
-        escaped = np.abs(w) > grid.radius
+        np.subtract(w, c, out=w)
+        np.divide(w, p, out=w)
+        w **= d
+        escaped = np.abs(w, out=mod[: w.size]) > grid.radius
         if escaped.any():
-            steps[active[escaped]] = j
+            flat[active[escaped]] = j
             keep = ~escaped
             active = active[keep]
             w = w[keep]
             if active.size == 0:
                 break
-    return EscapeField(grid=grid, steps=steps.reshape(grid.height, grid.width))
+    steps[rows:] = steps[: grid.height - rows][::-1]
+    return EscapeField(grid=grid, steps=steps)
 
 
 def component_of_zero(field: EscapeField) -> np.ndarray:
@@ -218,17 +249,21 @@ def write_image(field: EscapeField, fileobj, overlays=None) -> None:
 
 
 def write_field_csv(field: EscapeField, fileobj) -> None:
-    """Dump per-pixel verdicts: re,im,verdict,step (step = budget when inside)."""
+    """Dump per-pixel verdicts: re,im,verdict,step (step = budget when inside).
+
+    Written one row per call: each column's "re," and each row's im are
+    formatted once, the "verdict,step" tail is looked up by step, and a row
+    is one join, so the whole file is never held as one string.
+    """
     grid = field.grid
+    xs, ys = grid.axes()
+    heads = [repr(x) + "," for x in xs.tolist()]
+    tails = [f",inside,{grid.max_iter}\n"]
+    tails += [f",escaped,{s}\n" for s in range(1, grid.max_iter + 1)]
     fileobj.write("re,im,verdict,step\n")
-    for row in range(grid.height):
-        for col in range(grid.width):
-            z = grid.complex_at(row, col)
-            s = int(field.steps[row, col])
-            if s == 0:
-                fileobj.write(f"{z.real!r},{z.imag!r},inside,{grid.max_iter}\n")
-            else:
-                fileobj.write(f"{z.real!r},{z.imag!r},escaped,{s}\n")
+    for y, row in zip(ys.tolist(), field.steps.tolist()):
+        im = repr(y)
+        fileobj.write("".join([head + im + tails[s] for head, s in zip(heads, row)]))
 
 
 def write_points_csv(points, fileobj) -> None:

@@ -475,7 +475,7 @@ def _classify(orbit: _Orbit, space: Space, depth: int, tol: float) -> SpectralVe
     unknown = Membership.INSIDE_BUDGET_UNKNOWN
     if pointv.membership is unknown:
         wit = {**memb.witness, "point-part": "undecided at budget"}
-        return SpectralVerdict(lam, space, unknown, SpectralPart.NOT_APPLICABLE, wit)
+        return SpectralVerdict(lam, space, memb.membership, SpectralPart.NOT_APPLICABLE, wit)
     wit = {**pointv.witness, "point-part": "excluded"}
     if memb.membership is unknown:
         return SpectralVerdict(lam, space, unknown, SpectralPart.NOT_APPLICABLE, wit)

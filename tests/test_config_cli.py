@@ -343,6 +343,24 @@ def test_exit_code_2_bad_grid(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "window",
+    [
+        ["--re-min=-inf", "--re-max=inf"],  # used to write nan centers, then a traceback
+        ["--re-min=-1e308", "--re-max=1e308"],  # finite bounds, infinite dx: all "inside"
+        ["--radius=inf"],  # nothing can ever escape
+    ],
+)
+def test_exit_code_2_non_finite_window(window, tmp_path, capsys):
+    rc = main(["render", "--canonical", "dendrite", "--width", "8", "--height", "8",
+               "--max-iter", "5", "--out-prefix", str(tmp_path / "img"), *window])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_exit_code_3_eigensolve_cap(tmp_path, capsys):
     # The tree table serves every size up to 2^20 leaves; one more is refused.
     rc = main(["truncate", "--canonical", "dendrite", "--size", str((1 << 20) + 1),

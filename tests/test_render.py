@@ -46,6 +46,12 @@ def test_grid_validation():
         dict(good, max_iter=0),
         dict(good, radius=1.0),
         dict(good, radius=0.5),
+        dict(good, re_min=float("-inf")),
+        dict(good, im_max=float("inf")),
+        dict(good, im_min=float("nan")),
+        dict(good, re_min=-1e308, re_max=1e308),  # finite bounds, infinite dx
+        dict(good, im_min=-1e308, im_max=1e308),
+        dict(good, radius=float("inf")),
     ):
         with pytest.raises(OutOfRangeError):
             GridSpec(**bad)
@@ -69,22 +75,31 @@ def test_field_shape_validation():
     grid = GridSpec(-1, 1, -1, 1, 4, 3, 10)
     with pytest.raises(OutOfRangeError):
         EscapeField(grid, np.zeros((4, 4), dtype=np.int32))
+    for bad in (-1, 11):  # a step is 0 (inside) or an escape level within the budget
+        steps = np.zeros((3, 4), dtype=np.int32)
+        steps[1, 2] = bad
+        with pytest.raises(OutOfRangeError):
+            EscapeField(grid, steps)
 
 
 # -- rendering ---------------------------------------------------------------
 
 
 def test_render_agrees_with_scalar_escape_test(systems):
-    grid = GridSpec(-1.3, 0.9, -0.8, 1.1, 64, 64, 200)
-    for name, sys in systems.items():
-        field = render_field(sys, grid)
-        for row in range(64):
-            for col in range(64):
-                out = escape_classify(sys, grid.complex_at(row, col), 200)
-                if out.escaped:
-                    assert field.steps[row, col] == out.step, (name, row, col)
-                else:
-                    assert field.steps[row, col] == 0, (name, row, col)
+    grids = [
+        GridSpec(-1.3, 0.9, -0.8, 1.1, 64, 64, 200),  # asymmetric: every row iterated
+        GridSpec(-1.5, 1.5, -1.5, 1.5, 48, 47, 200),  # symmetric: bottom rows mirrored
+    ]
+    for grid in grids:
+        for name, sys in systems.items():
+            field = render_field(sys, grid)
+            for row in range(grid.height):
+                for col in range(grid.width):
+                    out = escape_classify(sys, grid.complex_at(row, col), grid.max_iter)
+                    if out.escaped:
+                        assert field.steps[row, col] == out.step, (name, row, col)
+                    else:
+                        assert field.steps[row, col] == 0, (name, row, col)
 
 
 def test_budget_extension_preserves_early_escapes(systems):
@@ -98,11 +113,31 @@ def test_budget_extension_preserves_early_escapes(systems):
 
 
 def test_conjugation_symmetry_is_exact(systems):
-    # Dyadic window: pixel-center heights are exact negatives of each other,
-    # and the iteration has real coefficients, so the field mirrors exactly.
-    grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 8, 4, 30)
-    field = render_field(systems["mixed23-harmonic"], grid)
-    assert np.array_equal(field.steps, field.steps[::-1, :])
+    # Dyadic windows with dy = 3/32: pixel-center heights are exact negatives
+    # of each other, so render_field iterates only the top rows.  The bottom
+    # half as a window of its own is not symmetric, so it is iterated
+    # directly; its verdicts must equal the mirrored rows.
+    pairs = [
+        (GridSpec(-1.5, 1.5, -1.5, 1.5, 32, 32, 60), GridSpec(-1.5, 1.5, -1.5, 0.0, 32, 16, 60)),
+        # Odd height: the centre row sits exactly on the real axis.
+        (
+            GridSpec(-1.5, 1.5, -1.546875, 1.546875, 32, 33, 60),
+            GridSpec(-1.5, 1.5, -1.546875, 0.046875, 32, 17, 60),
+        ),
+    ]
+    for full, bottom in pairs:
+        xs, ys = full.axes()
+        assert np.array_equal(ys[::-1], -ys)
+        xs_b, ys_b = bottom.axes()
+        assert np.array_equal(xs_b, xs)
+        assert np.array_equal(ys_b, ys[full.height - bottom.height:])
+        assert not np.array_equal(ys_b[::-1], -ys_b)
+        for name, sys in systems.items():
+            top = render_field(sys, full).steps
+            low = render_field(sys, bottom).steps
+            assert np.array_equal(top[full.height - bottom.height:], low), name
+            assert np.array_equal(low[::-1], top[: bottom.height]), name
+            assert len(np.unique(top)) > 2, name  # the comparison sees structure
 
 
 def test_shift_field_is_unit_disk_indicator():
@@ -211,6 +246,57 @@ def test_image_bytes_deterministic(systems):
     write_image(field, a, overlays=[(((0.5 + 0j),), (255, 0, 0))])
     write_image(field, b, overlays=[(((0.5 + 0j),), (255, 0, 0))])
     assert a.getvalue() == b.getvalue()
+
+
+def _reference_field_csv(field):
+    """The per-pixel writer: complex_at and repr for every pixel."""
+    grid, buf = field.grid, io.StringIO()
+    buf.write("re,im,verdict,step\n")
+    for row in range(grid.height):
+        for col in range(grid.width):
+            z = grid.complex_at(row, col)
+            s = int(field.steps[row, col])
+            if s == 0:
+                buf.write(f"{z.real!r},{z.imag!r},inside,{grid.max_iter}\n")
+            else:
+                buf.write(f"{z.real!r},{z.imag!r},escaped,{s}\n")
+    return buf.getvalue()
+
+
+CSV_GRIDS = [
+    GridSpec(-1.3, 0.7, -0.9, 1.1, 7, 5, 9),
+    GridSpec(-1.37, 0.83, -0.61, 1.19, 11, 7, 25),
+    GridSpec(-0.1, 0.3, -1e-3, 2e-3, 13, 9, 1),
+    GridSpec(-1.5, 1.5, -1.5, 1.5, 9, 9, 40),
+    GridSpec(0.1, 0.2, 0.3, 0.4, 1, 1, 3),
+]
+
+
+@pytest.mark.parametrize("grid", CSV_GRIDS)
+def test_axes_equal_complex_at_bitwise(grid):
+    xs, ys = grid.axes()
+    assert xs.shape == (grid.width,) and ys.shape == (grid.height,)
+    for row in range(grid.height):
+        for col in range(grid.width):
+            z = grid.complex_at(row, col)
+            assert xs[col].tobytes() == np.float64(z.real).tobytes()
+            assert ys[row].tobytes() == np.float64(z.imag).tobytes()
+
+
+@pytest.mark.parametrize("grid", CSV_GRIDS)
+def test_field_csv_matches_per_pixel_writer(systems, grid):
+    rng = np.random.default_rng(7)
+    shape = (grid.height, grid.width)
+    fields = [
+        EscapeField(grid, np.zeros(shape, dtype=np.int32)),  # all inside
+        EscapeField(grid, rng.integers(1, grid.max_iter + 1, shape, dtype=np.int32)),  # all escaped
+        EscapeField(grid, rng.integers(0, grid.max_iter + 1, shape, dtype=np.int32)),
+    ]
+    fields += [render_field(sys, grid) for sys in systems.values()]
+    for field in fields:
+        buf = io.StringIO()
+        write_field_csv(field, buf)
+        assert buf.getvalue() == _reference_field_csv(field)
 
 
 def test_field_csv_golden():

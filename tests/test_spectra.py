@@ -287,6 +287,17 @@ def test_classify_certified_point_on_c0(systems):
     assert v.membership is IN and v.part is SpectralPart.POINT
 
 
+def test_classify_keeps_certified_membership_when_point_part_is_undecided(systems):
+    # f̃_1(-0.5) = 1 exactly, so membership is certified at budget 1 while the
+    # point part is still open: the verdict names the spectrum, not the part.
+    for space in (C0, C, l_alpha(1), l_alpha(2), l_alpha(1.5)):
+        v = classify(systems["binary-geometric"], -0.5, space, budget=1)
+        assert v.membership is IN, str(space)
+        assert v.part is SpectralPart.NOT_APPLICABLE
+        assert v.witness["point-part"] == "undecided at budget"
+        assert "bounded-orbit-certificate" in v.witness["rules"]
+
+
 # -- summary reports ---------------------------------------------------------
 
 
