@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .chain import ChainConfig
 from .dynamics import FiberedSystem
@@ -33,8 +34,13 @@ class RunConfig:
     command: dict = field(default_factory=dict)
     capacity_bits: int = 64
 
-    def base(self) -> BaseSequence:
+    @cached_property
+    def _base(self) -> BaseSequence:
         return BaseSequence(self.d, capacity_bits=self.capacity_bits)
+
+    def base(self) -> BaseSequence:
+        """The one BaseSequence (and digit memo) shared by chain() and system()."""
+        return self._base
 
     def chain(self) -> ChainConfig:
         return ChainConfig(self.base(), self.p)

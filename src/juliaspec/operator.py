@@ -39,10 +39,11 @@ from .dynamics import (
 )
 from .errors import (
     BudgetExceededError,
+    ConfigError,
     DimensionMismatchError,
     OutOfRangeError,
 )
-from .sequences import ProductVerdict, product_verdict, tail_product
+from .sequences import tail_product
 
 __all__ = [
     "SparseTruncation",
@@ -205,15 +206,12 @@ def column0_coefficient(cfg: ChainConfig, level: int):
     if level < 0:
         raise OutOfRangeError(f"level must be >= 0, got {level}")
     head = cfg.success_prefix(level + 1)
-    verdict = product_verdict(cfg.p)
-    if verdict is ProductVerdict.TENDS_TO_ZERO:
-        return head
-    if verdict is ProductVerdict.CONVERGES_POSITIVE:
+    try:
         limit, _ = tail_product(cfg.p, None)
-        return float(head) - float(limit)
-    # Inconclusive fate: fall back to a long partial product as the limit.
-    partial, _ = tail_product(cfg.p, 4096)
-    return float(head) - float(partial)
+    except ConfigError:
+        # Inconclusive fate: fall back to a long partial product as the limit.
+        limit, _ = tail_product(cfg.p, 4096)
+    return head - limit
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
@@ -143,6 +144,15 @@ class EscapeField:
     def inside_fraction(self) -> float:
         return float(self.inside.mean())
 
+    @cached_property
+    def _labels(self) -> tuple[np.ndarray, int]:
+        """4-connected labelling of the inside set, computed once per field.
+
+        Read by `count_components` and `component_of_zero`; steps must not be
+        modified after the first read.
+        """
+        return ndimage.label(self.inside, structure=_CROSS)
+
 
 def render_field(sys: FiberedSystem, grid: GridSpec) -> EscapeField:
     """Classify every pixel center by iterating the fiber compositions.
@@ -197,14 +207,13 @@ def component_of_zero(field: EscapeField) -> np.ndarray:
         raise OriginEscapedError(
             f"pixel containing the origin escaped at step {int(field.steps[row, col])}"
         )
-    labels, _ = ndimage.label(field.inside, structure=_CROSS)
+    labels, _ = field._labels
     return labels == labels[row, col]
 
 
 def count_components(field: EscapeField) -> int:
     """Number of 4-connected components of the inside set."""
-    _, n = ndimage.label(field.inside, structure=_CROSS)
-    return int(n)
+    return int(field._labels[1])
 
 
 # -- artifact output ---------------------------------------------------------

@@ -22,6 +22,7 @@ Indices are 1-based throughout: the first element of a sequence is j = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -75,6 +76,8 @@ def _rat(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise OutOfRangeError(f"scalar must be finite, got {x!r}")
         return Fraction(str(x))
     if isinstance(x, str):
         try:
@@ -212,6 +215,14 @@ def _check_d(v, what: str) -> int:
     return v
 
 
+def _check_seed(seed) -> int:
+    # Integral floats such as 1.0 count as integers; booleans do not.
+    integral = isinstance(seed, int) or isinstance(seed, float) and seed.is_integer()
+    if isinstance(seed, bool) or not integral or seed < 0:
+        raise OutOfRangeError(f"seed must be an integer >= 0, got {seed!r}")
+    return int(seed)
+
+
 def constant(value, codomain: str = "p") -> SequenceSpec:
     """Constant sequence: probability in (0,1] or digit base >= 2."""
     if codomain == "p":
@@ -267,52 +278,62 @@ def prefix_then(prefix, tail: SequenceSpec) -> SequenceSpec:
 
 
 def random_uniform(low, high, seed: int) -> SequenceSpec:
-    """i.i.d. probabilities, uniform on [low, high] ⊆ (0, 1], seeded."""
+    """i.i.d. probabilities, uniform on [low, high] ⊆ (0, 1], seeded by an integer >= 0."""
     low, high = _rat(low), _rat(high)
     _check_p(low, "random low")
     _check_p(high, "random high")
     if low > high:
         raise OutOfRangeError(f"random bounds must satisfy low <= high, got {low} > {high}")
-    return SequenceSpec("p", "random", low=low, high=high, seed=int(seed))
+    return SequenceSpec("p", "random", low=low, high=high, seed=_check_seed(seed))
 
 
 def random_base(d_max: int, seed: int) -> SequenceSpec:
-    """i.i.d. digit bases, uniform on {2, ..., d_max}, seeded."""
-    return SequenceSpec("d", "random", high=_check_d(d_max, "random base max"), seed=int(seed))
+    """i.i.d. digit bases, uniform on {2, ..., d_max}, seeded by an integer >= 0."""
+    d_max = _check_d(d_max, "random base max")
+    return SequenceSpec("d", "random", high=d_max, seed=_check_seed(seed))
 
 
 # -- tail analysis ----------------------------------------------------------
 
 
+def _tail(spec: SequenceSpec) -> SequenceSpec:
+    """The spec without its prefix (`prefix_then` keeps prefixes flat)."""
+    return spec.tail if spec.kind == "prefix" else spec
+
+
+def _tail_range(spec: SequenceSpec):
+    """(inf, sup) of the values the tail takes infinitely often, or None.
+
+    None marks the geometric and harmonic tails, which increase strictly to 1.
+    A random base sequence records only its sup (its inf is left as None).
+    Every tail verdict below reads this one record.
+    """
+    t = _tail(spec)
+    if t.kind == "constant":
+        return t.value, t.value
+    if t.kind == "periodic":
+        return min(t.values), max(t.values)
+    if t.kind == "random":
+        return t.low, t.high
+    return None
+
+
+_PRODUCT_OF_SERIES = {
+    SumVerdict.CONVERGES: ProductVerdict.CONVERGES_POSITIVE,
+    SumVerdict.DIVERGES: ProductVerdict.TENDS_TO_ZERO,
+    SumVerdict.INCONCLUSIVE: ProductVerdict.INCONCLUSIVE,
+}
+
+
 def product_verdict(spec: SequenceSpec) -> ProductVerdict:
     """Fate of ∏ p_j, provable from the spec kind alone.
 
-    TENDS_TO_ZERO  iff Σ (1-p_j) provably diverges,
-    CONVERGES_POSITIVE iff it provably converges,
-    INCONCLUSIVE for non-degenerate random specs straddling 1.
+    For p_j ∈ (0, 1], ∏ p_j > 0 iff Σ (1-p_j) < ∞, so this is the α = 1
+    series verdict: TENDS_TO_ZERO iff the series provably diverges,
+    CONVERGES_POSITIVE iff it provably converges, INCONCLUSIVE for
+    non-degenerate random specs straddling 1.
     """
-    _need_p(spec)
-    k = spec.kind
-    if k == "constant":
-        return ProductVerdict.CONVERGES_POSITIVE if spec.value == 1 else ProductVerdict.TENDS_TO_ZERO
-    if k == "periodic":
-        return (
-            ProductVerdict.CONVERGES_POSITIVE
-            if all(v == 1 for v in spec.values)
-            else ProductVerdict.TENDS_TO_ZERO
-        )
-    if k == "geometric":
-        return ProductVerdict.CONVERGES_POSITIVE
-    if k == "harmonic":
-        return ProductVerdict.TENDS_TO_ZERO
-    if k == "prefix":
-        return product_verdict(spec.tail)
-    # random
-    if spec.high < 1:
-        return ProductVerdict.TENDS_TO_ZERO
-    if spec.low == spec.high == 1:
-        return ProductVerdict.CONVERGES_POSITIVE
-    return ProductVerdict.INCONCLUSIVE
+    return _PRODUCT_OF_SERIES[sum_alpha_verdict(spec, 1)]
 
 
 def tail_product(spec: SequenceSpec, horizon: int | None = None):
@@ -324,7 +345,6 @@ def tail_product(spec: SequenceSpec, horizon: int | None = None):
     when it provably converges to a positive value; raises ConfigError when
     the fate is inconclusive.
     """
-    _need_p(spec)
     verdict = product_verdict(spec)
     if horizon is not None:
         if horizon < 0:
@@ -342,38 +362,35 @@ def tail_product(spec: SequenceSpec, horizon: int | None = None):
         return Fraction(0), verdict
     if verdict is ProductVerdict.CONVERGES_POSITIVE:
         part = 1.0
-        j = 1
-        while j <= _SCAN_CAP:
+        for j in range(1, _SCAN_CAP + 1):
             q = spec.float_at(j)
             part *= q
             if 1.0 - q < 1e-17:
                 break
-            j += 1
         return part, verdict
     raise ConfigError("product limit is inconclusive for this spec; pass a finite horizon")
 
 
 def sum_alpha_verdict(spec: SequenceSpec, alpha) -> SumVerdict:
-    """Fate of Σ (1-p_j)^α for α >= 1, provable from the spec kind alone."""
+    """Fate of Σ (1-p_j)^α for finite α >= 1, provable from the spec kind alone.
+
+    The series converges on a geometric tail, on a harmonic tail when α > 1,
+    and when the tail is identically 1.  It diverges when a value below 1
+    surely recurs.  A random tail straddling 1 is inconclusive.
+    """
     _need_p(spec)
     alpha = float(alpha)
-    if alpha < 1:
-        raise OutOfRangeError(f"alpha must be >= 1, got {alpha}")
-    k = spec.kind
-    if k == "constant":
-        return SumVerdict.CONVERGES if spec.value == 1 else SumVerdict.DIVERGES
-    if k == "periodic":
-        return SumVerdict.CONVERGES if all(v == 1 for v in spec.values) else SumVerdict.DIVERGES
-    if k == "geometric":
-        return SumVerdict.CONVERGES
-    if k == "harmonic":
-        return SumVerdict.CONVERGES if alpha > 1 else SumVerdict.DIVERGES
-    if k == "prefix":
-        return sum_alpha_verdict(spec.tail, alpha)
-    if spec.high < 1:
+    if not (math.isfinite(alpha) and alpha >= 1):
+        raise OutOfRangeError(f"alpha must be a finite number >= 1, got {alpha}")
+    r = _tail_range(spec)
+    if r is None:
+        if _tail(spec).kind == "geometric" or alpha > 1:
+            return SumVerdict.CONVERGES
         return SumVerdict.DIVERGES
-    if spec.low == spec.high == 1:
+    if r[0] == 1:
         return SumVerdict.CONVERGES
+    if r[1] < 1 or _tail(spec).kind != "random":
+        return SumVerdict.DIVERGES
     return SumVerdict.INCONCLUSIVE
 
 
@@ -385,7 +402,6 @@ def tail_sum_alpha(spec: SequenceSpec, alpha, horizon: int | None = None):
     Hurwitz zeta for harmonic tails with α > 1), +inf when the series
     provably diverges; ConfigError when inconclusive.
     """
-    _need_p(spec)
     verdict = sum_alpha_verdict(spec, alpha)
     a_int = int(alpha) if float(alpha) == int(alpha) else None
     if horizon is not None:
@@ -409,32 +425,30 @@ def tail_sum_alpha(spec: SequenceSpec, alpha, horizon: int | None = None):
 
 
 def _sum_alpha_limit(spec: SequenceSpec, alpha, a_int):
-    k = spec.kind
-    if k in ("constant", "periodic", "random"):
-        # Only the degenerate all-ones cases converge: the sum is 0.
-        return Fraction(0) if spec.is_rational() else 0.0
-    if k == "geometric":
+    t = _tail(spec)
+    if t.kind == "geometric":
         # Σ_j (c γ^j)^α = c^α γ^α / (1 - γ^α)
         if a_int is not None:
-            g = spec.gamma**a_int
-            return spec.c**a_int * g / (1 - g)
-        g = float(spec.gamma) ** float(alpha)
-        return float(spec.c) ** float(alpha) * g / (1.0 - g)
-    if k == "harmonic":
+            g = t.gamma**a_int
+            tail_val = t.c**a_int * g / (1 - g)
+        else:
+            g = float(t.gamma) ** float(alpha)
+            tail_val = float(t.c) ** float(alpha) * g / (1.0 - g)
+    elif t.kind == "harmonic":
         from scipy.special import zeta as hurwitz_zeta
 
         # Σ_j (c/(j+a))^α = c^α · ζ(α, 1+a)
-        return float(spec.c) ** float(alpha) * float(
-            hurwitz_zeta(float(alpha), 1.0 + float(spec.a))
+        tail_val = float(t.c) ** float(alpha) * float(
+            hurwitz_zeta(float(alpha), 1.0 + float(t.a))
         )
-    if k == "prefix":
-        head = sum((1 - _rat(v)) ** (a_int or 1) for v in spec.prefix) if a_int else None
-        tail_val = _sum_alpha_limit(spec.tail, alpha, a_int)
-        if head is not None and isinstance(tail_val, Fraction):
-            return head + tail_val
-        part = sum((1.0 - float(v)) ** float(alpha) for v in spec.prefix)
-        return part + float(tail_val)
-    raise AssertionError(k)
+    else:
+        # Only the all-ones tails converge: their sum is 0.
+        tail_val = Fraction(0) if t.is_rational() else 0.0
+    if t is spec:
+        return tail_val
+    if a_int is not None and isinstance(tail_val, Fraction):
+        return sum((1 - v) ** a_int for v in spec.prefix) + tail_val
+    return sum((1.0 - float(v)) ** float(alpha) for v in spec.prefix) + float(tail_val)
 
 
 def monotone_increasing(spec: SequenceSpec) -> bool:
@@ -446,88 +460,50 @@ def monotone_increasing(spec: SequenceSpec) -> bool:
 def limit_is_one(spec: SequenceSpec) -> bool:
     """Certificate that p_j -> 1 (False means: provably does not tend to 1)."""
     _need_p(spec)
-    k = spec.kind
-    if k == "constant":
-        return spec.value == 1
-    if k == "periodic":
-        return all(v == 1 for v in spec.values)
-    if k in ("geometric", "harmonic"):
-        return True
-    if k == "prefix":
-        return limit_is_one(spec.tail)
-    # i.i.d. sequences converge only when degenerate
-    return spec.low == spec.high == 1
+    r = _tail_range(spec)
+    return r is None or r[0] == 1
 
 
 def threshold_index(spec: SequenceSpec, threshold: float) -> int | None:
     """Smallest certified j0 with p_j >= threshold for every j >= j0, or None."""
     _need_p(spec)
     thr = float(threshold)
-    k = spec.kind
-    if k == "constant":
-        return 1 if float(spec.value) >= thr else None
-    if k == "periodic":
-        return 1 if min(float(v) for v in spec.values) >= thr else None
-    if k in ("geometric", "harmonic"):
-        for j in range(1, _SCAN_CAP + 1):
-            if spec.float_at(j) >= thr:
-                return j  # monotone increasing: all later indices qualify
-        return None
-    if k == "prefix":
-        t = threshold_index(spec.tail, thr)
-        if t is None:
-            return None
-        if t > 1:
-            return len(spec.prefix) + t
-        j0 = len(spec.prefix) + 1
-        while j0 > 1 and float(spec.prefix[j0 - 2]) >= thr:
-            j0 -= 1
-        return j0
-    return 1 if float(spec.low) >= thr else None
+    t, r = _tail(spec), _tail_range(spec)
+    if r is not None:
+        j = 1 if float(r[0]) >= thr else None
+    else:
+        # The tail increases: the first index that qualifies certifies every later one.
+        j = next((i for i in range(1, _SCAN_CAP + 1) if t.float_at(i) >= thr), None)
+    if j is None or t is spec:
+        return j
+    if j > 1:
+        return len(spec.prefix) + j
+    j0 = len(spec.prefix) + 1
+    while j0 > 1 and float(spec.prefix[j0 - 2]) >= thr:
+        j0 -= 1
+    return j0
 
 
 def limsup_below_one(spec: SequenceSpec) -> bool:
     """Certificate that limsup p_j < 1."""
     _need_p(spec)
-    k = spec.kind
-    if k == "constant":
-        return spec.value < 1
-    if k == "periodic":
-        return max(spec.values) < 1
-    if k in ("geometric", "harmonic"):
-        return False
-    if k == "prefix":
-        return limsup_below_one(spec.tail)
-    return spec.high < 1
+    r = _tail_range(spec)
+    return r is not None and r[1] < 1
 
 
 def irreducible(spec: SequenceSpec) -> bool:
     """Certificate that p_j < 1 infinitely often (chain irreducibility)."""
     _need_p(spec)
-    k = spec.kind
-    if k == "constant":
-        return spec.value < 1
-    if k == "periodic":
-        return any(v < 1 for v in spec.values)
-    if k in ("geometric", "harmonic"):
-        return True
-    if k == "prefix":
-        return irreducible(spec.tail)
-    return not (spec.low == spec.high == 1)
+    r = _tail_range(spec)
+    return r is None or r[0] < 1
 
 
 def max_base(spec: SequenceSpec) -> int:
     """Upper bound for a digit-base sequence (every d̄ kind is bounded)."""
     if spec.codomain != "d":
         raise ConfigError("max_base applies to base sequences only")
-    k = spec.kind
-    if k == "constant":
-        return int(spec.value)
-    if k == "periodic":
-        return max(int(v) for v in spec.values)
-    if k == "prefix":
-        return max(max(int(v) for v in spec.prefix), max_base(spec.tail))
-    return int(spec.high)
+    head = spec.prefix if spec.kind == "prefix" else ()
+    return max(int(v) for v in (*head, _tail_range(spec)[1]))
 
 
 def _need_p(spec: SequenceSpec):

@@ -5,8 +5,13 @@ test run is single-threaded.
 """
 
 import pytest
+from hypothesis import settings
 
 from juliaspec.canonical import CANONICAL_NAMES, all_canonical
+
+# Property tests replay the same examples on every run and keep no example database.
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

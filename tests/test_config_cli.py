@@ -12,11 +12,15 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from juliaspec.canonical import CANONICAL_NAMES, all_canonical, canonical_config
 from juliaspec.cli import main, parse_complex
 from juliaspec.config import load_config_file, parse_config
-from juliaspec.errors import ConfigError
+from juliaspec.errors import ConfigError, JuliaspecError
+from juliaspec.sequences import spec_to_json
+from strategies import D_SPECS, P_SPECS
 
 MINIMAL = {
     "p": {"kind": "constant", "value": "1/2"},
@@ -82,6 +86,59 @@ def test_config_json_roundtrip():
     assert again == rc
     assert rc.with_seed(5).seed == 5
     assert rc.with_seed(5).p == rc.p
+
+
+def test_chain_and_system_share_one_base():
+    rc = parse_config(TERNARY_DOC)
+    assert rc.chain().base is rc.system().base is rc.base()
+    assert rc.with_seed(8).base() is not rc.base()
+
+
+# Out-of-range and ill-typed scalars: negative, fractional and boolean seeds among them.
+_ODD = st.one_of(
+    st.integers(-5, -1),
+    st.sampled_from([0, 1.5, 2.5, True, False, None, "x", "nan", "inf", "-1/2", 10**30]),
+    st.floats(),
+)
+
+
+def _slots(node):
+    """(container, key) of every scalar in a spec document, "kind" excepted."""
+    for k, v in node.items() if isinstance(node, dict) else enumerate(node):
+        if isinstance(v, (dict, list)):
+            yield from _slots(v)
+        elif k != "kind":
+            yield node, k
+
+
+@st.composite
+def _documents(draw):
+    """A valid config document, or one whose p or d spec holds one odd scalar."""
+    doc = {"p": spec_to_json(draw(P_SPECS)), "d": spec_to_json(draw(D_SPECS))}
+    if draw(st.booleans()):
+        container, key = draw(st.sampled_from(list(_slots(doc))))
+        container[key] = draw(_ODD)
+    return doc
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=_documents())
+def test_parsed_configs_work_or_refuse(doc):
+    try:
+        rc = parse_config(doc)
+    except ConfigError:
+        return
+    chain, system = rc.chain(), rc.system()
+    for n in range(8):
+        try:
+            chain.transition_row(n)
+        except JuliaspecError:
+            pass  # a refusal is fine; any other exception fails the test
+    for j in range(5):
+        try:
+            system.level(j)
+        except JuliaspecError:
+            pass
 
 
 def test_load_config_file(tmp_path):
@@ -425,6 +482,22 @@ def test_exit_code_2_bad_depth(cmd, name, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "depth" in captured.err
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+@pytest.mark.parametrize(
+    "key, spec",
+    [("p", {"kind": "random", "low": "1/2", "high": 1}), ("d", {"kind": "random", "max": 3})],
+)
+def test_exit_code_2_bad_spec_seed(key, spec, seed, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**MINIMAL, key: {**spec, "seed": seed}}))
+    rc = main(["classify", "--config", str(path), "--lambda=0.1", "--space=l2"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error:" in captured.err and "seed" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_exit_code_2_negative_steps(tmp_path, capsys):

@@ -199,6 +199,24 @@ def test_count_components_synthetic():
     assert count_components(EscapeField(grid, steps)) == 3
 
 
+def test_inside_set_is_labelled_once_per_field(monkeypatch):
+    import juliaspec.render as render_mod
+
+    calls = []
+    label = render_mod.ndimage.label
+
+    def counting_label(*args, **kwargs):
+        calls.append(args)
+        return label(*args, **kwargs)
+
+    monkeypatch.setattr(render_mod.ndimage, "label", counting_label)
+    field = render_field(shift_system(), GridSpec(-1.5, 1.5, -1.5, 1.5, 32, 32, 30))
+    assert count_components(field) == 1
+    assert component_of_zero(field).sum() == field.inside.sum()
+    assert count_components(field) == 1
+    assert len(calls) == 1
+
+
 # -- artifacts ---------------------------------------------------------------
 
 

@@ -9,7 +9,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from juliaspec.dynamics import RHO
 from juliaspec.errors import ConfigError, OutOfRangeError
 from juliaspec.sequences import (
     ProductVerdict,
@@ -34,6 +37,7 @@ from juliaspec.sequences import (
     tail_sum_alpha,
     threshold_index,
 )
+from strategies import P_SPECS
 
 HALF = Fraction(1, 2)
 
@@ -146,6 +150,19 @@ def test_factories_reject_out_of_range_parameters():
         harmonic(3, 1)  # needs c < 1 + a
     with pytest.raises(OutOfRangeError):
         random_uniform("3/4", "1/4", 0)  # low > high
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(OutOfRangeError):
+            constant(bad)
+        with pytest.raises(OutOfRangeError):
+            geometric(bad, "1/2")
+    # Seeds are integers >= 0: no negative, fractional or boolean seeds.
+    for seed in (-1, 1.5, True, False, float("nan"), "3", None):
+        with pytest.raises(OutOfRangeError):
+            random_uniform("1/2", 1, seed)
+        with pytest.raises(OutOfRangeError):
+            random_base(4, seed)
+    assert random_uniform("1/2", 1, 2.0).seed == 2
+    assert random_base(4, 2**70).seed == 2**70
     constant(1)  # p_j = 1 is allowed (the deterministic adding machine)
 
 
@@ -201,6 +218,11 @@ def test_sum_alpha_verdicts():
     assert sum_alpha_verdict(random_uniform("1/2", 1, 0), 1) is SumVerdict.INCONCLUSIVE
     with pytest.raises(OutOfRangeError):
         sum_alpha_verdict(constant("1/2"), 0.5)
+    for alpha in (float("nan"), float("inf")):
+        with pytest.raises(OutOfRangeError):
+            sum_alpha_verdict(constant("1/2"), alpha)
+        with pytest.raises(OutOfRangeError):
+            tail_sum_alpha(harmonic("1/2", 1), alpha)
 
 
 def test_tail_sum_geometric_limit_is_the_exact_series():
@@ -293,6 +315,34 @@ def test_codomain_guards():
         product_verdict(constant(2, "d"))
     with pytest.raises(ConfigError):
         sum_alpha_verdict(constant(2, "d"), 1)
+
+
+_SERIES_OF_PRODUCT = {
+    ProductVerdict.TENDS_TO_ZERO: SumVerdict.DIVERGES,
+    ProductVerdict.CONVERGES_POSITIVE: SumVerdict.CONVERGES,
+    ProductVerdict.INCONCLUSIVE: SumVerdict.INCONCLUSIVE,
+}
+
+
+@settings(max_examples=200)
+@given(
+    spec=P_SPECS,
+    offsets=st.lists(st.integers(1, 5000), min_size=1, max_size=6),
+    thr=st.one_of(st.sampled_from([RHO, 0.5, 0.9375, 1.0]), st.floats(0.0, 1.0)),
+)
+def test_tail_verdicts_agree_with_sampled_values(spec, offsets, thr):
+    # ∏ p_j > 0 iff Σ (1 - p_j) < ∞ for p_j in (0, 1].
+    assert sum_alpha_verdict(spec, 1) is _SERIES_OF_PRODUCT[product_verdict(spec)]
+    start = len(spec.prefix) if spec.kind == "prefix" else 0
+    tail = [start + k for k in offsets]
+    if not irreducible(spec):
+        assert all(spec.value_at(j) == 1 for j in tail)
+    if limsup_below_one(spec):
+        assert all(spec.float_at(j) < 1 for j in tail)
+    j0 = threshold_index(spec, thr)
+    if j0 is not None:
+        assert all(spec.float_at(j) >= thr for j in range(j0, j0 + 65))
+        assert j0 == 1 or spec.float_at(j0 - 1) < thr
 
 
 # -- JSON round trips --------------------------------------------------------

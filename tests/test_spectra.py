@@ -6,7 +6,6 @@ and every closed-form series identity is checked against a brute-force sum.
 """
 
 import json
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,14 +17,7 @@ from juliaspec.chain import ChainConfig
 from juliaspec.dynamics import FiberedSystem, factor_values
 from juliaspec.errors import JuliaspecError, OutOfRangeError
 from juliaspec.numeration import BaseSequence
-from juliaspec.sequences import (
-    constant,
-    geometric,
-    harmonic,
-    periodic,
-    prefix_then,
-    random_uniform,
-)
+from juliaspec.sequences import constant, geometric, periodic, random_uniform
 from juliaspec.spectra import (
     C,
     C0,
@@ -45,6 +37,7 @@ from juliaspec.spectra import (
     spectrum_membership,
     spectrum_summary,
 )
+from strategies import P_SPECS
 
 IN = Membership.IN_SPECTRUM
 OUT = Membership.NOT_IN_SPECTRUM
@@ -365,41 +358,13 @@ def test_one_escape_test_and_one_trace_per_lambda(monkeypatch, chains, systems):
         assert calls["factor_trace"] <= 1, name
 
 
-_PROB = st.fractions(min_value=Fraction(1, 8), max_value=1, max_denominator=8)
-_PLAIN_P = st.one_of(
-    st.builds(constant, _PROB),
-    st.builds(periodic, st.lists(_PROB, min_size=1, max_size=3)),
-    st.builds(
-        geometric, st.sampled_from([Fraction(1, 2), 1]), st.sampled_from(["1/4", "1/2", "3/4"])
-    ),
-    st.builds(harmonic, st.sampled_from(["1/2", 1]), st.sampled_from([1, 2])),
-    # high = 1 with low < 1: p̄ does not tend to 1, yet Σ (1 - p_j)^α is undecided.
-    st.sampled_from([Fraction(1), Fraction(15, 16)]).flatmap(
-        lambda high: st.builds(
-            random_uniform,
-            st.fractions(min_value=Fraction(1, 2), max_value=high, max_denominator=16),
-            st.just(high),
-            st.integers(0, 2**16),
-        )
-    ),
-)
-_P_SPECS = st.one_of(
-    _PLAIN_P,
-    st.builds(prefix_then, st.lists(_PROB, min_size=1, max_size=2), _PLAIN_P),
-)
 _BASES = st.sampled_from([2, 3, periodic([2, 3], "d")])
 _COORD = st.floats(-1.5, 1.5, allow_nan=False)
 
 
-@settings(
-    max_examples=150,
-    derandomize=True,
-    deadline=None,
-    database=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    p=_P_SPECS,
+    p=P_SPECS,
     d=_BASES,
     lam=st.builds(complex, _COORD, _COORD),
     budget=st.integers(1, 60),
