@@ -6,6 +6,10 @@ individual command parameters live in the document's "command" object and are
 overridden by CLI flags.  Exit codes: 0 success, 2 invalid configuration or
 usage, 3 budget/capacity exceeded, 4 invariant-suite failure.
 
+Each command parameter is declared once, in `_COMMANDS`: that table builds the
+flags and their --help, and `_params` resolves every value (the flag, else
+the "command" entry checked against the flag's type, else the default).
+
 All randomness flows from the single 64-bit seed in the configuration
 (overridable with --seed), so every command is deterministic given
 (config, seed).
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import json
 import re
 import sys
@@ -22,15 +27,10 @@ from contextlib import contextmanager
 
 from . import chain as chain_mod
 from .canonical import CANONICAL_NAMES, canonical_config
-from .config import RunConfig, load_config_file
+from .config import RunConfig, json_int, load_config_file
+from .dynamics import ESCAPE_RADIUS
 from .dynamics import preimages as dyn_preimages
-from .errors import (
-    BudgetExceededError,
-    ConfigError,
-    IntegerOverflowError,
-    JuliaspecError,
-    VerificationError,
-)
+from .errors import BudgetExceededError, ConfigError, IntegerOverflowError, JuliaspecError, VerificationError
 from .operator import build_truncation, eigenvalue_report, write_eigenvalue_csv, write_matrix_csv
 from .render import GridSpec, component_of_zero, count_components, render_field, write_field_csv, write_image, write_points_csv
 from .spectra import classify, parse_space, residual_l1, spectrum_summary
@@ -55,111 +55,14 @@ def parse_complex(text: str) -> complex:
     return z
 
 
-def _add_config_flags(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="path to a JSON configuration file")
-    p.add_argument(
-        "--canonical",
-        choices=CANONICAL_NAMES,
-        help="use one of the packaged canonical configurations",
-    )
-    p.add_argument("--seed", type=int, help="override the configuration seed")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="juliaspec",
-        description=(
-            "Stochastic adding machines over mixed-radix numeration: spectra of "
-            "their transition operators via fibered polynomial dynamics."
-        ),
-    )
-    sub = ap.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("render", help="raster escape classification of the filled set")
-    _add_config_flags(p)
-    p.add_argument("--re-min", type=float)
-    p.add_argument("--re-max", type=float)
-    p.add_argument("--im-min", type=float)
-    p.add_argument("--im-max", type=float)
-    p.add_argument("--width", type=int)
-    p.add_argument("--height", type=int)
-    p.add_argument("--max-iter", type=int)
-    p.add_argument("--radius", type=float)
-    p.add_argument("--overlay", choices=["none", "residual", "eigenvalues"])
-    p.add_argument("--depth", type=int, help="overlay: residual-set truncation depth")
-    p.add_argument("--trunc-size", type=int, help="overlay: truncation size for eigenvalues")
-    p.add_argument("--out-prefix", help="output prefix for .ppm and .csv")
-
-    p = sub.add_parser("simulate", help="sample trajectories of the adding-machine chain")
-    _add_config_flags(p)
-    p.add_argument("--start", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--trajectories", type=int, help="also estimate the return probability")
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--out", help="trajectory CSV path (default: stdout)")
-
-    p = sub.add_parser("classify", help="spectral verdict for one λ on one space")
-    _add_config_flags(p)
-    p.add_argument("--lambda", dest="lam", required=True, help="complex λ, e.g. 0.3+0.2i")
-    p.add_argument("--space", required=True, help="c0 | c | linf | l<alpha>")
-    p.add_argument("--budget", type=int)
-    p.add_argument("--depth", type=int)
-
-    p = sub.add_parser("spectrum-report", help="per-space spectral summary")
-    _add_config_flags(p)
-    p.add_argument("--lambdas", help="comma-separated list of complex samples")
-    p.add_argument("--budget", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--alphas", help="comma-separated α values (default 1,2)")
-
-    p = sub.add_parser("preimages", help="preimages of a target under the compositions")
-    _add_config_flags(p)
-    p.add_argument("--target", help="complex target (default 1)")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--out", help="CSV path (default: stdout)")
-
-    p = sub.add_parser("residual-set", help="depth-truncated residual candidate set")
-    _add_config_flags(p)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--out", help="CSV path (default: stdout)")
-
-    p = sub.add_parser("truncate", help="finite truncation matrix and its eigenvalues")
-    _add_config_flags(p)
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--budget", type=int, help="escape budget for eigenvalue tagging")
-    p.add_argument("--out-prefix")
-
-    p = sub.add_parser("verify", help="run the invariant suite; nonzero exit on failure")
-    p.add_argument("--seed", type=int, help="override the seed of every canonical configuration")
-    p.add_argument("--out", help="artifact directory (default: verify-out)")
-    return ap
-
-
-def _resolve(args) -> RunConfig:
-    if getattr(args, "config", None):
-        rc = load_config_file(args.config)
-    elif getattr(args, "canonical", None):
-        rc = canonical_config(args.canonical)
-    else:
-        raise ConfigError("provide --config FILE or --canonical NAME")
-    if getattr(args, "seed", None) is not None:
-        rc = rc.with_seed(args.seed)
-    return rc
-
-
-def _param(args, rc: RunConfig, key: str, default=None):
-    """Flag value if given, else the config's command object, else default."""
-    v = getattr(args, key.replace("-", "_"), None)
-    if v is None:
-        v = rc.command.get(key, default)
-    return v
+def _path(text: str) -> str | None:
+    """A file path or prefix; the empty string leaves it unset."""
+    return text or None
 
 
 @contextmanager
-def _open_out(args, rc: RunConfig):
-    """The --out file (else the config's "out"), or stdout when neither is set."""
-    path = getattr(args, "out", None) or rc.command.get("out")
+def _open_out(path):
+    """The file at path, or stdout when path is None."""
     if path is None:
         yield sys.stdout
     else:
@@ -174,69 +77,44 @@ def _print_json(obj):
 # -- command implementations -------------------------------------------------
 
 
-def _cmd_render(args) -> int:
-    rc = _resolve(args)
+def _cmd_render(rc: RunConfig, p: dict) -> int:
     sys_ = rc.system()
-    kwargs = dict(
-        re_min=float(_param(args, rc, "re-min", -1.5)),
-        re_max=float(_param(args, rc, "re-max", 1.5)),
-        im_min=float(_param(args, rc, "im-min", -1.5)),
-        im_max=float(_param(args, rc, "im-max", 1.5)),
-        width=int(_param(args, rc, "width", 512)),
-        height=int(_param(args, rc, "height", 512)),
-        max_iter=int(_param(args, rc, "max-iter", 200)),
-    )
-    radius = _param(args, rc, "radius")
-    if radius is not None:
-        kwargs["radius"] = float(radius)
-    grid = GridSpec(**kwargs)
+    grid = GridSpec(**{f.name: p[f.name] for f in dataclasses.fields(GridSpec)})
     field = render_field(sys_, grid)
 
     overlays = []
-    overlay = _param(args, rc, "overlay", "none")
-    if overlay == "residual":
-        rep = residual_l1(sys_, int(_param(args, rc, "depth", 4)))
+    if p["overlay"] == "residual":
+        rep = residual_l1(sys_, p["depth"])
         overlays.append((rep.points, (255, 255, 255)))
-    elif overlay == "eigenvalues":
-        size = int(_param(args, rc, "trunc-size", 32))
-        pts = [complex(e["re"], e["im"]) for e in eigenvalue_report(sys_, size)]
+    elif p["overlay"] == "eigenvalues":
+        pts = [complex(e["re"], e["im"]) for e in eigenvalue_report(sys_, p["trunc_size"])]
         overlays.append((pts, (255, 215, 0)))
 
-    prefix = _param(args, rc, "out-prefix", "juliaspec-render")
-    ppm_path, csv_path = f"{prefix}.ppm", f"{prefix}.csv"
+    ppm_path, csv_path = f"{p['out_prefix']}.ppm", f"{p['out_prefix']}.csv"
     with open(ppm_path, "wb") as fh:
         write_image(field, fh, overlays=overlays)
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         write_field_csv(field, fh)
-    _print_json(
-        {
-            "inside-fraction": field.inside_fraction(),
-            "components": count_components(field),
-            "origin-component-size": int(component_of_zero(field).sum())
-            if field.inside.any()
-            else 0,
-            "ppm": ppm_path,
-            "csv": csv_path,
-        }
-    )
+    _print_json({
+        "inside-fraction": field.inside_fraction(),
+        "components": count_components(field),
+        "origin-component-size": int(component_of_zero(field).sum()) if field.inside.any() else 0,
+        "ppm": ppm_path,
+        "csv": csv_path,
+    })
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    rc = _resolve(args)
+def _cmd_simulate(rc: RunConfig, p: dict) -> int:
     cfg = rc.chain()
-    start = int(_param(args, rc, "start", 1))
-    steps = int(_param(args, rc, "steps", 200))
-    traj = cfg.simulate(start=start, steps=steps, seed=rc.seed)
+    traj = cfg.simulate(start=p["start"], steps=p["steps"], seed=rc.seed)
     # Estimate before writing: a refused estimate must not leave a trajectory artifact behind.
-    trajectories = _param(args, rc, "trajectories")
     stats = None
-    if trajectories is not None:
-        horizon = int(_param(args, rc, "horizon", 100_000))
+    if p["trajectories"] is not None:
         stats = cfg.return_statistics(
-            start=start, trajectories=int(trajectories), horizon=horizon, seed=rc.seed
+            start=p["start"], trajectories=p["trajectories"], horizon=p["horizon"], seed=rc.seed
         )
-    with _open_out(args, rc) as out:
+    with _open_out(p["out"]) as out:
         chain_mod.write_trajectory_csv(cfg, traj, out)
     if stats is not None:
         payload = {
@@ -254,73 +132,43 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_classify(args) -> int:
-    rc = _resolve(args)
-    lam = parse_complex(args.lam)
-    space = parse_space(args.space)
-    verdict = classify(
-        rc.system(),
-        lam,
-        space,
-        budget=int(_param(args, rc, "budget", 80)),
-        depth=int(_param(args, rc, "depth", 5)),
-    )
-    _print_json(verdict.to_json())
+def _cmd_classify(rc: RunConfig, p: dict) -> int:
+    lam, space = parse_complex(p["lambda"]), parse_space(p["space"])
+    _print_json(classify(rc.system(), lam, space, budget=p["budget"], depth=p["depth"]).to_json())
     return 0
 
 
-def _cmd_spectrum_report(args) -> int:
-    rc = _resolve(args)
-    raw = _param(args, rc, "lambdas")
-    lams = [parse_complex(t) for t in str(raw).split(",")] if raw else []
-    raw_alphas = _param(args, rc, "alphas", "1,2")
-    try:
-        alphas = [float(t) for t in str(raw_alphas).split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse alpha values {raw_alphas!r}") from exc
-    report = spectrum_summary(
-        rc.chain(),
-        rc.system(),
-        lams=lams,
-        budget=int(_param(args, rc, "budget", 80)),
-        depth=int(_param(args, rc, "depth", 5)),
-        alphas=alphas,
-    )
-    _print_json(report)
+def _cmd_spectrum_report(rc: RunConfig, p: dict) -> int:
+    lams = [parse_complex(t) for t in p["lambdas"].split(",")] if p["lambdas"] else []
+    alphas = p["alphas"].split(",")  # spectra.l_alpha reads and checks each one
+    _print_json(spectrum_summary(
+        rc.chain(), rc.system(), lams=lams, budget=p["budget"], depth=p["depth"], alphas=alphas
+    ))
     return 0
 
 
-def _cmd_preimages(args) -> int:
-    rc = _resolve(args)
-    target = parse_complex(_param(args, rc, "target", "1"))
-    depth = int(_param(args, rc, "depth", 3))
-    pts = dyn_preimages(rc.system(), target, depth)
-    with _open_out(args, rc) as out:
+def _cmd_preimages(rc: RunConfig, p: dict) -> int:
+    pts = dyn_preimages(rc.system(), parse_complex(p["target"]), p["depth"])
+    with _open_out(p["out"]) as out:
         write_points_csv(pts, out)
     return 0
 
 
-def _cmd_residual_set(args) -> int:
-    rc = _resolve(args)
-    depth = int(_param(args, rc, "depth", 5))
-    tol = float(_param(args, rc, "tol", 1e-8))
-    rep = residual_l1(rc.system(), depth, tol)
-    with _open_out(args, rc) as out:
+def _cmd_residual_set(rc: RunConfig, p: dict) -> int:
+    rep = residual_l1(rc.system(), p["depth"], p["tol"])
+    with _open_out(p["out"]) as out:
         write_points_csv(rep.points, out)
     note = {"regime": rep.regime, "note": rep.note, "conjecture": rep.conjecture}
     print(json.dumps(note, sort_keys=True), file=sys.stderr)
     return 0
 
 
-def _cmd_truncate(args) -> int:
-    rc = _resolve(args)
-    size = int(args.size)
-    prefix = _param(args, rc, "out-prefix", "juliaspec-trunc")
-    matrix_path = f"{prefix}-matrix.csv"
-    eig_path = f"{prefix}-eigenvalues.csv"
+def _cmd_truncate(rc: RunConfig, p: dict) -> int:
+    size = p["size"]
+    matrix_path, eig_path = f"{p['out_prefix']}-matrix.csv", f"{p['out_prefix']}-eigenvalues.csv"
     # Solve before writing: a refused size must not leave a partial
     # artifact pair behind.
-    report = eigenvalue_report(rc.system(), size, budget=int(_param(args, rc, "budget", 60)))
+    report = eigenvalue_report(rc.system(), size, budget=p["budget"])
     trunc = build_truncation(rc.chain(), size)
     with open(matrix_path, "w", encoding="utf-8", newline="\n") as fh:
         write_matrix_csv(trunc, fh)
@@ -330,34 +178,158 @@ def _cmd_truncate(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    out_dir = args.out or "verify-out"
-    results = run_verify(out_dir, seed=args.seed)
+def _cmd_verify(rc: None, p: dict) -> int:
+    results = run_verify(p["out"], seed=p["seed"])
     for r in results:
         print(f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail}")
     failed = [r for r in results if not r.ok]
-    print(f"{len(results) - len(failed)}/{len(results)} checks passed; artifacts in {out_dir}")
+    print(f"{len(results) - len(failed)}/{len(results)} checks passed; artifacts in {p['out']}")
     if failed:
         raise VerificationError(f"{len(failed)} invariant check(s) failed")
     return 0
 
 
-_DISPATCH = {
-    "render": _cmd_render,
-    "simulate": _cmd_simulate,
-    "classify": _cmd_classify,
-    "spectrum-report": _cmd_spectrum_report,
-    "preimages": _cmd_preimages,
-    "residual-set": _cmd_residual_set,
-    "truncate": _cmd_truncate,
-    "verify": _cmd_verify,
+# -- the parameter table -----------------------------------------------------
+
+_REQUIRED = object()  # the default of a required flag
+# Parameter kinds besides the choice tuples: int, float, str (text such as
+# complex numbers or comma lists, which a command entry may write as a number)
+# and _path.
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string or a number", _path: "a string"}
+_STDOUT = "(default: stdout)"
+
+# Per subcommand: its function, its help, then one row per parameter:
+# (flag, kind, default, help).
+_COMMANDS = {
+    "render": (_cmd_render, "raster escape classification of the filled set", (
+        ("--re-min", float, -1.5, "window: smallest real part"),
+        ("--re-max", float, 1.5, "window: largest real part"),
+        ("--im-min", float, -1.5, "window: smallest imaginary part"),
+        ("--im-max", float, 1.5, "window: largest imaginary part"),
+        ("--width", int, 512, "pixel columns"),
+        ("--height", int, 512, "pixel rows"),
+        ("--max-iter", int, 200, "fiber maps applied per pixel"),
+        ("--radius", float, ESCAPE_RADIUS, "escape radius, > 1"),
+        ("--overlay", ("none", "residual", "eigenvalues"), "none", "points drawn over the raster"),
+        ("--depth", int, 4, "overlay: residual-set truncation depth"),
+        ("--trunc-size", int, 32, "overlay: truncation size for eigenvalues"),
+        ("--out-prefix", _path, "juliaspec-render", "output prefix for .ppm and .csv"),
+    )),
+    "simulate": (_cmd_simulate, "sample trajectories of the adding-machine chain", (
+        ("--start", int, 1, "initial state"),
+        ("--steps", int, 200, "moves of the printed trajectory"),
+        ("--trajectories", int, None, "also estimate the return probability (default: no estimate)"),
+        ("--horizon", int, 100_000, "estimate: steps a trajectory has to return to 0"),
+        ("--out", _path, None, f"trajectory CSV path {_STDOUT}"),
+    )),
+    "classify": (_cmd_classify, "spectral verdict for one λ on one space", (
+        ("--lambda", str, _REQUIRED, "complex λ, e.g. 0.3+0.2i"),
+        ("--space", str, _REQUIRED, "c0 | c | linf | l<alpha>"),
+        ("--budget", int, 80, "fiber maps applied before a verdict is undecided"),
+        ("--depth", int, 5, "residual-set depth for the point spectrum"),
+    )),
+    "spectrum-report": (_cmd_spectrum_report, "per-space spectral summary", (
+        ("--lambdas", str, None, "comma-separated list of complex samples (default: none)"),
+        ("--budget", int, 80, "fiber maps applied before a verdict is undecided"),
+        ("--depth", int, 5, "residual-set depth for the point spectrum"),
+        ("--alphas", str, "1,2", "comma-separated α values of the l^α spaces"),
+    )),
+    "preimages": (_cmd_preimages, "preimages of a target under the compositions", (
+        ("--target", str, "1", "complex target"),
+        ("--depth", int, _REQUIRED, "composition depth"),
+        ("--out", _path, None, f"CSV path {_STDOUT}"),
+    )),
+    "residual-set": (_cmd_residual_set, "depth-truncated residual candidate set", (
+        ("--depth", int, 5, "truncation depth"),
+        ("--tol", float, 1e-8, "distance below which two points are one"),
+        ("--out", _path, None, f"CSV path {_STDOUT}"),
+    )),
+    "truncate": (_cmd_truncate, "finite truncation matrix and its eigenvalues", (
+        ("--size", int, _REQUIRED, "truncation size"),
+        ("--budget", int, 60, "escape budget for eigenvalue tagging"),
+        ("--out-prefix", _path, "juliaspec-trunc", "output prefix for the two CSV files"),
+    )),
+    "verify": (_cmd_verify, "run the invariant suite; nonzero exit on failure", (
+        ("--seed", int, None, "override the seed of every canonical configuration (default: their own)"),
+        ("--out", _path, "verify-out", "artifact directory"),
+    )),
 }
+
+
+def _add_config_flags(p: argparse.ArgumentParser):
+    p.add_argument("--config", help="path to a JSON configuration file")
+    p.add_argument("--canonical", choices=CANONICAL_NAMES,
+                   help="use one of the packaged canonical configurations")
+    p.add_argument("--seed", type=int, help="override the configuration seed")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(prog="juliaspec", description=(
+        "Stochastic adding machines over mixed-radix numeration: spectra of "
+        "their transition operators via fibered polynomial dynamics."
+    ))
+    sub = ap.add_subparsers(dest="cmd", required=True)
+    for cmd, (_, text, rows) in _COMMANDS.items():
+        p = sub.add_parser(cmd, help=text)
+        if cmd != "verify":  # verify always runs every canonical configuration
+            _add_config_flags(p)
+        for flag, kind, default, help_ in rows:
+            if default is not _REQUIRED and default is not None:
+                help_ = f"{help_} (default: {default})"
+            if isinstance(kind, tuple):
+                p.add_argument(flag, choices=kind, help=help_)
+            else:
+                p.add_argument(flag, type=kind, required=default is _REQUIRED, help=help_)
+    return ap
+
+
+def _resolve(args) -> RunConfig:
+    if args.config:
+        rc = load_config_file(args.config)
+    elif args.canonical:
+        rc = canonical_config(args.canonical)
+    else:
+        raise ConfigError("provide --config FILE or --canonical NAME")
+    return rc if args.seed is None else rc.with_seed(args.seed)
+
+
+def _entry(key: str, kind, v):
+    """A "command" entry checked against its flag's kind; ConfigError on a mismatch."""
+    what = f"config command {key}"
+    if kind is int:
+        return json_int(what, v)
+    number = isinstance(v, (int, float)) and not isinstance(v, bool)
+    if kind is float and number and abs(v) <= sys.float_info.max:
+        return float(v)
+    if kind is str and (number or isinstance(v, str)):
+        return str(v)
+    if kind is _path and isinstance(v, str):
+        return _path(v)
+    if isinstance(kind, tuple) and v in kind:
+        return v
+    must = "one of " + ", ".join(kind) if isinstance(kind, tuple) else _KIND_NAMES[kind]
+    raise ConfigError(f"{what} must be {must}, got {v!r}")
+
+
+def _params(args, rc: RunConfig | None) -> dict:
+    """The command's parameters by flag name (underscored): the flag if given,
+    else the config's command entry, else the default."""
+    out = {}
+    for flag, kind, default, _ in _COMMANDS[args.cmd][2]:
+        key = flag[2:]
+        dest = key.replace("-", "_")
+        v = getattr(args, dest)
+        if v is None and rc is not None and rc.command.get(key) is not None:
+            v = _entry(key, kind, rc.command[key])
+        out[dest] = default if v is None else v
+    return out
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.cmd](args)
+        rc = None if args.cmd == "verify" else _resolve(args)
+        return _COMMANDS[args.cmd][0](rc, _params(args, rc))
     except (BudgetExceededError, IntegerOverflowError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3

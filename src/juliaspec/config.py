@@ -18,7 +18,7 @@ from .errors import ConfigError
 from .numeration import BaseSequence
 from .sequences import SequenceSpec, spec_from_json, spec_to_json
 
-__all__ = ["RunConfig", "parse_config", "load_config_file"]
+__all__ = ["RunConfig", "parse_config", "load_config_file", "json_int"]
 
 _KEYS = ("p", "d", "seed", "command", "capacity_bits")
 _INT_RANGES = {"seed": (0, 2**64 - 1), "capacity_bits": (64, 512)}
@@ -49,7 +49,7 @@ class RunConfig:
         return FiberedSystem(self.base(), self.p)
 
     def with_seed(self, seed: int) -> "RunConfig":
-        return replace(self, seed=int(seed))
+        return replace(self, seed=json_int("config seed", seed, *_INT_RANGES["seed"]))
 
     def to_json(self) -> dict:
         out = {
@@ -64,6 +64,18 @@ class RunConfig:
         return out
 
 
+def json_int(what: str, v, lo=None, hi=None) -> int:
+    """v as an int the way a JSON document states one, else ConfigError.
+
+    Integral floats such as 1.0 count as integers; booleans do not.
+    """
+    if isinstance(v, bool) or not (isinstance(v, int) or isinstance(v, float) and v.is_integer()):
+        raise ConfigError(f"{what} must be an integer, got {v!r}")
+    if lo is not None and not lo <= v <= hi:
+        raise ConfigError(f"{what} must lie in [{lo}, {hi}], got {v!r}")
+    return int(v)
+
+
 def parse_config(obj) -> RunConfig:
     """Validate a JSON document and build the RunConfig; ConfigError on defects."""
     if not isinstance(obj, dict):
@@ -74,15 +86,10 @@ def parse_config(obj) -> RunConfig:
     for key in ("p", "d"):
         if key not in obj:
             raise ConfigError(f"config is missing key {key!r}")
-    for key, (lo, hi) in _INT_RANGES.items():
-        v = obj.get(key, lo)
-        # Integral floats such as 1.0 count as integers; booleans do not.
-        if isinstance(v, bool) or not (
-            isinstance(v, int) or isinstance(v, float) and v.is_integer()
-        ):
-            raise ConfigError(f"config {key} must be an integer, got {v!r}")
-        if not lo <= v <= hi:
-            raise ConfigError(f"config {key} must lie in [{lo}, {hi}], got {v!r}")
+    ints = {
+        key: json_int(f"config {key}", obj.get(key, lo), lo, hi)
+        for key, (lo, hi) in _INT_RANGES.items()
+    }
     if not isinstance(obj.get("command", {}), dict):
         raise ConfigError("config command must be an object")
     p = spec_from_json(obj["p"], "p")
@@ -90,9 +97,8 @@ def parse_config(obj) -> RunConfig:
     return RunConfig(
         p=p,
         d=d,
-        seed=int(obj.get("seed", 0)),
         command=dict(obj.get("command", {})),
-        capacity_bits=int(obj.get("capacity_bits", 64)),
+        **ints,
     )
 
 

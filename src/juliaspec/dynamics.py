@@ -8,7 +8,8 @@ polynomial's iterates play for an ordinary Julia set.  The filled set
 
 is contained in the closed disk around 1 - p_1 of radius p_1, hence in the
 closed unit disk, and once some |f̃_r(z)| exceeds 1 the moduli grow
-monotonically — so |f̃_r(z)| > 1 + slack is a sound escape certificate.
+monotonically — so |f̃_r(z)| > ESCAPE_RADIUS = 1 + 1e-9 is a sound escape
+certificate.
 
 Eigenvector structure: with h_r(z) = (z - (1 - p_r)) / p_r, the factors
 ι_λ(r) = h_r(f̃_{r-1}(λ)) obey ι_λ(r+1) = h_{r+1}(ι_λ(r)^{d_r}) and satisfy
@@ -29,6 +30,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import count, islice
 
 import numpy as np
@@ -43,6 +45,7 @@ from .sequences import SequenceSpec, limit_is_one, threshold_index
 
 __all__ = [
     "RHO",
+    "ESCAPE_RADIUS",
     "FiberedSystem",
     "EscapeOutcome",
     "escape_classify",
@@ -64,7 +67,9 @@ __all__ = [
 #: factor ι_λ(j0) enters the disk of radius RHO/2, the factors tend to 0.
 RHO = 2.0 * (math.sqrt(2.0) - 1.0)
 
-_DEFAULT_SLACK = 1e-9
+#: Escape certificate: once |f̃_r(z)| exceeds this radius the moduli grow without bound.
+ESCAPE_RADIUS = 1.0 + 1e-9
+#: Two consecutive factors this close to 1 certify the factors are identically 1.
 _ONE_TOL = 1e-9
 _PREIMAGE_CAP = 1 << 20
 #: Leaves per array pass of the Newton polish; bounds its working memory.
@@ -106,6 +111,11 @@ class FiberedSystem:
 
     def digit_base(self, j: int) -> int:
         return self.base.digit_base(j)
+
+    @cached_property
+    def rho_from(self) -> int | None:
+        """Certified first index from which p_j >= RHO when p_j -> 1, else None."""
+        return threshold_index(self.p, RHO) if limit_is_one(self.p) else None
 
     def p_float(self, j: int) -> float:
         return self.level(j)[1]
@@ -167,16 +177,16 @@ class EscapeOutcome:
 
 
 def escape_classify(
-    sys: FiberedSystem, z: complex, budget: int, slack: float = _DEFAULT_SLACK, start: int = 1
+    sys: FiberedSystem, z: complex, budget: int, start: int = 1
 ) -> EscapeOutcome:
-    """Iterate f̃_j at z until |f̃_j| > 1 + slack or the budget runs out.
+    """Iterate f̃_j at z until |f̃_j| > ESCAPE_RADIUS or the budget runs out.
 
     With start > 1, z stands for f̃_{start-1} of some point whose earlier
     levels are known not to decide the test; levels start..budget run.
     """
     if budget < 1:
         raise OutOfRangeError(f"budget must be >= 1, got {budget}")
-    radius = 1.0 + slack
+    radius = ESCAPE_RADIUS
     w = complex(z)
     if w == 1:  # invariant fixed point of every fiber map
         return EscapeOutcome(False, None, 1.0, budget, radius, certified_bounded=True)
@@ -201,7 +211,7 @@ class TraceStatus(Enum):
 class FactorTrace:
     """Factors ι_λ(1..k) with a stopping status.
 
-    ESCAPED(k): |ι(k)| > 1 + slack, so λ is certified outside the filled set
+    ESCAPED(k): |ι(k)| > ESCAPE_RADIUS, so λ is certified outside the filled set
     (all later factors keep growing).  CONVERGES_TO_ZERO(k): the tail of p̄ is
     certified >= RHO from some index j0 <= k, p_j -> 1, and |ι(k)| <= RHO/2 —
     a contraction certificate that ι -> 0.  CONVERGES_TO_ONE(k): two
@@ -218,13 +228,7 @@ class FactorTrace:
     budget: int
 
 
-def factor_trace(
-    sys: FiberedSystem,
-    lam: complex,
-    budget: int,
-    slack: float = _DEFAULT_SLACK,
-    one_tol: float = _ONE_TOL,
-) -> FactorTrace:
+def factor_trace(sys: FiberedSystem, lam: complex, budget: int) -> FactorTrace:
     """Run the factor recursion ι(r+1) = h_{r+1}(ι(r)^{d_r}) with stopping rules."""
     if budget < 1:
         raise OutOfRangeError(f"budget must be >= 1, got {budget}")
@@ -234,15 +238,15 @@ def factor_trace(
         vals = (1.0 + 0j,) * min(budget, 2)
         return FactorTrace(lam, vals, TraceStatus.CONVERGES_TO_ONE, 1, budget)
 
-    rho_from = threshold_index(sys.p, RHO) if limit_is_one(sys.p) else None
+    rho_from = sys.rho_from
     values: list[complex] = []
     near_one_run = 0
     for k, (v, _) in enumerate(islice(sys.orbit(lam), budget), 1):
         values.append(v)
         m = abs(v)
-        if m > 1.0 + slack:
+        if m > ESCAPE_RADIUS:
             return FactorTrace(lam, tuple(values), TraceStatus.ESCAPED, k, budget)
-        if abs(v - 1.0) <= one_tol:
+        if abs(v - 1.0) <= _ONE_TOL:
             near_one_run += 1
             if near_one_run >= 2:
                 return FactorTrace(

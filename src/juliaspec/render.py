@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 from scipy import ndimage
 
-from .dynamics import FiberedSystem
+from .dynamics import ESCAPE_RADIUS, FiberedSystem
 from .errors import OriginEscapedError, OutOfRangeError
 
 __all__ = [
@@ -62,7 +62,7 @@ class GridSpec:
     width: int
     height: int
     max_iter: int
-    radius: float = 1.0 + 1e-9
+    radius: float = ESCAPE_RADIUS
 
     def __post_init__(self):
         if not (self.re_min < self.re_max):

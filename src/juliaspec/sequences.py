@@ -63,7 +63,8 @@ _D_KINDS = ("constant", "periodic", "prefix", "random")
 # partials of geometric specs acquire denominators like γ^(J(J+1)/2).
 _EXACT_HORIZON_CAP = 512
 
-# Scan cap for threshold_index on monotone kinds.
+# Term cap for the positive product limit, and the largest index
+# threshold_index certifies on a geometric tail (its exact check computes γ^j).
 _SCAN_CAP = 100_000
 
 
@@ -85,6 +86,14 @@ def _rat(x) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise OutOfRangeError(f"cannot parse rational {x!r}") from exc
     raise OutOfRangeError(f"cannot coerce {type(x).__name__} to a rational")
+
+
+def _real(x, what: str) -> float:
+    """x as a float; OutOfRangeError when it is not a number."""
+    try:
+        return float(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise OutOfRangeError(f"{what} must be a number, got {x!r}") from exc
 
 
 class ProductVerdict(Enum):
@@ -379,7 +388,7 @@ def sum_alpha_verdict(spec: SequenceSpec, alpha) -> SumVerdict:
     surely recurs.  A random tail straddling 1 is inconclusive.
     """
     _need_p(spec)
-    alpha = float(alpha)
+    alpha = _real(alpha, "alpha")
     if not (math.isfinite(alpha) and alpha >= 1):
         raise OutOfRangeError(f"alpha must be a finite number >= 1, got {alpha}")
     r = _tail_range(spec)
@@ -403,7 +412,8 @@ def tail_sum_alpha(spec: SequenceSpec, alpha, horizon: int | None = None):
     provably diverges; ConfigError when inconclusive.
     """
     verdict = sum_alpha_verdict(spec, alpha)
-    a_int = int(alpha) if float(alpha) == int(alpha) else None
+    alpha = float(alpha)
+    a_int = int(alpha) if alpha.is_integer() else None
     if horizon is not None:
         if horizon < 0:
             raise OutOfRangeError(f"horizon must be >= 0, got {horizon}")
@@ -415,7 +425,7 @@ def tail_sum_alpha(spec: SequenceSpec, alpha, horizon: int | None = None):
         else:
             part = 0.0
             for j in range(1, horizon + 1):
-                part += (1.0 - spec.float_at(j)) ** float(alpha)
+                part += (1.0 - spec.float_at(j)) ** alpha
         return part, verdict
     if verdict is SumVerdict.DIVERGES:
         return float("inf"), verdict
@@ -465,23 +475,58 @@ def limit_is_one(spec: SequenceSpec) -> bool:
 
 
 def threshold_index(spec: SequenceSpec, threshold: float) -> int | None:
-    """Smallest certified j0 with p_j >= threshold for every j >= j0, or None."""
+    """Smallest certified j0 with p_j >= threshold for every j >= j0, or None.
+
+    Values are compared exactly with the threshold (a float compares with a
+    Fraction by its exact binary value).
+    """
     _need_p(spec)
-    thr = float(threshold)
+    thr = _real(threshold, "threshold")
+    if math.isnan(thr):
+        raise OutOfRangeError("threshold must be a number, got nan")
     t, r = _tail(spec), _tail_range(spec)
     if r is not None:
-        j = 1 if float(r[0]) >= thr else None
+        j = 1 if r[0] >= thr else None
+    elif thr >= 1:
+        j = None  # a geometric or harmonic tail stays below 1
     else:
-        # The tail increases: the first index that qualifies certifies every later one.
-        j = next((i for i in range(1, _SCAN_CAP + 1) if t.float_at(i) >= thr), None)
+        # Clamped at 0, where every p_j > 0 qualifies (and Fraction takes no -inf).
+        j = _first_within(t, 1 - Fraction(max(thr, 0.0)))
     if j is None or t is spec:
         return j
     if j > 1:
         return len(spec.prefix) + j
     j0 = len(spec.prefix) + 1
-    while j0 > 1 and float(spec.prefix[j0 - 2]) >= thr:
+    while j0 > 1 and spec.prefix[j0 - 2] >= thr:
         j0 -= 1
     return j0
+
+
+def _first_within(t: SequenceSpec, gap: Fraction) -> int | None:
+    """Smallest j >= 1 with 1 - p_j <= gap on an increasing tail (0 < gap <= 1).
+
+    The tail increases, so that j certifies every later index.  On a
+    geometric tail the exact check computes γ^j, so an estimate past
+    _SCAN_CAP gives None.
+    """
+    if t.kind == "harmonic":
+        # c/(j + a) <= gap  <=>  j >= c/gap - a
+        return max(1, math.ceil(t.c / gap - t.a))
+
+    # c·γ^j <= gap: estimate j by logarithms, then settle it exactly.  The
+    # logarithms are taken of numerators and denominators, which cannot
+    # underflow to 0 as the float of a tiny Fraction can.
+    def log(x: Fraction) -> float:
+        return math.log(x.numerator) - math.log(x.denominator)
+
+    j = max(1, math.ceil(log(gap / t.c) / log(t.gamma)))
+    if j > _SCAN_CAP:
+        return None
+    while j > 1 and t.c * t.gamma ** (j - 1) <= gap:
+        j -= 1
+    while t.c * t.gamma**j > gap:
+        j += 1
+    return j
 
 
 def limsup_below_one(spec: SequenceSpec) -> bool:

@@ -96,7 +96,10 @@ C = Space("c")
 
 
 def l_alpha(alpha) -> Space:
-    alpha = float(alpha)
+    try:
+        alpha = float(alpha)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise OutOfRangeError(f"l^alpha needs a finite alpha >= 1, got {alpha!r}") from exc
     if not (math.isfinite(alpha) and alpha >= 1):
         raise OutOfRangeError(f"l^alpha needs a finite alpha >= 1, got {alpha}")
     return Space("lalpha", alpha)

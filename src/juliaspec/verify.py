@@ -258,10 +258,10 @@ def _round_trip(grid: GridSpec) -> tuple[bool, str]:
 
 def run_verify(out_dir: str, seed: int | None = None) -> list[CheckResult]:
     """Run the suite, write artifacts under out_dir, return all check results."""
-    os.makedirs(out_dir, exist_ok=True)
     configs = {name: canonical_config(name) for name in CANONICAL_NAMES}
     if seed is not None:
         configs = {name: rc.with_seed(seed) for name, rc in configs.items()}
+    os.makedirs(out_dir, exist_ok=True)
     results: list[CheckResult] = []
 
     def check(name: str, ok, detail: str):

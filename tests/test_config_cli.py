@@ -9,14 +9,16 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from io import StringIO
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from juliaspec.canonical import CANONICAL_NAMES, all_canonical, canonical_config
-from juliaspec.cli import main, parse_complex
+from juliaspec.cli import _COMMANDS, _REQUIRED, _path, main, parse_complex
 from juliaspec.config import load_config_file, parse_config
 from juliaspec.errors import ConfigError, JuliaspecError
 from juliaspec.sequences import spec_to_json
@@ -86,6 +88,10 @@ def test_config_json_roundtrip():
     assert again == rc
     assert rc.with_seed(5).seed == 5
     assert rc.with_seed(5).p == rc.p
+    assert rc.with_seed(2**64 - 1).seed == 2**64 - 1
+    for bad in (-1, 2**64, 1.5, True, "3"):
+        with pytest.raises(ConfigError, match="seed"):
+            rc.with_seed(bad)
 
 
 def test_chain_and_system_share_one_base():
@@ -570,3 +576,156 @@ def test_argparse_usage_errors():
         with pytest.raises(SystemExit) as exc:
             main(["verify", flag, "dendrite"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--canonical", "dendrite", "--steps", "3", "--out", "{dir}/sim.csv"],
+        ["verify", "--out", "{dir}/verify-out"],
+    ],
+)
+def test_exit_code_2_seed_out_of_range(argv, seed, tmp_path, capsys):
+    rc = main([a.format(dir=tmp_path) for a in argv] + [f"--seed={seed}"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error:" in captured.err and "seed" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _run_with_command(tmp_path, cmd, command, *flags):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**canonical_config("dendrite").to_json(), "command": command}))
+    return main([cmd, "--config", str(path), *flags])
+
+
+@pytest.mark.parametrize(
+    "cmd, command",
+    [
+        ("render", {"width": "abc"}),  # used to end in a traceback
+        ("render", {"overlay": "bogus"}),  # used to render with no overlay
+        ("render", {"radius": True}),
+        ("residual-set", {"depth": [1]}),  # used to end in a TypeError traceback
+        ("residual-set", {"out": 1}),  # used to write the CSV to file descriptor 1
+        ("residual-set", {"depth": "5"}),  # strings are not integers
+        ("residual-set", {"tol": "1e-8"}),
+        ("residual-set", {"depth": 2.5}),
+        ("simulate", {"trajectories": False}),
+        ("simulate", {"horizon": 1e400}),  # JSON overflows to inf
+        ("preimages", {"target": [1]}),
+        ("truncate", {"out-prefix": {}}),
+    ],
+)
+def test_exit_code_2_command_entry_of_the_wrong_type(cmd, command, tmp_path, capsys):
+    flags = {
+        "render": ["--out-prefix", str(tmp_path / "img")],
+        "preimages": ["--depth", "1"],
+        "truncate": ["--size", "4"],
+    }.get(cmd, [])
+    assert _run_with_command(tmp_path, cmd, command, *flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    key = next(iter(command))
+    assert f"config error: config command {key} must be" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_command_entries_read_the_way_json_writes_them(tmp_path, capsys):
+    # A number stands for text, an integral float for an integer; null and "" leave a value unset.
+    out = tmp_path / "pts.csv"
+    assert _run_with_command(tmp_path, "preimages", {"target": 1, "out": str(out)}, "--depth", "2") == 0
+    assert capsys.readouterr().out == ""
+    assert len(out.read_text().splitlines()) == 1 + 4
+    assert _run_with_command(tmp_path, "residual-set", {"depth": 2.0, "out": str(out), "tol": None}) == 0
+    assert out.read_text().splitlines()[1:] == ["1.0,0.0"]  # dendrite's residual set is {1}
+    assert _run_with_command(tmp_path, "residual-set", {"depth": 2, "out": ""}) == 0
+    assert capsys.readouterr().out.splitlines() == ["re,im", "1.0,0.0"]
+
+
+@pytest.mark.parametrize("cmd", list(_COMMANDS))
+def test_help_shows_every_declared_default(cmd, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--help"])
+    assert exc.value.code == 0
+    text = "".join(capsys.readouterr().out.split())  # argparse wraps lines, at hyphens too
+    for flag, kind, default, help_ in _COMMANDS[cmd][2]:
+        assert flag in text
+        if default is None:
+            assert "(default:" in help_  # the help says what an unset value means
+        elif default is not _REQUIRED:
+            assert "".join(f"(default: {default})".split()) in text, flag
+
+
+# -- generated argv ----------------------------------------------------------
+
+_COMPLEX = ["0", "1", "0.3+0.2i", "-0.5i", "0.5,-1"]
+_TEXT = {"--space": ["c0", "c", "linf", "l2", "l1.5", "l0.5"], "--alphas": ["1,2", "1.5", "0.5", "x"]}
+# Per kind: (flag text, wrong flag text, entries, wrong entries).  The right
+# type does not make a value valid: negative sizes or an inverted window exit 2.
+_POOLS = {
+    int: ([str(n) for n in range(-1, 5)], ["x", "1.5", ""],
+          [*range(-1, 5), 2.0], [1.5, "3", "x", True, [1], {}]),
+    float: (["-1.5", "-0.5", "0", "0.5", "1.5", "2", "nan"], ["x", ""],
+            [-1.5, -0.5, 0, 0.5, 1.5, 2.0], ["0.5", "x", True, [1], {}]),
+    _path: (["{dir}/out", ""], [], ["{dir}/out", ""], [1, 2.0, True, [1]]),
+}
+
+
+def _pools(flag, kind):
+    if isinstance(kind, tuple):
+        return list(kind), ["bogus"], list(kind), ["bogus", 1, True]
+    if kind is str:
+        text = _TEXT.get(flag, _COMPLEX)
+        return text, [], text + [1, 0.5], [True, [1], {}]
+    return _POOLS[kind]
+
+
+@st.composite
+def _invocations(draw, cmd):
+    """(argv, command object) from the command's table: each parameter absent,
+    a flag, an entry or both, of the right type in all places but at most one."""
+    rows = _COMMANDS[cmd][2]
+    wrong = draw(st.sampled_from([None] + [row[0] for row in rows]))
+    flags, command = [], {}
+    for flag, kind, default, _ in rows:
+        if cmd == "verify" and flag == "--seed":
+            # An accepted seed (or none) runs the whole suite: draw only refused ones.
+            flags.append(f"--seed={draw(st.sampled_from(['-1', str(2**64), 'x']))}")
+            continue
+        good_flag, bad_flag, good_entry, bad_entry = _pools(flag, kind)
+        how = "flag" if default is _REQUIRED else draw(st.sampled_from(["", "flag", "entry", "both"]))
+        if how in ("flag", "both"):
+            text = draw(st.sampled_from(bad_flag if flag == wrong and bad_flag else good_flag))
+            flags.append(f"{flag}={text}")
+        if how in ("entry", "both"):
+            command[flag[2:]] = draw(st.sampled_from(bad_entry if flag == wrong else good_entry))
+    return [cmd] + flags, command
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("argv")
+
+
+@pytest.mark.parametrize("cmd", list(_COMMANDS))
+@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_generated_argv_exit_with_a_documented_code(cmd, data, argv_dir):
+    argv, command = data.draw(_invocations(cmd))
+    name = data.draw(st.sampled_from(CANONICAL_NAMES))
+    doc = {**canonical_config(name).to_json(), "command": command}
+    path = argv_dir / "cfg.json"
+    path.write_text(json.dumps(doc).replace("{dir}", str(argv_dir)))
+    if cmd != "verify":
+        argv += ["--config", str(path)]
+    out, err = StringIO(), StringIO()
+    with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), redirect_stderr(err):
+        mp.chdir(argv_dir)  # unset output prefixes land here
+        try:
+            code = main([a.replace("{dir}", str(argv_dir)) for a in argv])
+        except SystemExit as exc:  # argparse refused the argv
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, command, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -218,11 +218,12 @@ def test_sum_alpha_verdicts():
     assert sum_alpha_verdict(random_uniform("1/2", 1, 0), 1) is SumVerdict.INCONCLUSIVE
     with pytest.raises(OutOfRangeError):
         sum_alpha_verdict(constant("1/2"), 0.5)
-    for alpha in (float("nan"), float("inf")):
+    for alpha in (float("nan"), float("inf"), "abc", None, [2], 10**400):
         with pytest.raises(OutOfRangeError):
             sum_alpha_verdict(constant("1/2"), alpha)
         with pytest.raises(OutOfRangeError):
             tail_sum_alpha(harmonic("1/2", 1), alpha)
+    assert tail_sum_alpha(geometric(1, "1/2"), "2")[0] == Fraction(1, 3)  # numeric strings are numbers
 
 
 def test_tail_sum_geometric_limit_is_the_exact_series():
@@ -278,6 +279,25 @@ def test_threshold_index_monotone_kinds():
     assert threshold_index(constant("1/2"), 0.6) is None
     assert threshold_index(periodic(["1/2", "3/4"]), 0.5) == 1
     assert threshold_index(periodic(["1/2", "3/4"]), 0.6) is None
+    # harmonic("1/2", 1): p_j = 1 - 1/(2j + 2); p_4 = 0.9 exactly, below the float 0.9
+    assert threshold_index(harmonic("1/2", 1), 0.9) == 5
+    # p_499999 = 1 - 10^-6 exactly, just above the float 0.999999: no scan reaches it
+    assert threshold_index(harmonic("1/2", 1), 0.999999) == 499_999
+    assert threshold_index(geometric(1, "1/4"), 0.0) == 1
+    assert threshold_index(geometric(1, "1/4"), -float("inf")) == 1
+    # γ^j <= 1/2 first at j = 693,147: past the cap of the exact check, so no certificate
+    assert threshold_index(geometric(1, "999999/1000000"), 0.5) is None
+    for bad in ("x", None, float("nan")):
+        with pytest.raises(OutOfRangeError):
+            threshold_index(geometric(1, "1/4"), bad)
+
+
+def test_threshold_index_never_certifies_one_on_increasing_tails():
+    # p_27 = 1 - 4^-27 rounds to 1.0, yet every p_j < 1; no scan is needed to say so.
+    assert geometric(1, "1/4").float_at(27) == 1.0
+    for spec in (geometric(1, "1/4"), harmonic("1/2", 1), prefix_then(["1"], geometric(1, "1/2"))):
+        assert threshold_index(spec, 1.0) is None
+        assert threshold_index(spec, float("inf")) is None
 
 
 def test_threshold_index_prefix_back_walk():
@@ -341,8 +361,10 @@ def test_tail_verdicts_agree_with_sampled_values(spec, offsets, thr):
         assert all(spec.float_at(j) < 1 for j in tail)
     j0 = threshold_index(spec, thr)
     if j0 is not None:
-        assert all(spec.float_at(j) >= thr for j in range(j0, j0 + 65))
-        assert j0 == 1 or spec.float_at(j0 - 1) < thr
+        # Exact values: Fractions for rational specs, and a float compares
+        # with a Fraction by its exact binary value.
+        assert all(spec.value_at(j) >= thr for j in range(j0, j0 + 65))
+        assert j0 == 1 or spec.value_at(j0 - 1) < thr
 
 
 # -- JSON round trips --------------------------------------------------------

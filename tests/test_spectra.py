@@ -58,8 +58,9 @@ def test_space_parsing_and_formatting():
     assert str(C0) == "c0"
     with pytest.raises(OutOfRangeError):
         parse_space("banach")
-    with pytest.raises(OutOfRangeError):
-        l_alpha(0.5)
+    for bad in (0.5, "abc", None, [2]):
+        with pytest.raises(OutOfRangeError):
+            l_alpha(bad)
 
 
 # -- membership --------------------------------------------------------------
