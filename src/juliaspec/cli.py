@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import dataclasses
+import functools
 import json
 import re
 import sys
@@ -283,6 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def _resolve(args) -> RunConfig:
     if args.config:
         rc = load_config_file(args.config)
@@ -326,7 +333,7 @@ def _params(args, rc: RunConfig | None) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         rc = None if args.cmd == "verify" else _resolve(args)
         return _COMMANDS[args.cmd][0](rc, _params(args, rc))

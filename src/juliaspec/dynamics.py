@@ -17,6 +17,34 @@ f̃_r(λ) = ι_λ(r)^{d_r}; the candidate eigenvector of the transition operator
 at λ is v_λ(n) = Π_r ι_λ(r)^{a_r(n)} over the digits of n.  One generator,
 `FiberedSystem.orbit`, runs this recursion on one table of (1 - p_j, p_j, d_j).
 
+Interior traps: "inside" is otherwise only "did not escape within the
+budget".  `FiberedSystem.trap` holds up to two disks that an orbit never
+leaves once it is in them, so a point found in one is certified bounded
+(it lies in the filled set) and needs no further level.
+
+* Contraction disk, on the factors: |ι_j| <= ρ/2 at a level j >= j0 =
+  `rho_from`, when p_j -> 1 and p_i >= ρ = 2(√2 - 1) for every i >= j0.
+  Proof: with R = ρ/2 < 1 and d >= 2, |ι_{j+1}| = |ι_j^{d_j} - (1 - p)| / p
+  <= (R² + 1 - p) / p, p = p_{j+1} >= ρ.  That bound is decreasing in p and
+  equals (1 - ρ/2)²/ρ at p = ρ, which is ρ/2 exactly: ρ² + 4ρ - 4 = 0.  So
+  the disk maps into itself, with zero margin at p = ρ; at p = 5/6 (p_2 of
+  mixed23-harmonic) the image radius is 0.406 < 0.414.  Rounding cannot
+  carry an orbit out: an image of radius ρ/2 + e has radius at most
+  ρ/2 + e + e²/ρ.  |f̃_j| = |ι_j|^{d_j} <= ρ²/4 then stays far inside the
+  escape radius, and ι_j -> 0 (factor_trace's CONVERGES_TO_ZERO).
+* Cycle disk, on the compositions: |f̃_j - ẑ| <= r at a level j >= J - 1,
+  when p_i = p and d_i = d for every i >= J, so that f_{j+1} is the tail
+  map g(z) = ((z - c)/p)^d, c = 1 - p.  The only critical value of g is 0,
+  so iterating 0 finds an attracting fixed point ẑ if there is one.  On the
+  disk, |g'(z)| <= L(r) = (d/p)·((|ẑ - c| + r)/p)^{d-1}, and the disk is
+  convex, so |g(z) - ẑ| <= |g(z) - g(ẑ)| + |g(ẑ) - ẑ| <= L(r)·r + |g(ẑ) - ẑ|.
+  The disk is taken when that is <= r with L(r) < 1, and when it lies well
+  inside the unit disk (|ẑ| + r <= 0.9); r is 0.9 of the radius at which L
+  reaches 1, which leaves (1 - L(r))·r of slack for rounding.  On binary-p34 (p = 3/4,
+  d = 2): ẑ = 1/16, g'(ẑ) = -2/3, L(r) = 2/3 + 32r/9 < 1 for r < 3/32.  The
+  dendrite (0 -> 1, a repelling fixed point) and ternary-p12 (0 escapes)
+  get no cycle disk.
+
 Preimage trees: the level trees T_k = f̃_k⁻¹{1 - p_{k+1}} (`level_tree`,
 memoized per system) are the spectra of the finite truncations, and
 f̃_n⁻¹{0} is T_{n-1} taken d_n times, since f_n vanishes only at 1 - p_n.
@@ -28,7 +56,7 @@ import cmath
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import count, islice
@@ -41,12 +69,14 @@ from .errors import (
     OutOfRangeError,
 )
 from .numeration import BaseSequence
-from .sequences import SequenceSpec, limit_is_one, threshold_index
+from .sequences import SequenceSpec, _tail_range, limit_is_one, threshold_index
 
 __all__ = [
     "RHO",
     "ESCAPE_RADIUS",
     "FiberedSystem",
+    "TrapDisk",
+    "InteriorTrap",
     "EscapeOutcome",
     "escape_classify",
     "TraceStatus",
@@ -71,6 +101,8 @@ RHO = 2.0 * (math.sqrt(2.0) - 1.0)
 ESCAPE_RADIUS = 1.0 + 1e-9
 #: Two consecutive factors this close to 1 certify the factors are identically 1.
 _ONE_TOL = 1e-9
+#: Iterations of the critical value 0 under a constant tail map in search of ẑ.
+_CYCLE_SEARCH = 1000
 _PREIMAGE_CAP = 1 << 20
 #: Leaves per array pass of the Newton polish; bounds its working memory.
 _POLISH_BLOCK = 4096
@@ -86,6 +118,55 @@ def _ipow(z: complex, n: int) -> complex:
         base *= base
         n >>= 1
     return out
+
+
+@dataclass(frozen=True)
+class TrapDisk:
+    """The closed disk |x - center| <= radius, never left once entered at a level j >= start."""
+
+    start: int
+    center: complex
+    radius: float
+
+    def holds(self, j: int, x: complex) -> bool:
+        return j >= self.start and abs(x - self.center) <= self.radius
+
+
+@dataclass(frozen=True)
+class InteriorTrap:
+    """A system's interior certificates (see the module docstring).
+
+    `contraction` is read on the factors ι_j, `cycle` on the compositions
+    f̃_j; either may be None.
+    """
+
+    contraction: TrapDisk | None
+    cycle: TrapDisk | None
+
+
+def _cycle_disk(sys: FiberedSystem) -> TrapDisk | None:
+    """The attracting fixed point disk of a constant tail map, when one is certified."""
+    tails = (_tail_range(sys.p), _tail_range(sys.base.spec))
+    if any(t is None or t[0] != t[1] for t in tails):
+        return None
+    tail_from = 1 + max(len(s.prefix) if s.kind == "prefix" else 0 for s in (sys.p, sys.base.spec))
+    c, p, d = sys.level(tail_from)
+    z = 0j
+    for _ in range(_CYCLE_SEARCH):
+        z, prev = _ipow((z - c) / p, d), z
+        if abs(z) > ESCAPE_RADIUS:
+            return None
+        if abs(z - prev) <= 1e-15:
+            break
+    a = abs(z - c)
+    radius = 0.9 * (p * (p / d) ** (1.0 / (d - 1)) - a)  # L(r) = 1 at r = radius / 0.9
+    if not radius > 0:
+        return None
+    lip = (d / p) * ((a + radius) / p) ** (d - 1)
+    drift = abs(_ipow((z - c) / p, d) - z)
+    if lip * radius + drift <= radius and abs(z) + radius <= 0.9:
+        return TrapDisk(max(tail_from - 1, 1), z, radius)
+    return None
 
 
 class FiberedSystem:
@@ -116,6 +197,13 @@ class FiberedSystem:
     def rho_from(self) -> int | None:
         """Certified first index from which p_j >= RHO when p_j -> 1, else None."""
         return threshold_index(self.p, RHO) if limit_is_one(self.p) else None
+
+    @cached_property
+    def trap(self) -> InteriorTrap:
+        """The interior certificates of this system, built once."""
+        j0 = self.rho_from
+        contraction = None if j0 is None else TrapDisk(j0, 0j, RHO / 2.0)
+        return InteriorTrap(contraction, _cycle_disk(self))
 
     def p_float(self, j: int) -> float:
         return self.level(j)[1]
@@ -164,40 +252,57 @@ class EscapeOutcome:
     """Verdict of the escape test at one point.
 
     `escaped` verdicts are certificates (monotone growth past the radius).
-    A bounded verdict is certified only when the orbit reached the invariant
-    fixed point 1 exactly; otherwise it is an at-budget observation.
+    A bounded verdict is certified (`certified_bounded`) when the orbit
+    reached the invariant fixed point 1 exactly or entered a disk of the
+    system's interior trap; otherwise it is an at-budget observation.
+
+    `modulus` is |f̃_j| at the escape step, else at the budget (1 once the
+    orbit sits on the fixed point 1).  A trapped orbit stops where it entered
+    the trap, and reading `modulus` runs it on from there to the budget.
     """
 
     escaped: bool
     step: int | None
-    modulus: float
     budget: int
     radius: float
     certified_bounded: bool = False
+    #: (system, f̃_j, j) at the level j where the test stopped.
+    stop: tuple = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def modulus(self) -> float:
+        sys, w, j = self.stop
+        for _, w in islice(sys.orbit(w, j + 1), 0 if self.escaped else max(self.budget - j, 0)):
+            pass
+        return abs(w)
 
 
 def escape_classify(
     sys: FiberedSystem, z: complex, budget: int, start: int = 1
 ) -> EscapeOutcome:
-    """Iterate f̃_j at z until |f̃_j| > ESCAPE_RADIUS or the budget runs out.
+    """Iterate f̃_j at z until |f̃_j| > ESCAPE_RADIUS, the orbit is trapped, or the budget runs out.
 
-    With start > 1, z stands for f̃_{start-1} of some point whose earlier
-    levels are known not to decide the test; levels start..budget run.
+    A level whose f̃_j is exactly 1 or whose ι_j or f̃_j lies in a disk of
+    `sys.trap` certifies that the orbit stays bounded.  With start > 1, z
+    stands for f̃_{start-1} of some point whose earlier levels are known not
+    to decide the test; levels start..budget run.
     """
     if budget < 1:
         raise OutOfRangeError(f"budget must be >= 1, got {budget}")
     radius = ESCAPE_RADIUS
     w = complex(z)
     if w == 1:  # invariant fixed point of every fiber map
-        return EscapeOutcome(False, None, 1.0, budget, radius, certified_bounded=True)
-    levels = islice(sys.orbit(w, start), max(budget - start + 1, 0))
-    for j, (_, w) in enumerate(levels, start):
-        m = abs(w)
-        if m > radius:
-            return EscapeOutcome(True, j, m, budget, radius)
+        return EscapeOutcome(False, None, budget, radius, True, (sys, w, budget))
+    con, cyc = sys.trap.contraction, sys.trap.cycle
+    j = start - 1
+    for j, (iota, w) in enumerate(islice(sys.orbit(w, start), max(budget - j, 0)), start):
+        if abs(w) > radius:
+            return EscapeOutcome(True, j, budget, radius, False, (sys, w, j))
         if w == 1:
-            return EscapeOutcome(False, None, 1.0, budget, radius, certified_bounded=True)
-    return EscapeOutcome(False, None, abs(w), budget, radius)
+            return EscapeOutcome(False, None, budget, radius, True, (sys, w, budget))
+        if (con and con.holds(j, iota)) or (cyc and cyc.holds(j, w)):
+            return EscapeOutcome(False, None, budget, radius, True, (sys, w, j))
+    return EscapeOutcome(False, None, budget, radius, False, (sys, w, j))
 
 
 class TraceStatus(Enum):
@@ -212,9 +317,10 @@ class FactorTrace:
     """Factors ι_λ(1..k) with a stopping status.
 
     ESCAPED(k): |ι(k)| > ESCAPE_RADIUS, so λ is certified outside the filled set
-    (all later factors keep growing).  CONVERGES_TO_ZERO(k): the tail of p̄ is
-    certified >= RHO from some index j0 <= k, p_j -> 1, and |ι(k)| <= RHO/2 —
-    a contraction certificate that ι -> 0.  CONVERGES_TO_ONE(k): two
+    (all later factors keep growing).  CONVERGES_TO_ZERO(k): ι(k) lies in the
+    contraction disk of `FiberedSystem.trap`: the tail of p̄ is certified
+    >= RHO from some index j0 <= k, p_j -> 1, and |ι(k)| <= RHO/2 — a
+    certificate that ι -> 0.  CONVERGES_TO_ONE(k): two
     consecutive factors lie within 1e-9 of 1; the value 1 is a fixed point of
     the factor recursion and nearby values are repelled, so a double hit is a
     numerical certificate that the factors are identically 1 from k on.
@@ -238,13 +344,12 @@ def factor_trace(sys: FiberedSystem, lam: complex, budget: int) -> FactorTrace:
         vals = (1.0 + 0j,) * min(budget, 2)
         return FactorTrace(lam, vals, TraceStatus.CONVERGES_TO_ONE, 1, budget)
 
-    rho_from = sys.rho_from
+    contraction = sys.trap.contraction
     values: list[complex] = []
     near_one_run = 0
     for k, (v, _) in enumerate(islice(sys.orbit(lam), budget), 1):
         values.append(v)
-        m = abs(v)
-        if m > ESCAPE_RADIUS:
+        if abs(v) > ESCAPE_RADIUS:
             return FactorTrace(lam, tuple(values), TraceStatus.ESCAPED, k, budget)
         if abs(v - 1.0) <= _ONE_TOL:
             near_one_run += 1
@@ -254,7 +359,7 @@ def factor_trace(sys: FiberedSystem, lam: complex, budget: int) -> FactorTrace:
                 )
         else:
             near_one_run = 0
-            if rho_from is not None and k >= rho_from and m <= RHO / 2.0:
+            if contraction is not None and contraction.holds(k, v):
                 return FactorTrace(
                     lam, tuple(values), TraceStatus.CONVERGES_TO_ZERO, k, budget
                 )

@@ -329,31 +329,38 @@ def _verdict(o: EscapeOutcome) -> str:
 
 
 def _block_outcome(sys: FiberedSystem, k: int, budget: int) -> EscapeOutcome:
-    """The escape test of every λ in T_k, as one orbit of 0 started at level k + 2.
+    """The escape test of every λ in T_k, as one orbit started at level k + 1 from 1 - p_{k+1}.
 
-    On T_k, f̃_k = 1 - p_{k+1}, so ι_{k+1} = 0 and f̃_{k+1} = 0 exactly.  No
-    level j <= k decides the test: |f̃_j| > 1 would grow on to |f̃_k| > 1,
-    and f̃_j = 1 would stay 1.  Level k + 1 gives 0, neither 1 nor outside
-    the radius; the levels from k + 2 on are the orbit of 0.
+    On T_k, f̃_k = 1 - p_{k+1}, so ι_{k+1} = 0 and f̃_{k+1} = 0 exactly, and
+    the levels from k + 2 on are the orbit of 0.  No level j <= k decides the
+    test on its own: |f̃_j| > 1 would grow on to |f̃_k| > 1, f̃_j = 1 would
+    stay 1, and an orbit in a trap disk at level j is still in it at level
+    k + 1, where this test reads it.
     """
-    return escape_classify(sys, 0j, budget, start=k + 2)
+    return escape_classify(sys, sys.level(k + 1)[0], budget, start=k + 1)
 
 
 def eigenvalue_report(sys: FiberedSystem, size: int, budget: int = 60) -> list[dict]:
     """Eigenvalues of the truncation tagged with their escape-test verdicts.
 
-    Each tree T_k of the union is tagged once (`_block_outcome`).  At a place
-    value the spectrum is one tree, so all of it shares one tag: the
-    escaped fraction is 0 or 1.  A point in two trees T_j and T_k, j < k,
-    gets the same tag from both, as the orbit of 0 from level j + 2 is 0 at
-    level k + 1.
+    Each tree T_k of the union with k < budget is tagged once
+    (`_block_outcome`).  A tree with k >= budget ends its test before
+    f̃_{k+1} = 0: no point of it escapes, and only a trap disk can certify
+    one, so its points are tested one by one.  At a place value the
+    spectrum is one tree, so the escaped fraction is 0 or 1.  A point in two
+    trees T_j and T_k, j < k, gets the same tag from both: the orbit tested
+    from level j + 1 is 0 again at level k + 1, where the test of T_k
+    starts, and a trap it entered before that level still holds there.
     """
     vals = truncated_eigenvalues(sys, size).tolist()
     tags: dict[complex, str] = {}
     for k, a in enumerate(sys.base.to_digits(size)):
-        if a:
+        if a and k < budget:
             tag = _verdict(_block_outcome(sys, k, budget))
             tags.update(dict.fromkeys(level_tree(sys, k).tolist(), tag))
+        elif a:
+            tags.update((lam, _verdict(escape_classify(sys, lam, budget)))
+                        for lam in level_tree(sys, k).tolist())
     return [
         {"re": lam.real, "im": lam.imag, "modulus": abs(lam), "verdict": tags[lam]}
         for lam in vals

@@ -12,7 +12,10 @@ render_field).  Connected-component analysis of the inside set uses
 connectivity — raster results are evidence, not proofs.
 
 Escape steps are recorded 1-based; step 0 means the pixel never escaped
-within the budget ("inside at budget").
+within the budget ("inside at budget").  A pixel whose orbit enters a disk
+of the system's interior trap (`FiberedSystem.trap`) is certified never to
+escape, so it leaves the active set at once with step 0: the steps are
+those of the untrapped loop, which iterates it to the budget.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from functools import cached_property
 import numpy as np
 from scipy import ndimage
 
-from .dynamics import ESCAPE_RADIUS, FiberedSystem
+from .dynamics import ESCAPE_RADIUS, FiberedSystem, TrapDisk
 from .errors import OriginEscapedError, OutOfRangeError
 
 __all__ = [
@@ -159,7 +162,9 @@ def render_field(sys: FiberedSystem, grid: GridSpec) -> EscapeField:
 
     The active pixel set is compacted after every level, so late iterations
     only touch the still-bounded points.  Each level is the recursion of
-    FiberedSystem.orbit, (w - c) / p then ** d, computed in place over arrays.
+    FiberedSystem.orbit, (w - c) / p then ** d, computed in place over arrays;
+    a pixel leaves the active set when it escapes, or with step 0 when ι_j
+    (w after the division) or f̃_j lies in a disk of `sys.trap`.
 
     When the rows mirror about the real axis (ys reversed == -ys), only rows
     [:(h + 1)//2] are iterated and the bottom rows copy them in reverse.  The
@@ -176,21 +181,34 @@ def render_field(sys: FiberedSystem, grid: GridSpec) -> EscapeField:
     flat = steps.reshape(-1)
     active = np.arange(w.size)
     mod = np.empty(w.size)
+    con, cyc = sys.trap.contraction, sys.trap.cycle
     for j in range(1, grid.max_iter + 1):
         c, p, d = sys.level(j)
         np.subtract(w, c, out=w)
         np.divide(w, p, out=w)
+        done = _in_disk(w, con, mod) if con and j >= con.start else None
         w **= d
         escaped = np.abs(w, out=mod[: w.size]) > grid.radius
         if escaped.any():
             flat[active[escaped]] = j
-            keep = ~escaped
+            done = escaped if done is None else done | escaped
+        if cyc and j >= cyc.start:
+            held = _in_disk(w, cyc, mod)
+            done = held if done is None else done | held
+        if done is not None and done.any():
+            keep = ~done
             active = active[keep]
             w = w[keep]
             if active.size == 0:
                 break
     steps[rows:] = steps[: grid.height - rows][::-1]
     return EscapeField(grid=grid, steps=steps)
+
+
+def _in_disk(w: np.ndarray, disk: TrapDisk, buf: np.ndarray) -> np.ndarray:
+    """Mask of the points of w in the closed disk (buf holds at least w.size floats)."""
+    dist = np.abs(w - disk.center if disk.center else w, out=buf[: w.size])
+    return dist <= disk.radius
 
 
 def component_of_zero(field: EscapeField) -> np.ndarray:

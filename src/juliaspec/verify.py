@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -22,7 +23,10 @@ from .canonical import CANONICAL_NAMES, canonical_config
 from .chain import ChainConfig, Recurrence
 from .dynamics import (
     FiberedSystem,
+    TrapDisk,
     _c_mul,
+    _ipow,
+    _unit_root,
     eigvec_head,
     escape_classify,
     factor_trace,
@@ -241,6 +245,31 @@ def _escape_disk_bound(sys: FiberedSystem, rng: np.random.Generator) -> tuple[bo
     return True, "50 points outside the covering disk escape at step 1"
 
 
+def _trap_invariance(
+    sys: FiberedSystem, disk: TrapDisk, on_factor: bool, levels: int = 64, samples: int = 64
+) -> tuple[bool, str]:
+    """Points on the boundary of a trap disk at its first level stay in the disk.
+
+    `on_factor` reads the disk on ι_j (the contraction disk), else on f̃_j
+    (the cycle disk).  The boundary points are center + radius·e^{2πik/samples};
+    each is followed for `levels` levels, and the check fails when one ends
+    a level farther than radius·(1 + 1e-12) from the center.
+    """
+    start, center, radius = disk.start, disk.center, disk.radius
+    worst = 0.0
+    for k in range(samples):
+        x = center + radius * _unit_root(k, samples)
+        w = _ipow(x, sys.digit_base(start)) if on_factor else x  # f̃ at the start level
+        for iota, w in islice(sys.orbit(w, start + 1), levels):
+            worst = max(worst, abs((iota if on_factor else w) - center) / radius)
+    what = "ι_j" if on_factor else "f̃_j"
+    detail = (
+        f"{samples} points on |{what} - {center.real:.6g}| = {radius:.6g} at level {start}: "
+        f"largest distance/radius over {levels} levels {worst:.6f}"
+    )
+    return worst <= 1 + 1e-12, detail
+
+
 def _mirror_symmetry(field: EscapeField) -> tuple[bool, str]:
     inside = field.inside
     if not np.array_equal(inside, inside[::-1, :]):
@@ -294,6 +323,14 @@ def run_verify(out_dir: str, seed: int | None = None) -> list[CheckResult]:
         check(f"factor-routes[{name}]", ok, detail)
         ok, detail = _escape_disk_bound(sys, rng)
         check(f"escape-disk-bound[{name}]", ok, detail)
+
+    # Every canonical trap disk maps into itself.
+    for name, rc in configs.items():
+        sys = rc.system()
+        for kind, disk in (("contraction", sys.trap.contraction), ("cycle", sys.trap.cycle)):
+            if disk is not None:
+                ok, detail = _trap_invariance(sys, disk, on_factor=kind == "contraction")
+                check(f"trap-invariance[{name}:{kind}]", ok, detail)
 
     # Truncation spectra from the tree table against the dense oracle, and the
     # block tags of eigenvalue_report against per-λ escape tests.

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from juliaspec import cli
 from juliaspec.canonical import CANONICAL_NAMES, all_canonical, canonical_config
 from juliaspec.cli import _COMMANDS, _REQUIRED, _path, main, parse_complex
 from juliaspec.config import load_config_file, parse_config
@@ -656,6 +657,36 @@ def test_help_shows_every_declared_default(cmd, capsys):
             assert "(default:" in help_  # the help says what an unset value means
         elif default is not _REQUIRED:
             assert "".join(f"(default: {default})".split()) in text, flag
+
+
+def _run_captured(argv):
+    """(exit code, stdout, stderr) of main(argv), a SystemExit code included."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_shared_parser_answers_as_a_fresh_one(monkeypatch):
+    # main parses with one parser per process; consecutive calls, a refused
+    # one and --help among them, must answer as calls with a fresh parser do.
+    argvs = [
+        ["classify", "--canonical", "binary-p34", "--lambda", "0.1+0.05i", "--space", "c0"],
+        ["classify", "--canonical", "binary-p34", "--lambda", "x"],
+        ["classify", "--canonical", "binary-p34", "--budget", "1.5", "--lambda", "0"],
+        ["--help"],
+        ["truncate", "--help"],
+        ["preimages", "--canonical", "dendrite", "--target", "0"],
+        ["classify", "--canonical", "dendrite", "--lambda", "0.2", "--space", "l1"],
+    ]
+    shared = [_run_captured(argv) for argv in argvs]
+    assert [code for code, _, _ in shared] == [0, 2, 2, 0, 0, 2, 0]
+    assert cli._shared_parser.cache_info().currsize == 1
+    monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+    assert [_run_captured(argv) for argv in argvs] == shared
 
 
 # -- generated argv ----------------------------------------------------------
