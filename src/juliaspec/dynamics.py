@@ -18,9 +18,10 @@ at λ is v_λ(n) = Π_r ι_λ(r)^{a_r(n)} over the digits of n.  One generator,
 `FiberedSystem.orbit`, runs this recursion on one table of (1 - p_j, p_j, d_j).
 
 Interior traps: "inside" is otherwise only "did not escape within the
-budget".  `FiberedSystem.trap` holds up to two disks that an orbit never
-leaves once it is in them, so a point found in one is certified bounded
-(it lies in the filled set) and needs no further level.
+budget".  `FiberedSystem.contraction_disk` and `FiberedSystem.cycle_disk`
+are disks (None when not certified) that an orbit never leaves once it is
+in them, so a point found in one is certified bounded (it lies in the
+filled set) and needs no further level.
 
 * Contraction disk, on the factors: |ι_j| <= ρ/2 at a level j >= j0 =
   `rho_from`, when p_j -> 1 and p_i >= ρ = 2(√2 - 1) for every i >= j0.
@@ -76,7 +77,6 @@ __all__ = [
     "ESCAPE_RADIUS",
     "FiberedSystem",
     "TrapDisk",
-    "InteriorTrap",
     "EscapeOutcome",
     "escape_classify",
     "TraceStatus",
@@ -128,20 +128,12 @@ class TrapDisk:
     center: complex
     radius: float
 
+    def contains(self, x):
+        """Whether x (a number, or elementwise an array) lies in the disk."""
+        return abs(x - self.center) <= self.radius
+
     def holds(self, j: int, x: complex) -> bool:
-        return j >= self.start and abs(x - self.center) <= self.radius
-
-
-@dataclass(frozen=True)
-class InteriorTrap:
-    """A system's interior certificates (see the module docstring).
-
-    `contraction` is read on the factors ι_j, `cycle` on the compositions
-    f̃_j; either may be None.
-    """
-
-    contraction: TrapDisk | None
-    cycle: TrapDisk | None
+        return j >= self.start and self.contains(x)
 
 
 def _cycle_disk(sys: FiberedSystem) -> TrapDisk | None:
@@ -199,11 +191,15 @@ class FiberedSystem:
         return threshold_index(self.p, RHO) if limit_is_one(self.p) else None
 
     @cached_property
-    def trap(self) -> InteriorTrap:
-        """The interior certificates of this system, built once."""
+    def contraction_disk(self) -> TrapDisk | None:
+        """The contraction disk |ι_j| <= ρ/2 from `rho_from` on, read on the factors ι_j."""
         j0 = self.rho_from
-        contraction = None if j0 is None else TrapDisk(j0, 0j, RHO / 2.0)
-        return InteriorTrap(contraction, _cycle_disk(self))
+        return None if j0 is None else TrapDisk(j0, 0j, RHO / 2.0)
+
+    @cached_property
+    def cycle_disk(self) -> TrapDisk | None:
+        """The attracting fixed point disk of a constant tail, read on the compositions f̃_j."""
+        return _cycle_disk(self)
 
     def p_float(self, j: int) -> float:
         return self.level(j)[1]
@@ -253,8 +249,8 @@ class EscapeOutcome:
 
     `escaped` verdicts are certificates (monotone growth past the radius).
     A bounded verdict is certified (`certified_bounded`) when the orbit
-    reached the invariant fixed point 1 exactly or entered a disk of the
-    system's interior trap; otherwise it is an at-budget observation.
+    reached the invariant fixed point 1 exactly or entered one of the
+    system's trap disks; otherwise it is an at-budget observation.
 
     `modulus` is |f̃_j| at the escape step, else at the budget (1 once the
     orbit sits on the fixed point 1).  A trapped orbit stops where it entered
@@ -265,9 +261,9 @@ class EscapeOutcome:
     step: int | None
     budget: int
     radius: float
-    certified_bounded: bool = False
+    certified_bounded: bool
     #: (system, f̃_j, j) at the level j where the test stopped.
-    stop: tuple = field(default=None, repr=False, compare=False)
+    stop: tuple = field(kw_only=True, repr=False, compare=False)
 
     @cached_property
     def modulus(self) -> float:
@@ -282,27 +278,27 @@ def escape_classify(
 ) -> EscapeOutcome:
     """Iterate f̃_j at z until |f̃_j| > ESCAPE_RADIUS, the orbit is trapped, or the budget runs out.
 
-    A level whose f̃_j is exactly 1 or whose ι_j or f̃_j lies in a disk of
-    `sys.trap` certifies that the orbit stays bounded.  With start > 1, z
-    stands for f̃_{start-1} of some point whose earlier levels are known not
-    to decide the test; levels start..budget run.
+    A level whose f̃_j is exactly 1, whose ι_j lies in `sys.contraction_disk`
+    or whose f̃_j lies in `sys.cycle_disk` certifies that the orbit stays
+    bounded.  With start > 1, z stands for f̃_{start-1} of some point whose
+    earlier levels are known not to decide the test; levels start..budget run.
     """
     if budget < 1:
         raise OutOfRangeError(f"budget must be >= 1, got {budget}")
     radius = ESCAPE_RADIUS
     w = complex(z)
     if w == 1:  # invariant fixed point of every fiber map
-        return EscapeOutcome(False, None, budget, radius, True, (sys, w, budget))
-    con, cyc = sys.trap.contraction, sys.trap.cycle
+        return EscapeOutcome(False, None, budget, radius, True, stop=(sys, w, budget))
+    con, cyc = sys.contraction_disk, sys.cycle_disk
     j = start - 1
     for j, (iota, w) in enumerate(islice(sys.orbit(w, start), max(budget - j, 0)), start):
         if abs(w) > radius:
-            return EscapeOutcome(True, j, budget, radius, False, (sys, w, j))
+            return EscapeOutcome(True, j, budget, radius, False, stop=(sys, w, j))
         if w == 1:
-            return EscapeOutcome(False, None, budget, radius, True, (sys, w, budget))
+            return EscapeOutcome(False, None, budget, radius, True, stop=(sys, w, budget))
         if (con and con.holds(j, iota)) or (cyc and cyc.holds(j, w)):
-            return EscapeOutcome(False, None, budget, radius, True, (sys, w, j))
-    return EscapeOutcome(False, None, budget, radius, False, (sys, w, j))
+            return EscapeOutcome(False, None, budget, radius, True, stop=(sys, w, j))
+    return EscapeOutcome(False, None, budget, radius, False, stop=(sys, w, j))
 
 
 class TraceStatus(Enum):
@@ -318,7 +314,7 @@ class FactorTrace:
 
     ESCAPED(k): |ι(k)| > ESCAPE_RADIUS, so λ is certified outside the filled set
     (all later factors keep growing).  CONVERGES_TO_ZERO(k): ι(k) lies in the
-    contraction disk of `FiberedSystem.trap`: the tail of p̄ is certified
+    `FiberedSystem.contraction_disk`: the tail of p̄ is certified
     >= RHO from some index j0 <= k, p_j -> 1, and |ι(k)| <= RHO/2 — a
     certificate that ι -> 0.  CONVERGES_TO_ONE(k): two
     consecutive factors lie within 1e-9 of 1; the value 1 is a fixed point of
@@ -344,7 +340,7 @@ def factor_trace(sys: FiberedSystem, lam: complex, budget: int) -> FactorTrace:
         vals = (1.0 + 0j,) * min(budget, 2)
         return FactorTrace(lam, vals, TraceStatus.CONVERGES_TO_ONE, 1, budget)
 
-    contraction = sys.trap.contraction
+    contraction = sys.contraction_disk
     values: list[complex] = []
     near_one_run = 0
     for k, (v, _) in enumerate(islice(sys.orbit(lam), budget), 1):

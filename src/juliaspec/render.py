@@ -12,10 +12,10 @@ render_field).  Connected-component analysis of the inside set uses
 connectivity — raster results are evidence, not proofs.
 
 Escape steps are recorded 1-based; step 0 means the pixel never escaped
-within the budget ("inside at budget").  A pixel whose orbit enters a disk
-of the system's interior trap (`FiberedSystem.trap`) is certified never to
-escape, so it leaves the active set at once with step 0: the steps are
-those of the untrapped loop, which iterates it to the budget.
+within the budget ("inside at budget").  A pixel whose orbit enters a trap
+disk of the system (`FiberedSystem.contraction_disk` or `.cycle_disk`) is
+certified never to escape, so it leaves the active set at once with step 0:
+the steps are those of the untrapped loop, which iterates it to the budget.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 from scipy import ndimage
 
-from .dynamics import ESCAPE_RADIUS, FiberedSystem, TrapDisk
+from .dynamics import ESCAPE_RADIUS, FiberedSystem
 from .errors import OriginEscapedError, OutOfRangeError
 
 __all__ = [
@@ -164,7 +164,8 @@ def render_field(sys: FiberedSystem, grid: GridSpec) -> EscapeField:
     only touch the still-bounded points.  Each level is the recursion of
     FiberedSystem.orbit, (w - c) / p then ** d, computed in place over arrays;
     a pixel leaves the active set when it escapes, or with step 0 when ι_j
-    (w after the division) or f̃_j lies in a disk of `sys.trap`.
+    (w after the division) lies in `sys.contraction_disk` or f̃_j lies in
+    `sys.cycle_disk`.
 
     When the rows mirror about the real axis (ys reversed == -ys), only rows
     [:(h + 1)//2] are iterated and the bottom rows copy them in reverse.  The
@@ -181,19 +182,19 @@ def render_field(sys: FiberedSystem, grid: GridSpec) -> EscapeField:
     flat = steps.reshape(-1)
     active = np.arange(w.size)
     mod = np.empty(w.size)
-    con, cyc = sys.trap.contraction, sys.trap.cycle
+    con, cyc = sys.contraction_disk, sys.cycle_disk
     for j in range(1, grid.max_iter + 1):
         c, p, d = sys.level(j)
         np.subtract(w, c, out=w)
         np.divide(w, p, out=w)
-        done = _in_disk(w, con, mod) if con and j >= con.start else None
+        done = con.contains(w) if con and j >= con.start else None
         w **= d
         escaped = np.abs(w, out=mod[: w.size]) > grid.radius
         if escaped.any():
             flat[active[escaped]] = j
             done = escaped if done is None else done | escaped
         if cyc and j >= cyc.start:
-            held = _in_disk(w, cyc, mod)
+            held = cyc.contains(w)
             done = held if done is None else done | held
         if done is not None and done.any():
             keep = ~done
@@ -203,12 +204,6 @@ def render_field(sys: FiberedSystem, grid: GridSpec) -> EscapeField:
                 break
     steps[rows:] = steps[: grid.height - rows][::-1]
     return EscapeField(grid=grid, steps=steps)
-
-
-def _in_disk(w: np.ndarray, disk: TrapDisk, buf: np.ndarray) -> np.ndarray:
-    """Mask of the points of w in the closed disk (buf holds at least w.size floats)."""
-    dist = np.abs(w - disk.center if disk.center else w, out=buf[: w.size])
-    return dist <= disk.radius
 
 
 def component_of_zero(field: EscapeField) -> np.ndarray:

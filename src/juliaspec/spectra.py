@@ -236,10 +236,11 @@ def spectrum_membership(
     """Escape-test membership of λ in the spectrum, budget-aware.
 
     Escape certifies NOT_IN_SPECTRUM; reaching the invariant fixed point 1
-    or entering a disk of the system's interior trap (`FiberedSystem.trap`)
-    certifies IN_SPECTRUM (`bounded-orbit-certificate`; for l^∞ the part is
-    then Point, since that spectrum is pure point); otherwise the verdict is
-    INSIDE_BUDGET_UNKNOWN — bounded through the budget, uncertified.
+    or entering a trap disk of the system (`FiberedSystem.contraction_disk`
+    or `.cycle_disk`) certifies IN_SPECTRUM (`bounded-orbit-certificate`;
+    for l^∞ the part is then Point, since that spectrum is pure point);
+    otherwise the verdict is INSIDE_BUDGET_UNKNOWN — bounded through the
+    budget, uncertified.
     """
     return _membership(_Orbit(sys, lam, budget), space)
 

@@ -245,27 +245,25 @@ def _escape_disk_bound(sys: FiberedSystem, rng: np.random.Generator) -> tuple[bo
     return True, "50 points outside the covering disk escape at step 1"
 
 
-def _trap_invariance(
-    sys: FiberedSystem, disk: TrapDisk, on_factor: bool, levels: int = 64, samples: int = 64
-) -> tuple[bool, str]:
+def _trap_invariance(sys: FiberedSystem, disk: TrapDisk, on_factor: bool) -> tuple[bool, str]:
     """Points on the boundary of a trap disk at its first level stay in the disk.
 
     `on_factor` reads the disk on ι_j (the contraction disk), else on f̃_j
-    (the cycle disk).  The boundary points are center + radius·e^{2πik/samples};
-    each is followed for `levels` levels, and the check fails when one ends
-    a level farther than radius·(1 + 1e-12) from the center.
+    (the cycle disk).  The 64 boundary points are center + radius·e^{2πik/64};
+    each is followed for 64 levels, and the check fails when one ends a
+    level farther than radius·(1 + 1e-12) from the center.
     """
     start, center, radius = disk.start, disk.center, disk.radius
     worst = 0.0
-    for k in range(samples):
-        x = center + radius * _unit_root(k, samples)
+    for k in range(64):
+        x = center + radius * _unit_root(k, 64)
         w = _ipow(x, sys.digit_base(start)) if on_factor else x  # f̃ at the start level
-        for iota, w in islice(sys.orbit(w, start + 1), levels):
+        for iota, w in islice(sys.orbit(w, start + 1), 64):
             worst = max(worst, abs((iota if on_factor else w) - center) / radius)
     what = "ι_j" if on_factor else "f̃_j"
     detail = (
-        f"{samples} points on |{what} - {center.real:.6g}| = {radius:.6g} at level {start}: "
-        f"largest distance/radius over {levels} levels {worst:.6f}"
+        f"64 points on |{what} - {center.real:.6g}| = {radius:.6g} at level {start}: "
+        f"largest distance/radius over 64 levels {worst:.6f}"
     )
     return worst <= 1 + 1e-12, detail
 
@@ -327,7 +325,7 @@ def run_verify(out_dir: str, seed: int | None = None) -> list[CheckResult]:
     # Every canonical trap disk maps into itself.
     for name, rc in configs.items():
         sys = rc.system()
-        for kind, disk in (("contraction", sys.trap.contraction), ("cycle", sys.trap.cycle)):
+        for kind, disk in (("contraction", sys.contraction_disk), ("cycle", sys.cycle_disk)):
             if disk is not None:
                 ok, detail = _trap_invariance(sys, disk, on_factor=kind == "contraction")
                 check(f"trap-invariance[{name}:{kind}]", ok, detail)

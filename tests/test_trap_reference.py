@@ -1,11 +1,11 @@
 """Interior traps against the untrapped loops they shortcut.
 
 `render_field` and `escape_classify` stop following an orbit once it enters
-a disk of `FiberedSystem.trap`.  The reference loops below are the ones they
-replaced: every pixel and every λ runs until it escapes or the budget ends.
-A trap may only stop orbits that never escape, so the escape steps must be
-identical.  The invariance checks must fail once a disk is inflated past
-its bound.
+`FiberedSystem.contraction_disk` or `FiberedSystem.cycle_disk`.  The
+reference loops below are the ones they replaced: every pixel and every λ
+runs until it escapes or the budget ends.  A trap may only stop orbits that
+never escape, so the escape steps must be identical.  The invariance checks
+must fail once a disk is inflated past its bound.
 """
 
 from dataclasses import replace
@@ -142,7 +142,7 @@ def test_traps_end_the_loops_early(systems, monkeypatch):
 def test_factor_trace_reads_the_contraction_disk(systems):
     for name in ("mixed23-harmonic", "binary-geometric"):
         sys = systems[name]
-        disk = sys.trap.contraction
+        disk = sys.contraction_disk
         assert (disk.start, disk.center, disk.radius) == (sys.rho_from, 0j, RHO / 2.0)
         trace = factor_trace(sys, 0.1 + 0.1j, 200)
         assert trace.status is TraceStatus.CONVERGES_TO_ZERO
@@ -150,7 +150,7 @@ def test_factor_trace_reads_the_contraction_disk(systems):
         first = next(k for k, v in enumerate(trace.values, 1) if k >= disk.start and abs(v) <= RHO / 2)
         assert trace.status_index == first == len(trace.values)
     for name in ("dendrite", "binary-p34", "ternary-p12"):
-        assert systems[name].trap.contraction is None
+        assert systems[name].contraction_disk is None
 
 
 def _rho_system():
@@ -160,7 +160,7 @@ def _rho_system():
 
 def test_contraction_disk_fails_once_inflated():
     sys = _rho_system()
-    disk = sys.trap.contraction
+    disk = sys.contraction_disk
     assert disk.start == 1 and sys.p_float(1) == RHO
     ok, detail = _trap_invariance(sys, disk, on_factor=True)
     assert ok, detail
@@ -171,7 +171,7 @@ def test_contraction_disk_fails_once_inflated():
 
 def test_cycle_disk_is_within_its_bound_and_fails_once_inflated(systems):
     sys = systems["binary-p34"]
-    disk = sys.trap.cycle
+    disk = sys.cycle_disk
     # ẑ = 1/16 and g'(ẑ) = -2/3, so L(r) = 2/3 + 32r/9 < 1 iff r < 3/32.
     assert abs(disk.center - 1 / 16) < 1e-14 and 0 < Fraction(disk.radius) < Fraction(3, 32)
     ok, detail = _trap_invariance(sys, disk, on_factor=False)
@@ -189,7 +189,7 @@ def test_every_cycle_disk_is_invariant(d):
     found = 0
     for k in range(1, 129):
         sys = FiberedSystem(BaseSequence(d), constant(Fraction(k, 128)))
-        disk = sys.trap.cycle
+        disk = sys.cycle_disk
         if disk is not None:
             found += 1
             ok, detail = _trap_invariance(sys, disk, on_factor=False)
