@@ -21,11 +21,11 @@ same escape tag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .chain import ChainConfig
 from .dynamics import (
@@ -57,36 +57,72 @@ __all__ = [
     "write_matrix_csv",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseTruncation:
-    """Top-left size×size block of the transition matrix, row-compressed.
+    """Top-left size×size block of the transition matrix, stored as arrays.
 
-    rows[n] lists (column, value) pairs in increasing column order; values
-    are Fractions when `exact`, floats otherwise.  outflow[n] is the mass of
-    row n that fell outside the window (kept for inspection, never folded
-    back into the surviving entries).  `matrix` is the same block as a float
-    CSR matrix (exact entries rounded once); the float actions go through it.
+    With P_r = p_1···p_r and ζ_n = 1 + max{r : q_r | n + 1}, row n falls to
+    n - (q_r - 1) with mass (1 - p_{r+1}) P_r for each r < ζ_n and moves up
+    to n + 1 with mass P_ζ; zero masses are omitted.  Row n's entries are
+    indptr[n]:indptr[n+1], in increasing column order: entry i sits in
+    column cols[i] and has value masses[levels[i]].  `masses` is the chain's
+    level table (`ChainConfig.level`) read twice: the fall masses of levels
+    1..L, then the move-up masses P_1..P_L.  Values are Fractions when
+    `exact`, floats otherwise.
+
+    A fall never leaves the window, so only row size - 1 loses mass to the
+    cut, through its move up: outflow[n] is 0 for every other row and `lost`
+    for that one.  The lost mass is kept for inspection, never folded back.
+    `rows` and `matrix` (the float CSR behind `to_dense`, `apply` and
+    `apply_dual`, exact entries rounded once) are built on first use.
     """
 
     size: int
-    rows: tuple[tuple[tuple[int, Fraction | float], ...], ...]
-    outflow: tuple[Fraction | float, ...]
     exact: bool
-    matrix: csr_array = field(repr=False, compare=False)
+    indptr: np.ndarray
+    cols: np.ndarray
+    levels: np.ndarray
+    masses: tuple
+    lost: Fraction | float
+
+    @property
+    def _zero(self):
+        return Fraction(0) if self.exact else 0.0
+
+    @cached_property
+    def rows(self) -> tuple[tuple[tuple[int, Fraction | float], ...], ...]:
+        """rows[n]: row n's (column, value) pairs in increasing column order."""
+        pairs = list(zip(self.cols.tolist(), map(self.masses.__getitem__, self.levels.tolist())))
+        bounds = self.indptr.tolist()
+        return tuple(tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    @cached_property
+    def outflow(self) -> tuple[Fraction | float, ...]:
+        """outflow[n]: the mass of row n that fell outside the window."""
+        return (self._zero,) * (self.size - 1) + (self.lost,)
+
+    @cached_property
+    def matrix(self):
+        """The block as a float CSR matrix."""
+        # Imported here: scipy.sparse adds ~0.1 s to every CLI start.
+        from scipy.sparse import csr_array
+
+        data = np.array([float(m) for m in self.masses])[self.levels]
+        return csr_array((data, self.cols, self.indptr), shape=(self.size, self.size))
 
     def entry(self, n: int, m: int):
         """Matrix entry at (row n, column m); 0 when absent."""
         self._check_index(n)
         self._check_index(m)
-        for col, val in self.rows[n]:
-            if col == m:
-                return val
-        return Fraction(0) if self.exact else 0.0
+        lo, hi = self.indptr[n], self.indptr[n + 1]
+        i = lo + np.searchsorted(self.cols[lo:hi], m)
+        return self.masses[self.levels[i]] if i < hi and self.cols[i] == m else self._zero
 
     def row_sum(self, n: int):
         """In-window mass of row n (1 - outflow[n] for a stochastic source row)."""
         self._check_index(n)
-        return sum((val for _, val in self.rows[n]), Fraction(0) if self.exact else 0.0)
+        levels = self.levels[self.indptr[n] : self.indptr[n + 1]].tolist()
+        return sum(map(self.masses.__getitem__, levels), self._zero)
 
     def to_dense(self) -> np.ndarray:
         """Dense float64 matrix."""
@@ -114,26 +150,36 @@ class SparseTruncation:
 
 
 def build_truncation(cfg: ChainConfig, size: int) -> SparseTruncation:
-    """Truncate the transition matrix to states {0, ..., size-1}."""
+    """Truncate the transition matrix to states {0, ..., size-1}.
+
+    Built level by level from the row law (see `SparseTruncation`): the
+    rows with ζ_n > r are those with q_r | n + 1, each falling by q_r - 1.
+    Every row gets ζ_n + 1 slots, its falls r = ζ_n - 1, ..., 0 and then its
+    move up; a slot is dropped when its mass is 0 or its column is `size`.
+    No row reaches past level L, the number of digits of size.
+    """
+    if not isinstance(size, int) or isinstance(size, bool):
+        raise OutOfRangeError(f"truncation size must be an integer, got {size!r}")
     if size < 1:
         raise OutOfRangeError(f"truncation size must be >= 1, got {size}")
     exact = cfg.p.is_rational()
-    zero = Fraction(0) if exact else 0.0
-    rows = []
-    outflow = []
-    for n in range(size):
-        row = cfg.transition_row(n)
-        kept = tuple((t, v) for t, v in row.entries if t < size)
-        lost = sum((v for t, v in row.entries if t >= size), zero)
-        rows.append(kept)
-        outflow.append(lost)
-    values = [float(v) for row in rows for _, v in row]
-    cols = [t for row in rows for t, _ in row]
-    indptr = np.cumsum([0] + [len(row) for row in rows])
-    matrix = csr_array((values, cols, indptr), shape=(size, size))
-    return SparseTruncation(
-        size=size, rows=tuple(rows), outflow=tuple(outflow), exact=exact, matrix=matrix
-    )
+    top = cfg.base.level_of(size)
+    # The fall masses (1 - p_j) P_{j-1} of levels 1..top, then the move-up masses P_j.
+    masses = tuple(cfg.level(j)[i] for i in (2, 1) for j in range(1, top + 1))
+    qs = [cfg.base.place_value(r) for r in range(top)]
+    zeta = np.ones(size, dtype=np.int64)
+    for q in qs[1:]:
+        zeta[q - 1 :: q] += 1
+    up = np.cumsum(zeta + 1) - 1  # slot of row n's move up; its falls sit just before it
+    cols, levels = np.empty((2, up[-1] + 1), dtype=np.int64)
+    cols[up], levels[up] = np.arange(1, size + 1), top + zeta - 1
+    for r, q in enumerate(qs):  # rows n = q - 1, 2q - 1, ... fall by q - 1 to 0, q, ...
+        slots = up[q - 1 :: q] - 1 - r
+        cols[slots], levels[slots] = np.arange(0, size - q + 1, q), r
+    keep = (cols < size) & np.array([m != 0 for m in masses])[levels]
+    indptr = np.concatenate(([0], np.cumsum(keep)[up]))
+    lost = (Fraction(0) if exact else 0.0) + masses[top + zeta[-1] - 1]
+    return SparseTruncation(size, exact, indptr, cols[keep], levels[keep], masses, lost)
 
 
 # -- Weyl defect vectors -----------------------------------------------------
@@ -183,18 +229,9 @@ class WeylDefect:
     head_norm: float
 
     def to_json(self) -> dict:
-        return {
-            "lambda": [self.lam.real, self.lam.imag],
-            "alpha": self.alpha,
-            "level": self.level,
-            "k": self.k,
-            "size": self.size,
-            "defect": self.defect,
-            "bound": self.bound,
-            "coeff-col0": self.coeff_col0,
-            "coeff-colk": self.coeff_colk,
-            "head-norm": self.head_norm,
-        }
+        """The fields in order, '_' read as '-', with λ as [re, im] under "lambda"."""
+        fields = {k.replace("_", "-"): v for k, v in vars(self).items() if k != "lam"}
+        return {"lambda": [self.lam.real, self.lam.imag], **fields}
 
 
 def column0_coefficient(cfg: ChainConfig, level: int):
@@ -375,18 +412,17 @@ def write_eigenvalue_csv(report: list[dict], fileobj) -> None:
 
 
 def write_matrix_csv(trunc: SparseTruncation, fileobj) -> None:
-    """Write the nonzero entries in row-major order.
+    """Write the nonzero entries in row-major order, one row per call.
 
-    Exact truncations use the header row,col,num,den; float ones row,col,value.
+    Exact truncations use the header row,col,num,den; float ones
+    row,col,value.  Each mass of the level table is formatted once.
     """
     if trunc.exact:
         fileobj.write("row,col,num,den\n")
-        for n, row in enumerate(trunc.rows):
-            for col, val in row:
-                f = Fraction(val)
-                fileobj.write(f"{n},{col},{f.numerator},{f.denominator}\n")
+        texts = [f"{f.numerator},{f.denominator}\n" for f in map(Fraction, trunc.masses)]
     else:
         fileobj.write("row,col,value\n")
-        for n, row in enumerate(trunc.rows):
-            for col, val in row:
-                fileobj.write(f"{n},{col},{val!r}\n")
+        texts = [f"{v!r}\n" for v in trunc.masses]
+    cols, levels, bounds = trunc.cols.tolist(), trunc.levels.tolist(), trunc.indptr.tolist()
+    for n, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        fileobj.write("".join([f"{n},{c},{texts[k]}" for c, k in zip(cols[a:b], levels[a:b])]))

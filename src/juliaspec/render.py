@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import ndimage
 
 from .dynamics import ESCAPE_RADIUS, FiberedSystem
 from .errors import OriginEscapedError, OutOfRangeError
@@ -154,6 +153,9 @@ class EscapeField:
         Read by `count_components` and `component_of_zero`; steps must not be
         modified after the first read.
         """
+        # Imported here: scipy.ndimage adds ~0.1 s to every CLI start.
+        from scipy import ndimage
+
         return ndimage.label(self.inside, structure=_CROSS)
 
 

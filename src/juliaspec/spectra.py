@@ -484,6 +484,7 @@ def _classify(orbit: _Orbit, space: Space, depth: int, tol: float) -> SpectralVe
     wit = {**pointv.witness, "point-part": "excluded"}
     if memb.membership is unknown:
         return SpectralVerdict(lam, space, unknown, SpectralPart.NOT_APPLICABLE, wit)
+    wit["rules"] = memb.witness["rules"] + wit["rules"]  # in-spectrum rests on this certificate
     resid = residual_verdict(space)
     if resid["residual"] == "empty":
         wit["rules"] = wit["rules"] + [resid["rule"]]

@@ -540,7 +540,10 @@ def test_cli_import_skips_heavy_modules():
     # A module-level import is paid by every CLI start (setup time, peak RSS).
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, juliaspec.cli; print(sorted({'jsonschema', 'scipy.optimize', 'scipy.spatial'} & set(sys.modules)))"
+    code = (
+        "import sys, juliaspec.cli; "
+        "print(sorted(m for m in sys.modules if m == 'jsonschema' or m.split('.')[0] == 'scipy'))"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -67,8 +67,9 @@ def test_entries_match_transition_rows(chains):
         tr.entry(30, 0)
     with pytest.raises(OutOfRangeError):
         tr.entry(0, -1)
-    with pytest.raises(OutOfRangeError):
-        build_truncation(cfg, 0)
+    for size in (0, 2.5, "3", True, None):
+        with pytest.raises(OutOfRangeError):
+            build_truncation(cfg, size)
 
 
 def test_float_truncation_for_irrational_specs():

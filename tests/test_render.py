@@ -200,16 +200,16 @@ def test_count_components_synthetic():
 
 
 def test_inside_set_is_labelled_once_per_field(monkeypatch):
-    import juliaspec.render as render_mod
+    from scipy import ndimage
 
     calls = []
-    label = render_mod.ndimage.label
+    label = ndimage.label
 
     def counting_label(*args, **kwargs):
         calls.append(args)
         return label(*args, **kwargs)
 
-    monkeypatch.setattr(render_mod.ndimage, "label", counting_label)
+    monkeypatch.setattr(ndimage, "label", counting_label)
     field = render_field(shift_system(), GridSpec(-1.5, 1.5, -1.5, 1.5, 32, 32, 30))
     assert count_components(field) == 1
     assert component_of_zero(field).sum() == field.inside.sum()

@@ -292,6 +292,24 @@ def test_classify_keeps_certified_membership_when_point_part_is_undecided(system
         assert "bounded-orbit-certificate" in v.witness["rules"]
 
 
+def test_classify_names_the_membership_certificate_when_point_part_is_excluded(systems):
+    # The orbit of 0.05 + 0.02i enters binary-p34's cycle disk, and p ≡ 3/4 empties the point
+    # spectrum on c0, c and every l^α: the in-spectrum verdict cites both the certificate
+    # that puts λ in the spectrum and the rules that exclude its point part.
+    membership = ["spectrum-equals-filled-set", "bounded-orbit-certificate"]
+    for space in (C0, C, l_alpha(1), l_alpha(2)):
+        v = classify(systems["binary-p34"], 0.05 + 0.02j, space, budget=200)
+        assert v.membership is IN, str(space)
+        assert v.witness["point-part"] == "excluded"
+        assert v.witness["rules"][:2] == membership, str(space)
+        assert len(v.witness["rules"]) > 2
+    v = classify(systems["dendrite"], 1.0, C0)
+    assert v.part is SpectralPart.CONTINUOUS_BY_ELIMINATION
+    assert v.witness["rules"] == [
+        *membership, "point-empty-when-p-does-not-approach-1", "residual-empty-dual-bounded-below"
+    ]
+
+
 # -- summary reports ---------------------------------------------------------
 
 
