@@ -279,8 +279,15 @@ class ChainConfig:
         return den
 
 
-def _wilson_interval(hits: int, n: int, z: float = 1.959963984540054):
+def _check_model(cfg: ChainConfig, sys) -> None:
+    """Refuse a fibered system built from another (d̄, p̄) than the chain."""
+    if cfg.base != sys.base or cfg.p != sys.p:
+        raise OutOfRangeError("the chain and the fibered system have different (d, p)")
+
+
+def _wilson_interval(hits: int, n: int):
     """Wilson 95% score interval for a binomial proportion."""
+    z = 1.959963984540054  # the 97.5% quantile of the standard normal
     phat = hits / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom

@@ -32,7 +32,7 @@ from .config import RunConfig, json_int, load_config_file
 from .dynamics import ESCAPE_RADIUS
 from .dynamics import preimages as dyn_preimages
 from .errors import BudgetExceededError, ConfigError, IntegerOverflowError, JuliaspecError, VerificationError
-from .operator import build_truncation, eigenvalue_report, write_eigenvalue_csv, write_matrix_csv
+from .operator import build_truncation, eigenvalue_report, truncated_eigenvalues, write_eigenvalue_csv, write_matrix_csv
 from .render import GridSpec, component_of_zero, count_components, render_field, write_field_csv, write_image, write_points_csv
 from .spectra import classify, parse_space, residual_l1, spectrum_summary
 from .verify import run_verify
@@ -88,8 +88,7 @@ def _cmd_render(rc: RunConfig, p: dict) -> int:
         rep = residual_l1(sys_, p["depth"])
         overlays.append((rep.points, (255, 255, 255)))
     elif p["overlay"] == "eigenvalues":
-        pts = [complex(e["re"], e["im"]) for e in eigenvalue_report(sys_, p["trunc_size"])]
-        overlays.append((pts, (255, 215, 0)))
+        overlays.append((truncated_eigenvalues(sys_, p["trunc_size"]).tolist(), (255, 215, 0)))
 
     ppm_path, csv_path = f"{p['out_prefix']}.ppm", f"{p['out_prefix']}.csv"
     with open(ppm_path, "wb") as fh:
@@ -118,15 +117,8 @@ def _cmd_simulate(rc: RunConfig, p: dict) -> int:
     with _open_out(p["out"]) as out:
         chain_mod.write_trajectory_csv(cfg, traj, out)
     if stats is not None:
-        payload = {
-            "start": stats.start,
-            "trajectories": stats.trajectories,
-            "horizon": stats.horizon,
-            "seed": stats.seed,
-            "hits": stats.hits,
-            "fraction": stats.fraction,
-            "ci95": [stats.ci_low, stats.ci_high],
-        }
+        payload = dataclasses.asdict(stats)
+        payload["ci95"] = [payload.pop("ci_low"), payload.pop("ci_high")]
         text = json.dumps(payload, indent=2, sort_keys=True)
         # Keep the CSV stream clean when it goes to stdout.
         print(text, file=sys.stderr if out is sys.stdout else sys.stdout)

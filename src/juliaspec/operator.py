@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain import ChainConfig
+from .chain import ChainConfig, _check_model
 from .dynamics import (
     _PREIMAGE_CAP,
     EscapeOutcome,
@@ -247,7 +247,7 @@ def column0_coefficient(cfg: ChainConfig, level: int):
         limit, _ = tail_product(cfg.p, None)
     except ConfigError:
         # Inconclusive fate: fall back to a long partial product as the limit.
-        limit, _ = tail_product(cfg.p, 4096)
+        limit = cfg.success_prefix(4096)
     return head - limit
 
 
@@ -255,7 +255,11 @@ def column0_coefficient(cfg: ChainConfig, level: int):
 def weyl_defect(
     cfg: ChainConfig, sys: FiberedSystem, lam: complex, level: int, alpha: float = 2.0
 ) -> WeylDefect:
-    """Measure the α-norm defect at truncation size 2 q_level and bound it; raise on overflow."""
+    """Measure the α-norm defect at truncation size 2 q_level and bound it; raise on overflow.
+
+    cfg and sys must be built from the same (d̄, p̄).
+    """
+    _check_model(cfg, sys)
     alpha = float(alpha)
     if alpha < 1:
         raise OutOfRangeError(f"alpha must be >= 1, got {alpha}")

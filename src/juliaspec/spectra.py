@@ -27,12 +27,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
-from .chain import ChainConfig
+from .chain import ChainConfig, _check_model
 from .dynamics import (
     RHO,
     EscapeOutcome,
     FactorTrace,
     FiberedSystem,
+    ResidualSets,
     TraceStatus,
     _check_tol,
     _ipow,
@@ -41,7 +42,7 @@ from .dynamics import (
     factor_values,
     residual_set,
 )
-from .errors import DivisionByZeroIotaError, OutOfRangeError
+from .errors import DivisionByZeroIotaError, NotIrreducibleError, OutOfRangeError
 from .sequences import (
     SumVerdict,
     limit_is_one,
@@ -93,6 +94,7 @@ class Space:
 L_INF = Space("linf")
 C0 = Space("c0")
 C = Space("c")
+_L1 = Space("lalpha", 1.0)  # the one space with a residual candidate set
 
 
 def l_alpha(alpha) -> Space:
@@ -276,7 +278,7 @@ def _point(orbit: _Orbit, space: Space) -> SpectralVerdict:
         return _verdict(lam, space, Membership.INSIDE_BUDGET_UNKNOWN, tag, trace=trace, **extra)
     k = trace.status_index
     if lalpha:
-        partial = series_partial_sum(orbit.sys, lam, min(8, len(trace.values)))
+        partial = _series_product(orbit.sys, trace.values[:8])
         extra["alpha_series_partial"] = partial ** (1.0 / space.alpha)
     rules = ["contraction-certificate-rho", *tag]
     return _verdict(
@@ -327,10 +329,14 @@ def series_partial_sum(sys: FiberedSystem, lam: complex, depth: int) -> float:
     """
     if depth < 0:
         raise OutOfRangeError(f"depth must be >= 0, got {depth}")
-    fac = factor_values(sys, lam, depth)
+    return _series_product(sys, factor_values(sys, lam, depth))
+
+
+def _series_product(sys: FiberedSystem, factors) -> float:
+    """Π_k (1 + |ι_k| + ... + |ι_k|^{d_k - 1}) over the factors ι_1, ι_2, ... given."""
     out = 1.0
-    for k in range(1, depth + 1):
-        m = abs(fac[k - 1])
+    for k, iota in enumerate(factors, 1):
+        m = abs(iota)
         out *= sum(m**i for i in range(sys.digit_base(k)))
     return out
 
@@ -381,16 +387,27 @@ class ResidualReport:
     zeros_count: int
 
     def to_json(self) -> dict:
-        return {
-            "depth": self.depth,
-            "tol": self.tol,
-            "regime": self.regime,
-            "points": [[z.real, z.imag] for z in self.points],
-            "note": self.note,
-            "conjecture": self.conjecture,
-            "ones-count": self.ones_count,
-            "zeros-count": self.zeros_count,
-        }
+        """The fields in order, '_' read as '-', with the points as [re, im] pairs."""
+        out = {k.replace("_", "-"): v for k, v in vars(self).items()}
+        out["points"] = [[z.real, z.imag] for z in self.points]
+        return out
+
+
+_RESIDUAL_NOTES = {
+    "transient": (
+        "success product stays positive: no preimage of 1 lies in the "
+        "residual spectrum; residual spectrum conjectured empty (unproven)"
+    ),
+    "equality": (
+        "success product vanishes, digit bases bounded, limsup p < 1: the "
+        "candidate set equals the residual spectrum (shown to truncation depth)"
+    ),
+    "subset": (
+        "success product vanishes: the candidate set is a certified subset "
+        "of the residual spectrum (shown to truncation depth)"
+    ),
+    "unresolved": "success product fate inconclusive for this spec; candidate set reported as-is",
+}
 
 
 def residual_l1(sys: FiberedSystem, depth: int, tol: float = 1e-8) -> ResidualReport:
@@ -399,43 +416,20 @@ def residual_l1(sys: FiberedSystem, depth: int, tol: float = 1e-8) -> ResidualRe
         raise OutOfRangeError(f"depth must be >= 1, got {depth}")
     _check_tol(tol, positive=True)
     pv = product_verdict(sys.p)
-    if pv is ProductVerdict.CONVERGES_POSITIVE:
-        return ResidualReport(
-            depth=depth,
-            tol=tol,
-            regime="transient",
-            points=(),
-            note=(
-                "success product stays positive: no preimage of 1 lies in the "
-                "residual spectrum; residual spectrum conjectured empty (unproven)"
-            ),
-            conjecture=True,
-            ones_count=0,
-            zeros_count=0,
-        )
-    rs = residual_set(sys, depth, tol)
-    if pv is ProductVerdict.TENDS_TO_ZERO and limsup_below_one(sys.p):
-        regime = "equality"
-        note = (
-            "success product vanishes, digit bases bounded, limsup p < 1: the "
-            "candidate set equals the residual spectrum (shown to truncation depth)"
-        )
-    elif pv is ProductVerdict.TENDS_TO_ZERO:
-        regime = "subset"
-        note = (
-            "success product vanishes: the candidate set is a certified subset "
-            "of the residual spectrum (shown to truncation depth)"
-        )
-    else:
-        regime = "unresolved"
-        note = "success product fate inconclusive for this spec; candidate set reported as-is"
+    rs, regime = ResidualSets(depth, tol, (), (), ()), "transient"
+    if pv is not ProductVerdict.CONVERGES_POSITIVE:
+        rs = residual_set(sys, depth, tol)
+        if pv is ProductVerdict.TENDS_TO_ZERO:
+            regime = "equality" if limsup_below_one(sys.p) else "subset"
+        else:
+            regime = "unresolved"
     return ResidualReport(
         depth=depth,
         tol=tol,
         regime=regime,
         points=rs.points,
-        note=note,
-        conjecture=False,
+        note=_RESIDUAL_NOTES[regime],
+        conjecture=regime == "transient",
         ones_count=len(rs.ones),
         zeros_count=len(rs.zeros),
     )
@@ -456,19 +450,19 @@ def residual_verdict(space: Space) -> dict:
 # -- combined per-λ classification and per-config summary -------------------
 
 
-def _classify(orbit: _Orbit, space: Space, depth: int, tol: float) -> SpectralVerdict:
+def _classify(orbit: _Orbit, space: Space, report: ResidualReport | None) -> SpectralVerdict:
+    """The verdict on `space`; `report` is the l^1 residual report, read only on l^1."""
     lam = orbit.lam
     if space.family == "linf":
         return _membership(orbit, space)
 
-    if space.family == "lalpha" and space.alpha == 1:
-        report = residual_l1(orbit.sys, depth, tol)
+    if space == _L1:
         hit = min((abs(lam - z) for z in report.points), default=float("inf"))
-        if hit <= tol:
+        if hit <= report.tol:
             return _verdict(
                 lam, space, Membership.IN_SPECTRUM,
                 ["residual-l1-subset-of-one-preimages", f"residual-l1-{report.regime}-regime"],
-                SpectralPart.RESIDUAL_CANDIDATE, distance=hit, depth=depth,
+                SpectralPart.RESIDUAL_CANDIDATE, distance=hit, depth=report.depth,
             )
 
     memb = _membership(orbit, space)
@@ -504,7 +498,8 @@ def classify(
     tol: float = 1e-8,
 ) -> SpectralVerdict:
     """Full verdict for one λ on one space: membership plus part resolution."""
-    return _classify(_Orbit(sys, lam, budget), space, depth, tol)
+    report = residual_l1(sys, depth, tol) if space == _L1 else None
+    return _classify(_Orbit(sys, lam, budget), space, report)
 
 
 _CONTRACTION_POINT = {
@@ -533,10 +528,11 @@ def spectrum_summary(
 ) -> dict:
     """Per-space summary report (JSON-ready) with optional per-λ verdicts.
 
-    Each λ's orbit is run once and read on every space.
+    Each λ's orbit is run once and read on every space, and the l^1 residual
+    report is built once, for the l^1 entry, and read by every λ.  chain_cfg
+    and sys must be built from the same (d̄, p̄).
     """
-    from .errors import NotIrreducibleError
-
+    _check_model(chain_cfg, sys)
     try:
         recurrence = chain_cfg.classify_recurrence().value
     except NotIrreducibleError:
@@ -551,6 +547,7 @@ def spectrum_summary(
         },
         "spaces": {},
     }
+    l1_report = None
     for space in spaces:
         entry: dict = {"residual": residual_verdict(space)}
         gate = _point_gate(sys.p, space)
@@ -558,12 +555,13 @@ def spectrum_summary(
             _STATIC_POINT.get(space.family)
             or ({"description": "empty", "rule": gate} if gate else _CONTRACTION_POINT)
         )
-        if space.family == "lalpha" and space.alpha == 1:
-            entry["residual-set"] = residual_l1(sys, depth).to_json()
+        if space == _L1:
+            l1_report = l1_report or residual_l1(sys, depth)
+            entry["residual-set"] = l1_report.to_json()
         report["spaces"][str(space)] = entry
     if lams:
         report["lambdas"] = [
-            {str(space): _classify(orbit, space, depth, 1e-8).to_json() for space in spaces}
+            {str(space): _classify(orbit, space, l1_report).to_json() for space in spaces}
             for orbit in (_Orbit(sys, lam, budget) for lam in lams)
         ]
     return report

@@ -102,15 +102,15 @@ def _self_similarity(cfg: ChainConfig, max_level: int) -> tuple[bool, str]:
 
 
 def _sample_inside_lambdas(
-    sys: FiberedSystem, rng: np.random.Generator, count: int, depth: int = 5
+    sys: FiberedSystem, rng: np.random.Generator, count: int
 ) -> list[complex]:
-    """Sample certified members of the filled set: preimages of the fixed point 1.
+    """Sample certified members of the filled set: preimages of the fixed point 1 at depth 5.
 
     Rejection sampling against the escape test would stall on thin filled
     sets (their neighborhoods have tiny area); preimages of 1 are inside by
     construction, at every parameter choice.
     """
-    pts = preimages(sys, 1.0, depth)
+    pts = preimages(sys, 1.0, 5)
     idx = rng.choice(len(pts), size=count, replace=len(pts) < count)
     return [pts[int(i)] for i in idx]
 
@@ -284,10 +284,17 @@ def _round_trip(grid: GridSpec) -> tuple[bool, str]:
 
 
 def run_verify(out_dir: str, seed: int | None = None) -> list[CheckResult]:
-    """Run the suite, write artifacts under out_dir, return all check results."""
+    """Run the suite, write artifacts under out_dir, return all check results.
+
+    Each canonical configuration gets one chain and one fibered system, and
+    the checks read them.  Two helpers build their own: `_tree_vs_dense` a
+    system from the chain it is given, and `_mc_vs_exact` the canonical
+    chain, since it runs with the canonical seed under any --seed.
+    """
     configs = {name: canonical_config(name) for name in CANONICAL_NAMES}
     if seed is not None:
         configs = {name: rc.with_seed(seed) for name, rc in configs.items()}
+    models = {name: (rc.chain(), rc.system()) for name, rc in configs.items()}
     os.makedirs(out_dir, exist_ok=True)
     results: list[CheckResult] = []
 
@@ -295,8 +302,7 @@ def run_verify(out_dir: str, seed: int | None = None) -> list[CheckResult]:
         results.append(CheckResult(name, bool(ok), str(detail)))
 
     # Exact structure of the transition matrix, all five configs.
-    for name, rc in configs.items():
-        cfg = rc.chain()
+    for name, (cfg, _) in models.items():
         limit = cfg.base.place_value(3)
         ok, detail = _row_stochastic(cfg, limit)
         check(f"row-stochastic[{name}]", ok, detail)
@@ -306,10 +312,8 @@ def run_verify(out_dir: str, seed: int | None = None) -> list[CheckResult]:
         check(f"self-similarity[{name}]", ok, detail)
 
     # Eigen-identity and factor-route agreement on sampled bounded points.
-    for name, rc in configs.items():
-        cfg = rc.chain()
-        sys = rc.system()
-        rng = np.random.default_rng([rc.seed, 1])
+    for name, (cfg, sys) in models.items():
+        rng = np.random.default_rng([configs[name].seed, 1])
         lams = _sample_inside_lambdas(sys, rng, 5)
         limit = cfg.base.place_value(3) - 1
         ok, detail = _eigen_identity(cfg, sys, lams, limit, 1e-9)
@@ -323,8 +327,7 @@ def run_verify(out_dir: str, seed: int | None = None) -> list[CheckResult]:
         check(f"escape-disk-bound[{name}]", ok, detail)
 
     # Every canonical trap disk maps into itself.
-    for name, rc in configs.items():
-        sys = rc.system()
+    for name, (_, sys) in models.items():
         for kind, disk in (("contraction", sys.contraction_disk), ("cycle", sys.cycle_disk)):
             if disk is not None:
                 ok, detail = _trap_invariance(sys, disk, on_factor=kind == "contraction")
@@ -332,41 +335,40 @@ def run_verify(out_dir: str, seed: int | None = None) -> list[CheckResult]:
 
     # Truncation spectra from the tree table against the dense oracle, and the
     # block tags of eigenvalue_report against per-λ escape tests.
-    for name, rc in configs.items():
-        ok, detail = _tree_vs_dense(rc.chain(), (3, 4), (45, 199))
+    for name, (cfg, _) in models.items():
+        ok, detail = _tree_vs_dense(cfg, (3, 4), (45, 199))
         check(f"truncation-tree-vs-dense[{name}]", ok, detail)
-    for name, rc in configs.items():
-        ok, detail = _block_tags(rc.system(), (3, 4), 40)
+    for name, (_, sys) in models.items():
+        ok, detail = _block_tags(sys, (3, 4), 40)
         check(f"truncation-block-tags[{name}]", ok, detail)
 
     # Recurrence classification and Monte Carlo witnesses.
-    dendrite = configs["dendrite"]
-    harmonic = configs["mixed23-harmonic"]
-    geometric = configs["binary-geometric"]
-    verdicts = {
-        "dendrite": (dendrite, Recurrence.NULL_RECURRENT),
-        "mixed23-harmonic": (harmonic, Recurrence.NULL_RECURRENT),
-        "binary-geometric": (geometric, Recurrence.TRANSIENT),
+    expected = {
+        "dendrite": Recurrence.NULL_RECURRENT,
+        "mixed23-harmonic": Recurrence.NULL_RECURRENT,
+        "binary-geometric": Recurrence.TRANSIENT,
     }
-    for name, (rc, want) in verdicts.items():
-        got = rc.chain().classify_recurrence()
+    for name, want in expected.items():
+        got = models[name][0].classify_recurrence()
         check(
             f"recurrence[{name}]",
             got is want,
             f"classified {got.value} (expected {want.value})",
         )
 
-    stats = dendrite.chain().return_statistics(
-        start=1, trajectories=100, horizon=20_000, seed=dendrite.seed
+    cfg_d, sys_d = models["dendrite"]
+    cfg_g, _ = models["binary-geometric"]
+    stats = cfg_d.return_statistics(
+        start=1, trajectories=100, horizon=20_000, seed=configs["dendrite"].seed
     )
     check(
         "mc-return[dendrite]",
         stats.fraction >= 0.95,
         f"{stats.hits}/{stats.trajectories} trajectories returned to 0",
     )
-    q3 = geometric.base().place_value(3)
-    stats_t = geometric.chain().return_statistics(
-        start=q3, trajectories=100, horizon=20_000, seed=geometric.seed
+    q3 = cfg_g.base.place_value(3)
+    stats_t = cfg_g.return_statistics(
+        start=q3, trajectories=100, horizon=20_000, seed=configs["binary-geometric"].seed
     )
     check(
         "mc-return[binary-geometric]",
@@ -379,7 +381,7 @@ def run_verify(out_dir: str, seed: int | None = None) -> list[CheckResult]:
         check(f"mc-vs-exact[{name}]", ok, detail)
 
     # Residual candidate set of the dendrite case collapses to {1}.
-    rs = residual_set(dendrite.system(), depth=4)
+    rs = residual_set(sys_d, depth=4)
     rs_ok = len(rs.points) == 1 and abs(rs.points[0] - 1.0) < 1e-8
     check(
         "residual-dendrite",
@@ -391,9 +393,7 @@ def run_verify(out_dir: str, seed: int | None = None) -> list[CheckResult]:
     # Weyl defect shrinks with the level and respects its closed-form bound.
     # The probe point must lie inside the filled set for the construction to
     # mean anything; 0.3+0.2i is inside for p≡3/4 (it escapes under p≡1/2).
-    p34 = configs["binary-p34"]
-    sys_w = p34.system()
-    cfg_w = p34.chain()
+    cfg_w, sys_w = models["binary-p34"]
     lam = 0.3 + 0.2j
     w2 = weyl_defect(cfg_w, sys_w, lam, level=2, alpha=2.0)
     w5 = weyl_defect(cfg_w, sys_w, lam, level=5, alpha=2.0)
@@ -405,8 +405,6 @@ def run_verify(out_dir: str, seed: int | None = None) -> list[CheckResult]:
     )
 
     # Factors of λ = 1 stay pinned at the fixed point.
-    sys_d = dendrite.system()
-    cfg_d = dendrite.chain()
     tr = factor_trace(sys_d, 1.0, 30)
     check(
         "unit-factor-trace",
@@ -434,7 +432,7 @@ def run_verify(out_dir: str, seed: int | None = None) -> list[CheckResult]:
     with open(os.path.join(out_dir, "field-dendrite.csv"), "w", encoding="utf-8", newline="\n") as fh:
         write_field_csv(field, fh)
 
-    traj = cfg_d.simulate(start=1, steps=300, seed=dendrite.seed)
+    traj = cfg_d.simulate(start=1, steps=300, seed=configs["dendrite"].seed)
     with open(os.path.join(out_dir, "trajectory-dendrite.csv"), "w", encoding="utf-8", newline="\n") as fh:
         chain_mod.write_trajectory_csv(cfg_d, traj, fh)
 

@@ -208,6 +208,11 @@ def test_weyl_defect_obeys_closed_form_bound(chains, systems):
                 assert d.defect <= d.bound + 1e-12, (lam, alpha, level)
     with pytest.raises(OutOfRangeError):
         weyl_defect(cfg, sys, 0.3, level=3, alpha=0.5)
+    # A chain and a system of different (d, p): the dendrite chain with this system
+    # gave defect 0.312 above its own bound 0.260 at level 5.
+    for other in ("dendrite", "ternary-p12"):
+        with pytest.raises(OutOfRangeError):
+            weyl_defect(chains[other], sys, 0.3 + 0.2j, level=5)
 
 
 def test_weyl_coefficients(chains, systems):

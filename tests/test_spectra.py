@@ -338,6 +338,11 @@ def test_spectrum_summary_structure(chains, systems):
     assert mix["spaces"]["l2"]["point"]["rule"] == "contraction-certificate-rho"
     assert mix["spaces"]["l1"]["residual-set"]["regime"] == "subset"
 
+    # A chain and a system of different p (dendrite against binary-p34) or d (ternary-p12).
+    for other in ("binary-p34", "ternary-p12"):
+        with pytest.raises(OutOfRangeError):
+            spectrum_summary(chains["dendrite"], systems[other], lams=[0.3 + 0.2j], depth=3)
+
 
 def test_spectrum_summary_not_irreducible():
     cfg = ChainConfig(BaseSequence(2), constant(1))
@@ -375,6 +380,37 @@ def test_one_escape_test_and_one_trace_per_lambda(monkeypatch, chains, systems):
         v = classify(systems[name], 0, l_alpha(2))
         assert v.part is SpectralPart.POINT
         assert calls["factor_trace"] <= 1, name
+
+
+def test_l_alpha_eigenvalue_walks_its_orbit_twice(monkeypatch, canon):
+    # One escape test and one factor trace; the α-series partial sum reads the trace's factors.
+    sys = canon["binary-geometric"].system()
+    real, calls = FiberedSystem.orbit, []
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiberedSystem, "orbit", counting)
+    v = classify(sys, 0, l_alpha(2), budget=80)
+    assert v.membership is IN and v.part is SpectralPart.POINT
+    assert "alpha-series-partial" in v.witness
+    assert len(calls) == 2
+
+
+def test_summary_builds_one_l1_residual_report(monkeypatch, chains, systems):
+    real, calls = spectra.residual_l1, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "residual_l1", counting)
+    lams = [0.0, 1.0, 0.5, 0.3 + 0.2j, -0.4 + 0.1j, 2.0, 1j, 0.25 - 0.5j]
+    rep = spectrum_summary(chains["dendrite"], systems["dendrite"], lams=lams, depth=3)
+    assert len(rep["lambdas"]) == 8
+    assert rep["lambdas"][1]["l1"]["part"] == SpectralPart.RESIDUAL_CANDIDATE.value
+    assert len(calls) == 1
 
 
 _BASES = st.sampled_from([2, 3, periodic([2, 3], "d")])
