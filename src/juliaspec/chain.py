@@ -24,7 +24,7 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import ConfigError, IntegerOverflowError, NotIrreducibleError, OutOfRangeError
+from .errors import ConfigError, IntegerOverflowError, NotIrreducibleError, OutOfRangeError, check_int
 from .numeration import BaseSequence, DigitExpansion
 from .sequences import ProductVerdict, SequenceSpec, irreducible, product_verdict, tail_product
 
@@ -92,16 +92,19 @@ class ChainConfig:
     # -- parameter access ---------------------------------------------------
 
     def level(self, j: int) -> tuple:
-        """(p_j, P_j = p_1···p_j, (1 - p_j) P_{j-1}) for j >= 1, exact where the spec is rational.
+        """(p_j, P_j = p_1···p_j, (1 - p_j) P_{j-1}, p_j as a float) for j >= 1.
 
-        The third entry is the mass of the move that fails at write j.
+        The first three are exact where the spec is rational; the third is the
+        mass of the move that fails at write j.  The fourth is
+        `SequenceSpec.float_at(j)`, the float the fibered system reads, so the
+        chain and the fiber maps of one (d̄, p̄) share one float p_j.
         """
-        if j < 1:
-            raise OutOfRangeError(f"probability index must be >= 1, got {j}")
+        j = check_int("probability index", j, 1)
         while len(self._levels) < j:
-            p = self.p.value_at(len(self._levels) + 1)
+            i = len(self._levels) + 1
+            p = self.p.value_at(i)
             prev = self._levels[-1][1] if self._levels else Fraction(1)
-            self._levels.append((p, prev * p, (1 - p) * prev))
+            self._levels.append((p, prev * p, (1 - p) * prev, self.p.float_at(i)))
         return self._levels[j - 1]
 
     def p_at(self, j: int):
@@ -109,12 +112,11 @@ class ChainConfig:
         return self.level(j)[0]
 
     def p_float(self, j: int) -> float:
-        return float(self.level(j)[0])
+        return self.level(j)[3]
 
     def success_prefix(self, r: int):
         """∏_{j<=r} p_j (empty product 1), exact where possible."""
-        if r < 0:
-            raise OutOfRangeError(f"prefix length must be >= 0, got {r}")
+        r = check_int("prefix length", r, 0)
         return self.level(r)[1] if r else Fraction(1)
 
     # -- transition structure ----------------------------------------------
@@ -157,10 +159,9 @@ class ChainConfig:
 
     def simulate(self, start: int, steps: int, seed: int) -> list[int]:
         """Trajectory [X_0, ..., X_steps] from a seeded generator."""
-        if steps < 0:
-            raise OutOfRangeError(f"steps must be >= 0, got {steps}")
-        self.base._check_state(start, "start state")
-        rng = np.random.default_rng(seed)
+        steps = check_int("steps", steps, 0)
+        start = self.base._check_state(start, "start state")
+        rng = np.random.default_rng(check_int("seed", seed, 0))
         traj = [start]
         n = start
         for _ in range(steps):
@@ -186,9 +187,10 @@ class ChainConfig:
         stops at its first visit to 0.  `return_probability` is the value the
         fraction tends to as the horizon grows.
         """
-        if trajectories < 1 or horizon < 0:
-            raise OutOfRangeError("need trajectories >= 1 and horizon >= 0")
-        self.base._check_state(start, "start state")
+        trajectories = check_int("trajectories", trajectories, 1)
+        horizon = check_int("horizon", horizon, 0)
+        seed = check_int("seed", seed, 0)
+        start = self.base._check_state(start, "start state")
         hits = _count_hits_lockstep(self, start, trajectories, horizon, seed)
         frac = hits / trajectories
         lo, hi = _wilson_interval(hits, trajectories)
@@ -228,9 +230,7 @@ class ChainConfig:
         transient regime this is (up to scale) the probability of never
         visiting 0.
         """
-        if m < 1:
-            raise OutOfRangeError(f"harmonic vector is indexed by m >= 1, got {m}")
-        level = self.base.level_of(m)  # q_{level-1} <= m < q_level
+        level = self.base.level_of(check_int("m", m, 1))  # q_{level-1} <= m < q_level
         return 1 / self._harmonic_denominator(level)
 
     def return_probability(self, m: int) -> float:

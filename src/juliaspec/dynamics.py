@@ -68,6 +68,9 @@ from .errors import (
     BudgetExceededError,
     DivisionByZeroIotaError,
     OutOfRangeError,
+    check_int,
+    check_point,
+    check_real,
 )
 from .numeration import BaseSequence
 from .sequences import SequenceSpec, _tail_range, limit_is_one, threshold_index
@@ -175,8 +178,7 @@ class FiberedSystem:
 
     def level(self, j: int) -> tuple[float, float, int]:
         """(1 - p_j, p_j, d_j) for fiber index j >= 1, from the level table."""
-        if j < 1:
-            raise OutOfRangeError(f"fiber index must be >= 1, got {j}")
+        j = check_int("fiber index", j, 1)
         for i in range(len(self._levels) + 1, j + 1):
             p = self.p.float_at(i)
             self._levels.append((1.0 - p, p, self.digit_base(i)))
@@ -218,8 +220,7 @@ class FiberedSystem:
 
         z is f̃_{start-1}: from start = 1, the point itself.
         """
-        if start < 1:
-            raise OutOfRangeError(f"orbit start level must be >= 1, got {start}")
+        start = check_int("orbit start level", start, 1)
         w, levels = complex(z), self._levels
         for j in count(start - 1):
             c, p, d = levels[j] if j < len(levels) else self.level(j + 1)
@@ -233,8 +234,7 @@ class FiberedSystem:
 
     def composed_with_derivative(self, j: int, z: complex) -> tuple[complex, complex]:
         """(f̃_j(z), f̃_j'(z)) in one forward pass (chain rule)."""
-        if j < 0:
-            raise OutOfRangeError(f"composition depth must be >= 0, got {j}")
+        j = check_int("composition depth", j, 0)
         v = complex(z)
         dv = 1 + 0j
         # zip reads level l of the table only after orbit has grown it to l.
@@ -254,7 +254,10 @@ class EscapeOutcome:
 
     `modulus` is |f̃_j| at the escape step, else at the budget (1 once the
     orbit sits on the fixed point 1).  A trapped orbit stops where it entered
-    the trap, and reading `modulus` runs it on from there to the budget.
+    the trap, and reading `modulus` runs it on from there to the budget.  An
+    orbit that overflowed escapes, with `modulus` inf: its f̃_j is NaN (as
+    (a + ai)² is, with real part inf - inf) or has a modulus past the float
+    range.  A bounded orbit never overflows.
     """
 
     escaped: bool
@@ -270,7 +273,10 @@ class EscapeOutcome:
         sys, w, j = self.stop
         for _, w in islice(sys.orbit(w, j + 1), 0 if self.escaped else max(self.budget - j, 0)):
             pass
-        return abs(w)
+        try:
+            return math.inf if cmath.isnan(w) else abs(w)
+        except OverflowError:  # finite parts, a modulus past the float range
+            return math.inf
 
 
 def escape_classify(
@@ -283,21 +289,24 @@ def escape_classify(
     bounded.  With start > 1, z stands for f̃_{start-1} of some point whose
     earlier levels are known not to decide the test; levels start..budget run.
     """
-    if budget < 1:
-        raise OutOfRangeError(f"budget must be >= 1, got {budget}")
+    budget = check_int("budget", budget, 1)
+    start = check_int("start", start, 1)
     radius = ESCAPE_RADIUS
-    w = complex(z)
+    w = check_point("z", z)
     if w == 1:  # invariant fixed point of every fiber map
         return EscapeOutcome(False, None, budget, radius, True, stop=(sys, w, budget))
     con, cyc = sys.contraction_disk, sys.cycle_disk
     j = start - 1
-    for j, (iota, w) in enumerate(islice(sys.orbit(w, start), max(budget - j, 0)), start):
-        if abs(w) > radius:
-            return EscapeOutcome(True, j, budget, radius, False, stop=(sys, w, j))
-        if w == 1:
-            return EscapeOutcome(False, None, budget, radius, True, stop=(sys, w, budget))
-        if (con and con.holds(j, iota)) or (cyc and cyc.holds(j, w)):
-            return EscapeOutcome(False, None, budget, radius, True, stop=(sys, w, j))
+    try:
+        for j, (iota, w) in enumerate(islice(sys.orbit(w, start), max(budget - j, 0)), start):
+            if not abs(w) <= radius:  # a NaN from an overflow escapes too
+                return EscapeOutcome(True, j, budget, radius, False, stop=(sys, w, j))
+            if w == 1:
+                return EscapeOutcome(False, None, budget, radius, True, stop=(sys, w, budget))
+            if (con and con.holds(j, iota)) or (cyc and cyc.holds(j, w)):
+                return EscapeOutcome(False, None, budget, radius, True, stop=(sys, w, j))
+    except OverflowError:  # abs(w) of finite parts past the float range: an escape
+        return EscapeOutcome(True, j, budget, radius, False, stop=(sys, w, j))
     return EscapeOutcome(False, None, budget, radius, False, stop=(sys, w, j))
 
 
@@ -312,8 +321,9 @@ class TraceStatus(Enum):
 class FactorTrace:
     """Factors ι_λ(1..k) with a stopping status.
 
-    ESCAPED(k): |ι(k)| > ESCAPE_RADIUS, so λ is certified outside the filled set
-    (all later factors keep growing).  CONVERGES_TO_ZERO(k): ι(k) lies in the
+    ESCAPED(k): |ι(k)| > ESCAPE_RADIUS, or ι(k) overflowed, so λ is certified
+    outside the filled set (all later factors keep growing).
+    CONVERGES_TO_ZERO(k): ι(k) lies in the
     `FiberedSystem.contraction_disk`: the tail of p̄ is certified
     >= RHO from some index j0 <= k, p_j -> 1, and |ι(k)| <= RHO/2 — a
     certificate that ι -> 0.  CONVERGES_TO_ONE(k): two
@@ -332,9 +342,8 @@ class FactorTrace:
 
 def factor_trace(sys: FiberedSystem, lam: complex, budget: int) -> FactorTrace:
     """Run the factor recursion ι(r+1) = h_{r+1}(ι(r)^{d_r}) with stopping rules."""
-    if budget < 1:
-        raise OutOfRangeError(f"budget must be >= 1, got {budget}")
-    lam = complex(lam)
+    budget = check_int("budget", budget, 1)
+    lam = check_point("lambda", lam)
     if lam == 1:
         # Every factor is exactly 1; avoid float drift around the repelling point.
         vals = (1.0 + 0j,) * min(budget, 2)
@@ -343,30 +352,32 @@ def factor_trace(sys: FiberedSystem, lam: complex, budget: int) -> FactorTrace:
     contraction = sys.contraction_disk
     values: list[complex] = []
     near_one_run = 0
-    for k, (v, _) in enumerate(islice(sys.orbit(lam), budget), 1):
-        values.append(v)
-        if abs(v) > ESCAPE_RADIUS:
-            return FactorTrace(lam, tuple(values), TraceStatus.ESCAPED, k, budget)
-        if abs(v - 1.0) <= _ONE_TOL:
-            near_one_run += 1
-            if near_one_run >= 2:
-                return FactorTrace(
-                    lam, tuple(values), TraceStatus.CONVERGES_TO_ONE, k - 1, budget
-                )
-        else:
-            near_one_run = 0
-            if contraction is not None and contraction.holds(k, v):
-                return FactorTrace(
-                    lam, tuple(values), TraceStatus.CONVERGES_TO_ZERO, k, budget
-                )
+    try:
+        for k, (v, _) in enumerate(islice(sys.orbit(lam), budget), 1):
+            values.append(v)
+            if not abs(v) <= ESCAPE_RADIUS:  # a NaN from an overflow escapes too
+                return FactorTrace(lam, tuple(values), TraceStatus.ESCAPED, k, budget)
+            if abs(v - 1.0) <= _ONE_TOL:
+                near_one_run += 1
+                if near_one_run >= 2:
+                    return FactorTrace(
+                        lam, tuple(values), TraceStatus.CONVERGES_TO_ONE, k - 1, budget
+                    )
+            else:
+                near_one_run = 0
+                if contraction is not None and contraction.holds(k, v):
+                    return FactorTrace(
+                        lam, tuple(values), TraceStatus.CONVERGES_TO_ZERO, k, budget
+                    )
+    except OverflowError:  # abs(v) of finite parts past the float range: an escape
+        return FactorTrace(lam, tuple(values), TraceStatus.ESCAPED, k, budget)
     return FactorTrace(lam, tuple(values), TraceStatus.BOUNDED_AT_BUDGET, None, budget)
 
 
 def factor_values(sys: FiberedSystem, lam: complex, count: int) -> list[complex]:
     """Raw factors ι_λ(1..count) without stopping rules (may grow huge)."""
-    if count < 0:
-        raise OutOfRangeError(f"count must be >= 0, got {count}")
-    lam = complex(lam)
+    count = check_int("count", count, 0)
+    lam = check_point("lambda", lam)
     if lam == 1:
         return [1.0 + 0j] * count
     return [iota for iota, _ in islice(sys.orbit(lam), count)]
@@ -577,13 +588,12 @@ def preimages(
     arithmetic performs: the leaves equal, bit for bit, a per-leaf scalar
     polish through `composed_with_derivative`.
     """
-    if depth < 0:
-        raise OutOfRangeError(f"depth must be >= 0, got {depth}")
+    depth = check_int("depth", depth, 0)
     if sys.base.place_value(depth) > _PREIMAGE_CAP:
         raise BudgetExceededError(
             f"preimage tree at depth {depth} exceeds {_PREIMAGE_CAP} leaves"
         )
-    target = complex(target)
+    target = check_point("target", target)
     points = [target]
     for j in range(depth, 0, -1):
         c, p, d = sys.level(j)
@@ -607,6 +617,7 @@ def level_tree(sys: FiberedSystem, k: int) -> np.ndarray:
     T_k is the spectrum of the q_k truncation (`operator.truncated_eigenvalues`)
     and f̃_{k+1} vanishes on it.
     """
+    k = check_int("level", k, 0)
     tree = sys._trees.get(k)
     if tree is None:
         tree = np.array(preimages(sys, sys.level(k + 1)[0], k), dtype=complex)
@@ -615,16 +626,16 @@ def level_tree(sys: FiberedSystem, k: int) -> np.ndarray:
     return tree
 
 
-def _check_tol(tol: float, *, positive: bool = False) -> None:
-    """Refuse a non-finite or negative tol, and tol = 0 where `positive` is set.
+def _check_tol(tol: float, *, positive: bool = False) -> float:
+    """tol as a float; refuse a non-finite or negative tol, and tol = 0 where `positive` is set.
 
     Two polished float trees never agree to the last bit at a shared point, so
     a residual set needs tol > 0: at tol = 0 its answer is rounding noise.
     """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise OutOfRangeError(f"tol must be finite and >= 0, got {tol}")
+    tol = check_real("tol", tol, 0)
     if positive and tol == 0:
         raise OutOfRangeError("tol must be > 0 to compare two preimage trees")
+    return tol
 
 
 def _near(pts: list, res: list[float], z, tol: float) -> list:
@@ -643,7 +654,7 @@ def dedup_points(points, tol: float) -> list[complex]:
     lies within tol.  Kept points are appended in order, so the candidates are
     found by bisecting their real parts.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     kept: list[complex] = []
     res: list[float] = []
     for z in sorted(points, key=lambda w: (w.real, w.imag)):
@@ -676,9 +687,8 @@ def residual_set(sys: FiberedSystem, depth: int, tol: float = 1e-8) -> ResidualS
 
     Memoized per (depth, tol) on the system; the result is frozen.
     """
-    if depth < 1:
-        raise OutOfRangeError(f"depth must be >= 1, got {depth}")
-    _check_tol(tol, positive=True)
+    depth = check_int("depth", depth, 1)
+    tol = _check_tol(tol, positive=True)
     key = (depth, tol)
     if key in sys._residual:
         return sys._residual[key]

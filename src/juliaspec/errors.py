@@ -1,13 +1,33 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one argument rule.
 
 Every error raised deliberately by this library derives from JuliaspecError,
 so callers can catch one base class.  The CLI maps subclasses onto exit codes
 (config -> 2, budget/overflow -> 3, invariant failure -> 4).
+
+Every integer, exponent and point argument of the library API is checked by
+`check_int`, `check_real` or `check_point`, which raise OutOfRangeError:
+
+* an integer (a budget, depth, level, size, index, count, seed, ...) is a
+  Python or numpy integer, never a bool, a float or a string;
+* an exponent or tolerance is a finite real number (int, float, Fraction,
+  numpy's too) or its text, such as "1.5", never a bool;
+* a point (λ, z, a target) is a finite real or complex number or its
+  text, never a bool.
+
+JSON documents and CLI text keep their own rule (`config.json_int`,
+`cli.parse_complex`): there 1.0 counts as an integer and a refusal is a
+ConfigError.
 """
 
 from __future__ import annotations
 
+import cmath
+import operator
+
 __all__ = [
+    "check_int",
+    "check_real",
+    "check_point",
     "JuliaspecError",
     "ConfigError",
     "IntegerOverflowError",
@@ -69,3 +89,37 @@ class OriginEscapedError(JuliaspecError):
 
 class VerificationError(JuliaspecError):
     """An internal invariant check failed."""
+
+
+def check_int(what: str, v, lo: int) -> int:
+    """v as an int >= lo: a Python or numpy integer, never a bool."""
+    if type(v) is not int:
+        v = _convert(what, v, operator.index, "an integer")
+    if v < lo:
+        raise OutOfRangeError(f"{what} must be >= {lo}, got {v}")
+    return v
+
+
+def check_real(what: str, v, lo: float) -> float:
+    """v as a float >= lo: a finite number or the text of one, never a bool."""
+    x = _convert(what, v, float, "a finite number")
+    if x < lo:
+        raise OutOfRangeError(f"{what} must be >= {lo}, got {v}")
+    return x
+
+
+def check_point(what: str, z) -> complex:
+    """z as a complex: a finite real or complex number or the text of one, never a bool."""
+    return _convert(what, z, complex, "a finite complex number")
+
+
+def _convert(what: str, v, cast, noun: str):
+    """cast(v), refusing a bool and any v that cast cannot turn into a finite value."""
+    try:
+        x = None if isinstance(v, bool) else cast(v)
+        ok = x is not None and cmath.isfinite(x)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise OutOfRangeError(f"{what} must be {noun}, got {v!r}")
+    return x

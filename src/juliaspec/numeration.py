@@ -24,6 +24,7 @@ from .errors import (
     IntegerOverflowError,
     OutOfRangeError,
     UndefinedForZeroError,
+    check_int,
 )
 from .sequences import SequenceSpec, constant
 
@@ -42,8 +43,7 @@ class BaseSequence:
             spec = constant(spec, "d")
         if spec.codomain != "d":
             raise OutOfRangeError("BaseSequence needs a base-sequence spec (codomain 'd')")
-        if capacity_bits < 64:
-            raise OutOfRangeError(f"capacity must be at least 64 bits, got {capacity_bits}")
+        capacity_bits = check_int("capacity_bits", capacity_bits, 64)
         self.spec = spec
         self.capacity_bits = capacity_bits
         self.capacity = (1 << capacity_bits) - 1
@@ -66,8 +66,8 @@ class BaseSequence:
 
     def digit_base(self, j: int) -> int:
         """d_j for j >= 1 (d_0 = 1 is implicit and never queried)."""
-        if not isinstance(j, int) or j < 1:
-            return int(self.spec.value_at(j))  # raises OutOfRangeError
+        if type(j) is not int or j < 1:
+            return int(self.spec.value_at(j))  # value_at checks j
         if j > len(self._d):
             with self._lock:
                 while j > len(self._d):
@@ -76,8 +76,7 @@ class BaseSequence:
 
     def place_value(self, j: int) -> int:
         """q_j = d_0·d_1···d_j, exact; raises on capacity overflow."""
-        if j < 0:
-            raise OutOfRangeError(f"place index must be >= 0, got {j}")
+        j = check_int("place index", j, 0)
         if j >= len(self._q):
             with self._lock:
                 while j >= len(self._q):
@@ -90,10 +89,7 @@ class BaseSequence:
         return self._q[j]
 
     def _check_state(self, n: int, what: str = "state") -> int:
-        if not isinstance(n, int):
-            raise OutOfRangeError(f"{what} must be an integer, got {type(n).__name__}")
-        if n < 0:
-            raise OutOfRangeError(f"{what} must be >= 0, got {n}")
+        n = check_int(what, n, 0)
         if n > self.capacity:
             raise IntegerOverflowError(f"{what} {n} exceeds {self.capacity_bits}-bit capacity")
         return n

@@ -42,6 +42,9 @@ from .errors import (
     ConfigError,
     DimensionMismatchError,
     OutOfRangeError,
+    check_int,
+    check_point,
+    check_real,
 )
 from .sequences import tail_product
 
@@ -145,7 +148,7 @@ class SparseTruncation:
         return v
 
     def _check_index(self, i: int):
-        if not (0 <= i < self.size):
+        if check_int("index", i, 0) >= self.size:
             raise OutOfRangeError(f"index {i} outside truncation of size {self.size}")
 
 
@@ -158,10 +161,7 @@ def build_truncation(cfg: ChainConfig, size: int) -> SparseTruncation:
     move up; a slot is dropped when its mass is 0 or its column is `size`.
     No row reaches past level L, the number of digits of size.
     """
-    if not isinstance(size, int) or isinstance(size, bool):
-        raise OutOfRangeError(f"truncation size must be an integer, got {size!r}")
-    if size < 1:
-        raise OutOfRangeError(f"truncation size must be >= 1, got {size}")
+    size = check_int("truncation size", size, 1)
     exact = cfg.p.is_rational()
     top = cfg.base.level_of(size)
     # The fall masses (1 - p_j) P_{j-1} of levels 1..top, then the move-up masses P_j.
@@ -191,12 +191,8 @@ def weyl_vector(sys: FiberedSystem, lam: complex, level: int, size: int) -> np.n
     Entries 0..q_level carry the factor-product values v_λ(m); entries above
     are zero.  `size` must be at least q_level + 1.
     """
-    if level < 1:
-        raise OutOfRangeError(f"level must be >= 1, got {level}")
-    k = sys.base.place_value(level)
-    if size < k + 1:
-        raise OutOfRangeError(f"size {size} cannot hold a head of length {k + 1}")
-    w = np.zeros(size, dtype=complex)
+    k = sys.base.place_value(check_int("level", level, 1))
+    w = np.zeros(check_int("size", size, k + 1), dtype=complex)
     w[: k + 1] = eigvec_head(sys, lam, k + 1)
     return w
 
@@ -240,9 +236,7 @@ def column0_coefficient(cfg: ChainConfig, level: int):
     Equals Π_{j<=level+1} p_j minus the limit of the success products; exact
     Fraction when the sequence is rational and the limit is exactly 0.
     """
-    if level < 0:
-        raise OutOfRangeError(f"level must be >= 0, got {level}")
-    head = cfg.success_prefix(level + 1)
+    head = cfg.success_prefix(check_int("level", level, 0) + 1)
     try:
         limit, _ = tail_product(cfg.p, None)
     except ConfigError:
@@ -260,10 +254,9 @@ def weyl_defect(
     cfg and sys must be built from the same (d̄, p̄).
     """
     _check_model(cfg, sys)
-    alpha = float(alpha)
-    if alpha < 1:
-        raise OutOfRangeError(f"alpha must be >= 1, got {alpha}")
-    lam = complex(lam)
+    alpha = check_real("alpha", alpha, 1)
+    lam = check_point("lambda", lam)
+    level = check_int("level", level, 1)
     k = cfg.base.place_value(level)
     size = 2 * k
     trunc = build_truncation(cfg, size)
@@ -353,8 +346,7 @@ def truncated_eigenvalues(sys: FiberedSystem, size: int) -> np.ndarray:
     A_n(1 - p_{n+1}) and one block A_r.  Its spectrum is a copies of T_n and
     that of A_r, and r has the lower digits of size: induction on size.
     """
-    if size < 1:
-        raise OutOfRangeError(f"truncation size must be >= 1, got {size}")
+    size = check_int("truncation size", size, 1)
     if size > _PREIMAGE_CAP:
         raise BudgetExceededError(f"truncation size {size} exceeds {_PREIMAGE_CAP} leaves")
     digits = sys.base.to_digits(size)
@@ -393,6 +385,7 @@ def eigenvalue_report(sys: FiberedSystem, size: int, budget: int = 60) -> list[d
     from level j + 1 is 0 again at level k + 1, where the test of T_k
     starts, and a trap it entered before that level still holds there.
     """
+    budget = check_int("budget", budget, 1)
     vals = truncated_eigenvalues(sys, size).tolist()
     tags: dict[complex, str] = {}
     for k, a in enumerate(sys.base.to_digits(size)):

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .dynamics import ESCAPE_RADIUS, FiberedSystem
-from .errors import OriginEscapedError, OutOfRangeError
+from .errors import OriginEscapedError, OutOfRangeError, check_int, check_point
 
 __all__ = [
     "GridSpec",
@@ -67,17 +67,15 @@ class GridSpec:
     radius: float = ESCAPE_RADIUS
 
     def __post_init__(self):
+        for name in ("width", "height", "max_iter"):  # kept as ints, numpy integers too
+            object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
         if not (self.re_min < self.re_max):
             raise OutOfRangeError(f"need re_min < re_max, got [{self.re_min}, {self.re_max}]")
         if not (self.im_min < self.im_max):
             raise OutOfRangeError(f"need im_min < im_max, got [{self.im_min}, {self.im_max}]")
-        if self.width < 1 or self.height < 1:
-            raise OutOfRangeError(f"grid must be at least 1x1, got {self.width}x{self.height}")
         for name in ("re_min", "re_max", "im_min", "im_max", "dx", "dy", "radius"):
             if not math.isfinite(getattr(self, name)):
                 raise OutOfRangeError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.max_iter < 1:
-            raise OutOfRangeError(f"max_iter must be >= 1, got {self.max_iter}")
         if not (self.radius > 1.0):
             raise OutOfRangeError(
                 f"escape radius must exceed 1 (growth past 1 is the certificate), got {self.radius}"
@@ -109,7 +107,7 @@ class GridSpec:
 
     def pixel_of(self, z: complex) -> tuple[int, int]:
         """(row, col) of the pixel whose cell contains z; raises if outside."""
-        z = complex(z)
+        z = check_point("z", z)
         col = int(np.floor((z.real - self.re_min) / self.dx))
         row = int(np.floor((self.im_max - z.imag) / self.dy))
         if not (0 <= row < self.height and 0 <= col < self.width):
@@ -191,7 +189,7 @@ def render_field(sys: FiberedSystem, grid: GridSpec) -> EscapeField:
         np.divide(w, p, out=w)
         done = con.contains(w) if con and j >= con.start else None
         w **= d
-        escaped = np.abs(w, out=mod[: w.size]) > grid.radius
+        escaped = ~(np.abs(w, out=mod[: w.size]) <= grid.radius)  # a NaN from an overflow escapes
         if escaped.any():
             flat[active[escaped]] = j
             done = escaped if done is None else done | escaped

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigError, OutOfRangeError
+from .errors import ConfigError, OutOfRangeError, check_int, check_real
 
 __all__ = [
     "SequenceSpec",
@@ -152,8 +152,7 @@ class SequenceSpec:
         Returns a Fraction (p̄) or int (d̄) except for random probability
         specs, which return floats.  Raises OutOfRangeError for j < 1.
         """
-        if not isinstance(j, int) or j < 1:
-            raise OutOfRangeError(f"sequence index must be an integer >= 1, got {j!r}")
+        j = check_int("sequence index", j, 1)
         k = self.kind
         if k == "constant":
             return self.value
@@ -173,8 +172,7 @@ class SequenceSpec:
 
     def float_at(self, j: int) -> float:
         """Value at index j as a float, avoiding huge exact intermediates."""
-        if not isinstance(j, int) or j < 1:
-            raise OutOfRangeError(f"sequence index must be an integer >= 1, got {j!r}")
+        j = check_int("sequence index", j, 1)
         k = self.kind
         if k == "geometric":
             return 1.0 - float(self.c) * float(self.gamma) ** j
@@ -356,8 +354,7 @@ def tail_product(spec: SequenceSpec, horizon: int | None = None):
     """
     verdict = product_verdict(spec)
     if horizon is not None:
-        if horizon < 0:
-            raise OutOfRangeError(f"horizon must be >= 0, got {horizon}")
+        horizon = check_int("horizon", horizon, 0)
         if spec.is_rational() and horizon <= _EXACT_HORIZON_CAP:
             part = Fraction(1)
             for j in range(1, horizon + 1):
@@ -388,9 +385,7 @@ def sum_alpha_verdict(spec: SequenceSpec, alpha) -> SumVerdict:
     surely recurs.  A random tail straddling 1 is inconclusive.
     """
     _need_p(spec)
-    alpha = _real(alpha, "alpha")
-    if not (math.isfinite(alpha) and alpha >= 1):
-        raise OutOfRangeError(f"alpha must be a finite number >= 1, got {alpha}")
+    alpha = check_real("alpha", alpha, 1)
     r = _tail_range(spec)
     if r is None:
         if _tail(spec).kind == "geometric" or alpha > 1:
@@ -415,8 +410,7 @@ def tail_sum_alpha(spec: SequenceSpec, alpha, horizon: int | None = None):
     alpha = float(alpha)
     a_int = int(alpha) if alpha.is_integer() else None
     if horizon is not None:
-        if horizon < 0:
-            raise OutOfRangeError(f"horizon must be >= 0, got {horizon}")
+        horizon = check_int("horizon", horizon, 0)
         exact = spec.is_rational() and a_int is not None and horizon <= _EXACT_HORIZON_CAP
         if exact:
             part = Fraction(0)

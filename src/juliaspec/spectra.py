@@ -22,7 +22,6 @@ per-space point entries and the per-λ verdicts both read that decision.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -42,7 +41,7 @@ from .dynamics import (
     factor_values,
     residual_set,
 )
-from .errors import DivisionByZeroIotaError, NotIrreducibleError, OutOfRangeError
+from .errors import DivisionByZeroIotaError, NotIrreducibleError, OutOfRangeError, check_int, check_point, check_real
 from .sequences import (
     SumVerdict,
     limit_is_one,
@@ -98,13 +97,7 @@ _L1 = Space("lalpha", 1.0)  # the one space with a residual candidate set
 
 
 def l_alpha(alpha) -> Space:
-    try:
-        alpha = float(alpha)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise OutOfRangeError(f"l^alpha needs a finite alpha >= 1, got {alpha!r}") from exc
-    if not (math.isfinite(alpha) and alpha >= 1):
-        raise OutOfRangeError(f"l^alpha needs a finite alpha >= 1, got {alpha}")
-    return Space("lalpha", alpha)
+    return Space("lalpha", check_real("alpha", alpha, 1))
 
 
 def parse_space(text: str) -> Space:
@@ -116,10 +109,7 @@ def parse_space(text: str) -> Space:
     if t == "c":
         return C
     if t.startswith("l"):
-        try:
-            return l_alpha(float(t[1:]))
-        except ValueError:
-            pass
+        return l_alpha(t[1:])
     raise OutOfRangeError(f"unknown space {text!r} (use c0, c, linf, or l<alpha>)")
 
 
@@ -167,7 +157,7 @@ class _Orbit:
     """One λ's orbit: its escape test and its factor trace, each run at most once, on first use."""
 
     def __init__(self, sys: FiberedSystem, lam: complex, budget: int):
-        self.sys, self.lam, self.budget = sys, complex(lam), budget
+        self.sys, self.lam, self.budget = sys, check_point("lambda", lam), check_int("budget", budget, 1)
 
     @cached_property
     def escape(self) -> EscapeOutcome:
@@ -327,8 +317,7 @@ def series_partial_sum(sys: FiberedSystem, lam: complex, depth: int) -> float:
     The sum over one digit block splits, so the whole partial sum equals
     Π_{k<=depth} (1 + |ι_λ(k)| + ... + |ι_λ(k)|^{d_k - 1}).
     """
-    if depth < 0:
-        raise OutOfRangeError(f"depth must be >= 0, got {depth}")
+    depth = check_int("depth", depth, 0)
     return _series_product(sys, factor_values(sys, lam, depth))
 
 
@@ -348,8 +337,7 @@ def dual_consistency_residual(sys: FiberedSystem, lam: complex, terms: int) -> f
     row 0; in the null-recurrent regime the defect tends to 0 along the
     residual candidate points, in the transient regime it stays bounded away.
     """
-    if terms < 1:
-        raise OutOfRangeError(f"terms must be >= 1, got {terms}")
+    terms = check_int("terms", terms, 1)
     fac = factor_values(sys, lam, terms)
     acc = 0j
     prod_p = 1.0
@@ -412,9 +400,8 @@ _RESIDUAL_NOTES = {
 
 def residual_l1(sys: FiberedSystem, depth: int, tol: float = 1e-8) -> ResidualReport:
     """Depth-truncated residual set of l^1 with its regime annotation."""
-    if depth < 1:
-        raise OutOfRangeError(f"depth must be >= 1, got {depth}")
-    _check_tol(tol, positive=True)
+    depth = check_int("depth", depth, 1)
+    tol = _check_tol(tol, positive=True)
     pv = product_verdict(sys.p)
     rs, regime = ResidualSets(depth, tol, (), (), ()), "transient"
     if pv is not ProductVerdict.CONVERGES_POSITIVE:

@@ -1,0 +1,214 @@
+"""The one argument rule of the library API (`errors.check_int`, `check_real`, `check_point`).
+
+One table names a public entry point per row, with one argument slot to
+fill.  Every bad value in a slot raises a JuliaspecError and no other
+exception, and a numpy integer in an integer slot gives what the equal
+Python int gives, to the last character of the result's repr.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from juliaspec.canonical import canonical_config
+from juliaspec.dynamics import (
+    dedup_points,
+    escape_classify,
+    factor_trace,
+    factor_values,
+    level_tree,
+    preimages,
+    residual_set,
+)
+from juliaspec.errors import JuliaspecError
+from juliaspec.numeration import BaseSequence
+from juliaspec.operator import (
+    build_truncation,
+    column0_coefficient,
+    eigenvalue_report,
+    truncated_eigenvalues,
+    weyl_defect,
+    weyl_vector,
+)
+from juliaspec.render import GridSpec
+from juliaspec.sequences import sum_alpha_verdict, tail_product, tail_sum_alpha
+from juliaspec.spectra import (
+    C0,
+    classify,
+    dual_consistency_residual,
+    l_alpha,
+    parse_space,
+    point_c0,
+    point_lalpha,
+    residual_l1,
+    series_partial_sum,
+    spectrum_membership,
+    spectrum_summary,
+)
+
+_RC = canonical_config("binary-p34")
+_CFG, _SYS = _RC.chain(), _RC.system()
+_DENDRITE = canonical_config("dendrite").system()  # its l^1 residual set is {1}
+_TRUNC = build_truncation(_CFG, 8)
+_LAM = 0.3 + 0.2j
+_L1 = parse_space("l1")
+_WINDOW = dict(re_min=-1.5, re_max=1.5, im_min=-1.5, im_max=1.5, width=4, height=4, max_iter=10)
+
+
+def _slot(name, kind, lo, good, call):
+    return pytest.param(kind, lo, good, call, id=name)
+
+
+# One row per (entry point, argument): kind, lower bound, a good value, and
+# the call with that argument filled and every other one fixed and valid.
+SLOTS = [
+    # dynamics
+    _slot("escape_classify-z", "point", None, _LAM, lambda v: escape_classify(_SYS, v, 20)),
+    _slot("escape_classify-budget", "int", 1, 20, lambda v: escape_classify(_SYS, _LAM, v)),
+    _slot("escape_classify-start", "int", 1, 2, lambda v: escape_classify(_SYS, _LAM, 20, v)),
+    _slot("factor_trace-lambda", "point", None, _LAM, lambda v: factor_trace(_SYS, v, 20)),
+    _slot("factor_trace-budget", "int", 1, 20, lambda v: factor_trace(_SYS, _LAM, v)),
+    _slot("factor_values-lambda", "point", None, _LAM, lambda v: factor_values(_SYS, v, 4)),
+    _slot("factor_values-count", "int", 0, 4, lambda v: factor_values(_SYS, _LAM, v)),
+    _slot("preimages-target", "point", None, 1.0, lambda v: preimages(_SYS, v, 3)),
+    _slot("preimages-depth", "int", 0, 3, lambda v: preimages(_SYS, 1.0, v)),
+    _slot("level_tree-k", "int", 0, 2, lambda v: level_tree(_SYS, v)),
+    _slot("residual_set-depth", "int", 1, 2, lambda v: residual_set(_SYS, v)),
+    _slot("residual_set-tol", "real", 0, 1e-6, lambda v: residual_set(_SYS, 2, v)),
+    _slot("dedup_points-tol", "real", 0, 0.5, lambda v: dedup_points([0j, 0.1 + 0j, 1j], v)),
+    _slot("FiberedSystem.level-j", "int", 1, 3, lambda v: _SYS.level(v)),
+    _slot("FiberedSystem.composed-j", "int", 0, 3, lambda v: _SYS.composed(v, _LAM)),
+    # spectra
+    _slot("classify-lambda", "point", None, _LAM, lambda v: classify(_SYS, v, C0, budget=20)),
+    _slot("classify-budget", "int", 1, 20, lambda v: classify(_SYS, _LAM, C0, budget=v)),
+    _slot("classify-depth", "int", 1, 2, lambda v: classify(_SYS, _LAM, _L1, budget=20, depth=v)),
+    _slot("classify-budget-residual-point", "int", 1, 20,
+          lambda v: classify(_DENDRITE, 1.0, _L1, budget=v, depth=2)),
+    _slot("spectrum_membership-lambda", "point", None, _LAM, lambda v: spectrum_membership(_SYS, v, 20)),
+    _slot("spectrum_membership-budget", "int", 1, 20, lambda v: spectrum_membership(_SYS, _LAM, v)),
+    _slot("point_c0-lambda", "point", None, _LAM, lambda v: point_c0(_SYS, v, 20)),
+    _slot("point_lalpha-alpha", "real", 1, 2.0, lambda v: point_lalpha(_SYS, _LAM, v, 20)),
+    _slot("series_partial_sum-depth", "int", 0, 3, lambda v: series_partial_sum(_SYS, _LAM, v)),
+    _slot("dual_consistency_residual-terms", "int", 1, 4,
+          lambda v: dual_consistency_residual(_SYS, _LAM, v)),
+    _slot("residual_l1-depth", "int", 1, 2, lambda v: residual_l1(_SYS, v)),
+    _slot("residual_l1-tol", "real", 0, 1e-6, lambda v: residual_l1(_SYS, 2, v)),
+    _slot("spectrum_summary-lambdas", "point", None, _LAM,
+          lambda v: spectrum_summary(_CFG, _SYS, lams=(v,), budget=20, depth=2)),
+    _slot("spectrum_summary-budget", "int", 1, 20,
+          lambda v: spectrum_summary(_CFG, _SYS, lams=(_LAM,), budget=v, depth=2)),
+    _slot("spectrum_summary-depth", "int", 1, 2, lambda v: spectrum_summary(_CFG, _SYS, depth=v)),
+    _slot("spectrum_summary-alphas", "real", 1, 1.5,
+          lambda v: spectrum_summary(_CFG, _SYS, depth=2, alphas=(v,))),
+    _slot("l_alpha-alpha", "real", 1, 1.5, l_alpha),
+    # operator
+    _slot("build_truncation-size", "int", 1, 8, lambda v: build_truncation(_CFG, v)),
+    _slot("truncated_eigenvalues-size", "int", 1, 8, lambda v: truncated_eigenvalues(_SYS, v)),
+    _slot("eigenvalue_report-size", "int", 1, 8, lambda v: eigenvalue_report(_SYS, v, 20)),
+    _slot("eigenvalue_report-budget", "int", 1, 20, lambda v: eigenvalue_report(_SYS, 8, v)),
+    _slot("weyl_defect-lambda", "point", None, _LAM, lambda v: weyl_defect(_CFG, _SYS, v, 2)),
+    _slot("weyl_defect-level", "int", 1, 2, lambda v: weyl_defect(_CFG, _SYS, _LAM, v)),
+    _slot("weyl_defect-alpha", "real", 1, 1.5, lambda v: weyl_defect(_CFG, _SYS, _LAM, 2, v)),
+    _slot("weyl_vector-level", "int", 1, 2, lambda v: weyl_vector(_SYS, _LAM, v, 8)),
+    _slot("weyl_vector-size", "int", 5, 8, lambda v: weyl_vector(_SYS, _LAM, 2, v)),
+    _slot("column0_coefficient-level", "int", 0, 2, lambda v: column0_coefficient(_CFG, v)),
+    _slot("SparseTruncation.entry-n", "int", 0, 3, lambda v: _TRUNC.entry(v, 0)),
+    _slot("SparseTruncation.row_sum-n", "int", 0, 3, _TRUNC.row_sum),
+    # chain
+    _slot("simulate-start", "int", 0, 1, lambda v: _CFG.simulate(v, 20, 3)),
+    _slot("simulate-steps", "int", 0, 20, lambda v: _CFG.simulate(1, v, 3)),
+    _slot("simulate-seed", "int", 0, 3, lambda v: _CFG.simulate(1, 20, v)),
+    _slot("return_statistics-start", "int", 0, 1, lambda v: _CFG.return_statistics(v, 4, 20, 3)),
+    _slot("return_statistics-trajectories", "int", 1, 4,
+          lambda v: _CFG.return_statistics(1, v, 20, 3)),
+    _slot("return_statistics-horizon", "int", 0, 20, lambda v: _CFG.return_statistics(1, 4, v, 3)),
+    _slot("return_statistics-seed", "int", 0, 3, lambda v: _CFG.return_statistics(1, 4, 20, v)),
+    _slot("ChainConfig.level-j", "int", 1, 3, lambda v: _CFG.level(v)),
+    _slot("ChainConfig.p_float-j", "int", 1, 3, lambda v: _CFG.p_float(v)),
+    _slot("success_prefix-r", "int", 0, 3, lambda v: _CFG.success_prefix(v)),
+    _slot("harmonic_value-m", "int", 1, 5, lambda v: _CFG.harmonic_value(v)),
+    _slot("return_probability-m", "int", 0, 5, lambda v: _CFG.return_probability(v)),
+    # numeration
+    _slot("BaseSequence-capacity_bits", "int", 64, 70, lambda v: BaseSequence(2, v)),
+    _slot("place_value-j", "int", 0, 3, lambda v: _CFG.base.place_value(v)),
+    _slot("digit_base-j", "int", 1, 3, lambda v: _CFG.base.digit_base(v)),
+    _slot("to_digits-n", "int", 0, 11, lambda v: _CFG.base.to_digits(v)),
+    _slot("counter-n", "int", 0, 11, lambda v: _CFG.base.counter(v)),
+    # sequences
+    _slot("value_at-j", "int", 1, 3, lambda v: _CFG.p.value_at(v)),
+    _slot("float_at-j", "int", 1, 3, lambda v: _CFG.p.float_at(v)),
+    _slot("tail_product-horizon", "horizon", 0, 6, lambda v: tail_product(_CFG.p, v)),
+    _slot("tail_sum_alpha-horizon", "horizon", 0, 6, lambda v: tail_sum_alpha(_CFG.p, 2, v)),
+    _slot("tail_sum_alpha-alpha", "real", 1, 1.5, lambda v: tail_sum_alpha(_CFG.p, v, 6)),
+    _slot("sum_alpha_verdict-alpha", "real", 1, 1.5, lambda v: sum_alpha_verdict(_CFG.p, v)),
+    # render
+    _slot("GridSpec-width", "int", 1, 4, lambda v: GridSpec(**dict(_WINDOW, width=v))),
+    _slot("GridSpec-height", "int", 1, 4, lambda v: GridSpec(**dict(_WINDOW, height=v))),
+    _slot("GridSpec-max_iter", "int", 1, 10, lambda v: GridSpec(**dict(_WINDOW, max_iter=v))),
+    _slot("GridSpec.pixel_of-z", "point", None, _LAM, lambda v: GridSpec(**_WINDOW).pixel_of(v)),
+]
+
+_NAN, _INF = math.nan, math.inf
+# The named bad values of each kind; an int or real slot also refuses lo - 1.
+# A horizon is an int, or None for the limit.
+_NUMPY_BAD = [np.float64(2.0), np.True_, np.array([1, 2])]
+BAD = {
+    "int": [2.5, 2.0, True, None, "3", "x", _NAN, complex(_NAN, 0), *_NUMPY_BAD],
+    "horizon": [2.5, 2.0, True, "3", "x", _NAN, complex(_NAN, 0), *_NUMPY_BAD],
+    "real": [True, None, "x", _NAN, _INF, -_INF, 1j, complex(_NAN, 0), np.array([1.0, 2.0])],
+    "point": [True, None, "x", complex(_NAN, 0), complex(0, _INF), complex(_INF, _NAN), _NAN, -_INF,
+              np.complex128(complex(_NAN, 1)), np.array([1j, 2])],
+}
+
+
+def _refused(call, v):
+    try:
+        call(v)
+    except JuliaspecError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("kind, lo, good, call", SLOTS)
+def test_named_bad_values_are_refused(kind, lo, good, call):
+    call(good)
+    bad = BAD[kind] + ([] if lo is None else [lo - 1])
+    accepted = [v for v in bad if not _refused(call, v)]
+    assert accepted == []
+
+
+@pytest.mark.parametrize("kind, lo, good, call", [p for p in SLOTS if p.values[0] in ("int", "horizon")])
+def test_numpy_integers_act_as_python_ints(kind, lo, good, call):
+    want = repr(call(good))
+    for cast in (np.int64, np.uint16):
+        assert repr(call(cast(good))) == want, cast
+
+
+def _generated_bad(kind, lo):
+    """Bad values beyond the named ones: the range below the bound, and wrong types."""
+    no_number = st.one_of(st.none(), st.booleans(), st.text(alphabet="xyz ", max_size=3))
+    non_finite = st.sampled_from([_NAN, _INF, -_INF])
+    if kind in ("int", "horizon"):
+        bad = st.one_of(no_number, st.integers(max_value=lo - 1), st.floats(), st.complex_numbers())
+        return bad.filter(lambda v: v is not None) if kind == "horizon" else bad
+    if kind == "real":
+        below = st.floats(max_value=lo, exclude_max=True, allow_nan=False)
+        return st.one_of(no_number, non_finite, below, st.integers(max_value=lo - 1))
+    part = st.floats()
+    return st.one_of(
+        no_number,
+        st.builds(complex, part, non_finite),
+        st.builds(complex, non_finite, part),
+    )
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_every_bad_argument_raises_a_juliaspec_error(data):
+    kind, lo, _, call = data.draw(st.sampled_from([p.values for p in SLOTS]))
+    v = data.draw(_generated_bad(kind, lo))
+    with pytest.raises(JuliaspecError):
+        call(v)

@@ -17,9 +17,12 @@ from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 from scipy import stats
+from strategies import P_SPECS
 
 from juliaspec.chain import ChainConfig, Recurrence, write_trajectory_csv
+from juliaspec.dynamics import FiberedSystem
 from juliaspec.errors import (
     ConfigError,
     IntegerOverflowError,
@@ -27,7 +30,7 @@ from juliaspec.errors import (
     OutOfRangeError,
 )
 from juliaspec.numeration import BaseSequence
-from juliaspec.sequences import constant, geometric, periodic, random_base, random_uniform
+from juliaspec.sequences import constant, geometric, harmonic, periodic, random_base, random_uniform
 from juliaspec.verify import _hit_probability, _mc_vs_exact, run_verify
 
 
@@ -123,6 +126,16 @@ def test_transition_row_overflow_at_capacity():
 
 
 # -- harmonic vector ---------------------------------------------------------
+
+
+@settings(max_examples=40)
+@given(P_SPECS)
+@example(harmonic(1, 1))  # float(p_2) and 1 - 1/3 differ in the last bit
+def test_chain_and_system_read_one_float_per_p(spec):
+    # The sampler and the fiber maps of one (d, p) read the same float p_j.
+    base = BaseSequence(2)
+    chain, sys = ChainConfig(base, spec), FiberedSystem(base, spec)
+    assert [chain.p_float(j) for j in range(1, 201)] == [sys.p_float(j) for j in range(1, 201)]
 
 
 def test_harmonic_vector_is_fixed_by_the_chain_off_zero(chains):

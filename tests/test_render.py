@@ -89,6 +89,7 @@ def test_render_agrees_with_scalar_escape_test(systems):
     grids = [
         GridSpec(-1.3, 0.9, -0.8, 1.1, 64, 64, 200),  # asymmetric: every row iterated
         GridSpec(-1.5, 1.5, -1.5, 1.5, 48, 47, 200),  # symmetric: bottom rows mirrored
+        GridSpec(-1e300, 1e300, -1e300, 1e300, 8, 8, 200),  # first iterates overflow: step 1
     ]
     for grid in grids:
         for name, sys in systems.items():

@@ -106,9 +106,10 @@ def test_point_c0_rejects_unit_eigenvalue_and_escapes(systems):
     one = point_c0(sys, 1.0, budget=40)
     assert one.membership is OUT
     assert one.witness["rules"] == ["factors-approach-1-no-decay"]
-    far = point_c0(sys, 3.0, budget=40)
-    assert far.membership is OUT
-    assert far.witness["rules"] == ["escape-certificate"]
+    for lam in (3.0, 1e308 + 1e308j):  # |ι_1| past the float range, then ι_2 = NaN
+        far = point_c0(sys, lam, budget=40)
+        assert far.membership is OUT
+        assert far.witness["rules"] == ["escape-certificate"]
 
 
 def test_point_c_adds_the_unit_eigenvalue(systems):
@@ -270,10 +271,15 @@ def test_classify_l1_never_eliminates_to_continuous(systems):
 
 
 def test_classify_escapes_are_uniform_across_spaces(systems):
-    for space in (C0, C, L_INF, l_alpha(1), l_alpha(2)):
-        v = classify(systems["ternary-p12"], 1.4 + 0.3j, space, budget=40)
-        assert v.membership is OUT
-        assert v.part is SpectralPart.NOT_APPLICABLE
+    # Far out the first iterate overflows: to NaN, as (a + ai)^2 does, or to
+    # finite parts whose modulus is past the float range (1.44e308 + 1.3e308i).
+    for name, lam in [("ternary-p12", 1.4 + 0.3j), ("binary-p34", 1e308 + 1e308j),
+                      ("binary-p34", 9.75e153 + 3.75e153j)]:
+        for space in (C0, C, L_INF, l_alpha(1), l_alpha(2)):
+            v = classify(systems[name], lam, space, budget=40)
+            assert v.membership is OUT
+            assert v.part is SpectralPart.NOT_APPLICABLE
+            assert v.witness["modulus"] > 1  # never NaN
 
 
 def test_classify_certified_point_on_c0(systems):
