@@ -109,12 +109,16 @@ class BaseSequence:
         """Exact value Σ a_j q_{j-1}; validates every digit against its base."""
         n = 0
         for j, a in enumerate(digits, start=1):
-            d = self.digit_base(j)
-            if not isinstance(a, int) or not 0 <= a < d:
-                raise DigitOutOfRangeError(f"digit a_{j}={a!r} outside [0, {d - 1}]")
+            self._check_digit(j, a)
             if a:
                 n += a * self.place_value(j - 1)
         return self._check_state(n, "value")
+
+    def _check_digit(self, j: int, a) -> None:
+        """Refuse a_j unless it is an int (not a bool) in [0, d_j - 1]."""
+        d = self.digit_base(j)
+        if isinstance(a, bool) or not isinstance(a, int) or not 0 <= a < d:
+            raise DigitOutOfRangeError(f"digit a_{j}={a!r} outside [0, {d - 1}]")
 
     def counter(self, n: int) -> int:
         """ζ_n: the first position j >= 1 with a_j(n) != d_j - 1.
@@ -161,9 +165,7 @@ class DigitExpansion:
 
     def __post_init__(self):
         for j, a in enumerate(self.digits, start=1):
-            d = self.base.digit_base(j)
-            if not isinstance(a, int) or not 0 <= a < d:
-                raise DigitOutOfRangeError(f"digit a_{j}={a!r} outside [0, {d - 1}]")
+            self.base._check_digit(j, a)
 
     @classmethod
     def of_int(cls, base: BaseSequence, n: int) -> "DigitExpansion":

@@ -70,14 +70,16 @@ class SparseTruncation:
     indptr[n]:indptr[n+1], in increasing column order: entry i sits in
     column cols[i] and has value masses[levels[i]].  `masses` is the chain's
     level table (`ChainConfig.level`) read twice: the fall masses of levels
-    1..L, then the move-up masses P_1..P_L.  Values are Fractions when
-    `exact`, floats otherwise.
+    1..L, then the move-up masses P_1..P_L, and `place_values` holds
+    q_0..q_{L-1}.  Values are Fractions when `exact`, floats otherwise.
 
     A fall never leaves the window, so only row size - 1 loses mass to the
     cut, through its move up: outflow[n] is 0 for every other row and `lost`
     for that one.  The lost mass is kept for inspection, never folded back.
-    `rows` and `matrix` (the float CSR behind `to_dense`, `apply` and
-    `apply_dual`, exact entries rounded once) are built on first use.
+    `to_dense`, `apply` and `apply_dual` work in floats, exact entries
+    rounded once; the actions read the level table, one strided slice per
+    level, and give a CSR product's sums bit for bit.  `rows` is built on
+    first use.
     """
 
     size: int
@@ -86,6 +88,7 @@ class SparseTruncation:
     cols: np.ndarray
     levels: np.ndarray
     masses: tuple
+    place_values: tuple
     lost: Fraction | float
 
     @property
@@ -105,13 +108,15 @@ class SparseTruncation:
         return (self._zero,) * (self.size - 1) + (self.lost,)
 
     @cached_property
-    def matrix(self):
-        """The block as a float CSR matrix."""
-        # Imported here: scipy.sparse adds ~0.1 s to every CLI start.
-        from scipy.sparse import csr_array
+    def _float_levels(self) -> tuple[list[tuple[int, float]], np.ndarray]:
+        """(q_r, fall mass) of every level r with nonzero falls, top level first,
+        and the move-up mass of each row but the last, all in floats.
 
-        data = np.array([float(m) for m in self.masses])[self.levels]
-        return csr_array((data, self.cols, self.indptr), shape=(self.size, self.size))
+        P_ζ > 0, so every row but the last ends with its move up.
+        """
+        falls = [(q, float(m)) for q, m in zip(self.place_values, self.masses) if m != 0]
+        up = np.array([float(m) for m in self.masses])[self.levels[self.indptr[1:-1] - 1]]
+        return falls[::-1], up
 
     def entry(self, n: int, m: int):
         """Matrix entry at (row n, column m); 0 when absent."""
@@ -129,15 +134,47 @@ class SparseTruncation:
 
     def to_dense(self) -> np.ndarray:
         """Dense float64 matrix."""
-        return self.matrix.toarray()
+        dense = np.zeros((self.size, self.size))
+        rows = np.repeat(np.arange(self.size), np.diff(self.indptr))
+        dense[rows, self.cols] = np.array([float(m) for m in self.masses])[self.levels]
+        return dense
 
     def apply(self, vec) -> np.ndarray:
         """Row action (A v)(n) = Σ_m A[n, m] v(m) in complex floats."""
-        return self.matrix @ self._check_vector(vec)
+        v = self._check_vector(vec)
+        parts = self._row_action(v.real, self.size), self._row_action(v.imag, self.size)
+        return np.column_stack(parts).view(complex).ravel()  # both parts kept bit for bit
 
     def apply_dual(self, vec) -> np.ndarray:
         """Column action (u A)(m) = Σ_n u(n) A[n, m] in complex floats."""
-        return self._check_vector(vec) @ self.matrix
+        u = self._check_vector(vec)
+        parts = self._column_action(u.real), self._column_action(u.imag)
+        return np.column_stack(parts).view(complex).ravel()
+
+    def _row_action(self, x: np.ndarray, stop: int) -> np.ndarray:
+        """Rows [0, stop) of A x for a real x, one strided slice per level.
+
+        Row n sums its entries by increasing column from +0.0, as a CSR
+        product does: its falls from the top level down, then its move up.
+        """
+        falls, up = self._float_levels
+        y = np.zeros(stop)
+        for q, m in falls:  # rows q - 1, 2q - 1, ... fall to columns 0, q, ...
+            y[q - 1 :: q] += m * x[: stop // q * q : q]
+        n = min(stop, self.size - 1)
+        y[:n] += up[:n] * x[1 : n + 1]
+        return y
+
+    def _column_action(self, x: np.ndarray) -> np.ndarray:
+        """x A for a real x: column m sums its entries by increasing row from
+        +0.0, as the transposed CSR product does: the move up from row m - 1,
+        then the falls from rows m + q_r - 1, the lowest level first."""
+        falls, up = self._float_levels
+        y = np.zeros(self.size)
+        y[1:] += up * x[:-1]
+        for q, m in reversed(falls):
+            y[: self.size // q * q : q] += m * x[q - 1 :: q]
+        return y
 
     def _check_vector(self, vec) -> np.ndarray:
         v = np.asarray(vec, dtype=complex)
@@ -179,7 +216,7 @@ def build_truncation(cfg: ChainConfig, size: int) -> SparseTruncation:
     keep = (cols < size) & np.array([m != 0 for m in masses])[levels]
     indptr = np.concatenate(([0], np.cumsum(keep)[up]))
     lost = (Fraction(0) if exact else 0.0) + masses[top + zeta[-1] - 1]
-    return SparseTruncation(size, exact, indptr, cols[keep], levels[keep], masses, lost)
+    return SparseTruncation(size, exact, indptr, cols[keep], levels[keep], masses, tuple(qs), lost)
 
 
 # -- Weyl defect vectors -----------------------------------------------------

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .dynamics import ESCAPE_RADIUS, FiberedSystem
-from .errors import OriginEscapedError, OutOfRangeError, check_int, check_point
+from .errors import OriginEscapedError, OutOfRangeError, check_int, check_point, check_real
 
 __all__ = [
     "GridSpec",
@@ -44,9 +44,6 @@ __all__ = [
 # Fixed palette: solid color for inside pixels, a warm-to-dark ramp over
 # escape-step/budget ratio for escaped ones.
 INSIDE_COLOR = (18, 26, 92)
-
-# 4-connectivity: share an edge, not just a corner.
-_CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -69,11 +66,13 @@ class GridSpec:
     def __post_init__(self):
         for name in ("width", "height", "max_iter"):  # kept as ints, numpy integers too
             object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
+        for name in ("re_min", "re_max", "im_min", "im_max", "radius"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name), -math.inf))
         if not (self.re_min < self.re_max):
             raise OutOfRangeError(f"need re_min < re_max, got [{self.re_min}, {self.re_max}]")
         if not (self.im_min < self.im_max):
             raise OutOfRangeError(f"need im_min < im_max, got [{self.im_min}, {self.im_max}]")
-        for name in ("re_min", "re_max", "im_min", "im_max", "dx", "dy", "radius"):
+        for name in ("dx", "dy"):
             if not math.isfinite(getattr(self, name)):
                 raise OutOfRangeError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.radius > 1.0):
@@ -145,18 +144,44 @@ class EscapeField:
         return float(self.inside.mean())
 
     @cached_property
-    def _labels(self) -> tuple[np.ndarray, int]:
-        """4-connected labelling of the inside set, computed once per field.
+    def _labels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`_label_runs` of the inside set, computed once per field.
 
         Read by `count_components` and `component_of_zero`; steps must not be
         modified after the first read.
         """
-        # Imported here: scipy.ndimage adds ~0.1 s to every CLI start.
-        from scipy import ndimage
-
-        return ndimage.label(self.inside, structure=_CROSS)
+        return _label_runs(self.inside)
 
 
+def _label_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 4-connected components of a boolean raster, found on its row runs.
+
+    Returns (begin, end, root).  Pixel (r, c) sits at r·(w + 1) + c, with one
+    padding column per row; run i covers [begin[i], end[i]) in raster order,
+    and root[i], the first run of its component, names the component.  Run
+    b of row r + 1 touches run a of row r when begin[b] < end[a] + w + 1 and
+    end[b] > begin[a] + w + 1; those b form a contiguous range, found by
+    bisection.  The components come from root hooking (Shiloach & Vishkin,
+    J. Algorithms 3, 1982): each round hooks the larger root of every edge
+    onto the smaller one, then jumps pointers until every run points at a
+    root.
+    """
+    w = mask.shape[1]
+    edge = np.flatnonzero(np.diff(mask, axis=1, prepend=False, append=False))
+    begin, end = edge[::2], edge[1::2]  # each row's edges alternate: a run begins, it ends
+    lo = np.searchsorted(end, begin + w + 1, side="right")
+    count = np.maximum(np.searchsorted(begin, end + w + 1) - lo, 0)
+    a = np.repeat(np.arange(begin.size), count)
+    b = np.arange(a.size) + np.repeat(lo - np.cumsum(count) + count, count)
+    root = np.arange(begin.size)
+    while not np.array_equal(ra := root[a], rb := root[b]):
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(root, jumped := root[root]):
+            root = jumped
+    return begin, end, root
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an orbit that overflows escapes, silently
 def render_field(sys: FiberedSystem, grid: GridSpec) -> EscapeField:
     """Classify every pixel center by iterating the fiber compositions.
 
@@ -220,13 +245,17 @@ def component_of_zero(field: EscapeField) -> np.ndarray:
         raise OriginEscapedError(
             f"pixel containing the origin escaped at step {int(field.steps[row, col])}"
         )
-    labels, _ = field._labels
-    return labels == labels[row, col]
+    h, w = field.steps.shape
+    begin, end, root = field._labels
+    ours = root == root[np.searchsorted(begin, row * (w + 1) + col, side="right") - 1]
+    flips = np.zeros(h * (w + 1), dtype=bool)  # each run of the component turns on at begin, off at end
+    flips[begin[ours]] = flips[end[ours]] = True
+    return np.logical_xor.accumulate(flips).reshape(h, w + 1)[:, :w]
 
 
 def count_components(field: EscapeField) -> int:
     """Number of 4-connected components of the inside set."""
-    return int(field._labels[1])
+    return len(np.unique(field._labels[2]))
 
 
 # -- artifact output ---------------------------------------------------------

@@ -45,7 +45,6 @@ __all__ = [
     "product_verdict",
     "tail_product",
     "sum_alpha_verdict",
-    "tail_sum_alpha",
     "monotone_increasing",
     "limit_is_one",
     "threshold_index",
@@ -396,63 +395,6 @@ def sum_alpha_verdict(spec: SequenceSpec, alpha) -> SumVerdict:
     if r[1] < 1 or _tail(spec).kind != "random":
         return SumVerdict.DIVERGES
     return SumVerdict.INCONCLUSIVE
-
-
-def tail_sum_alpha(spec: SequenceSpec, alpha, horizon: int | None = None):
-    """Partial or limiting value of Σ (1-p_j)^α.
-
-    Finite horizon: partial sum, exact for rational specs with integral α.
-    horizon=None: closed-form limit where one exists (geometric series,
-    Hurwitz zeta for harmonic tails with α > 1), +inf when the series
-    provably diverges; ConfigError when inconclusive.
-    """
-    verdict = sum_alpha_verdict(spec, alpha)
-    alpha = float(alpha)
-    a_int = int(alpha) if alpha.is_integer() else None
-    if horizon is not None:
-        horizon = check_int("horizon", horizon, 0)
-        exact = spec.is_rational() and a_int is not None and horizon <= _EXACT_HORIZON_CAP
-        if exact:
-            part = Fraction(0)
-            for j in range(1, horizon + 1):
-                part += (1 - spec.value_at(j)) ** a_int
-        else:
-            part = 0.0
-            for j in range(1, horizon + 1):
-                part += (1.0 - spec.float_at(j)) ** alpha
-        return part, verdict
-    if verdict is SumVerdict.DIVERGES:
-        return float("inf"), verdict
-    if verdict is SumVerdict.CONVERGES:
-        return _sum_alpha_limit(spec, alpha, a_int), verdict
-    raise ConfigError("series limit is inconclusive for this spec; pass a finite horizon")
-
-
-def _sum_alpha_limit(spec: SequenceSpec, alpha, a_int):
-    t = _tail(spec)
-    if t.kind == "geometric":
-        # Σ_j (c γ^j)^α = c^α γ^α / (1 - γ^α)
-        if a_int is not None:
-            g = t.gamma**a_int
-            tail_val = t.c**a_int * g / (1 - g)
-        else:
-            g = float(t.gamma) ** float(alpha)
-            tail_val = float(t.c) ** float(alpha) * g / (1.0 - g)
-    elif t.kind == "harmonic":
-        from scipy.special import zeta as hurwitz_zeta
-
-        # Σ_j (c/(j+a))^α = c^α · ζ(α, 1+a)
-        tail_val = float(t.c) ** float(alpha) * float(
-            hurwitz_zeta(float(alpha), 1.0 + float(t.a))
-        )
-    else:
-        # Only the all-ones tails converge: their sum is 0.
-        tail_val = Fraction(0) if t.is_rational() else 0.0
-    if t is spec:
-        return tail_val
-    if a_int is not None and isinstance(tail_val, Fraction):
-        return sum((1 - v) ** a_int for v in spec.prefix) + tail_val
-    return sum((1.0 - float(v)) ** float(alpha) for v in spec.prefix) + float(tail_val)
 
 
 def monotone_increasing(spec: SequenceSpec) -> bool:

@@ -137,22 +137,22 @@ def _eigen_identity(
 def _tree_vs_dense(cfg: ChainConfig, levels, sizes=()) -> tuple[bool, str]:
     # truncated_eigenvalues returns the tree f̃_n⁻¹{1 - p_{n+1}} at size q_n and a
     # union of such trees at any other size.  Match the dense eigensolve to it as
-    # multisets.  Newton and LAPACK reach only about ε^{1/k} at a k-fold root, so
-    # each pair's tolerance is (1e4 ε)^{1/k}, with k the size of the tree point's
-    # cluster.
-    # Imported here: scipy.optimize adds ~0.16 s and ~23 MB to every CLI start.
-    from scipy.optimize import linear_sum_assignment
-
+    # multisets: each dense eigenvalue goes to its nearest tree point, and each
+    # cluster of k tree points (within 1e-6 of each other) must receive exactly k.
+    # Newton and LAPACK reach only about ε^{1/k} at a k-fold root, so each pair's
+    # tolerance is (1e4 ε)^{1/k}.
     sys = FiberedSystem(cfg.base, cfg.p)
     worst, worst_ratio, largest = 0.0, 0.0, 1
     for size in [cfg.base.place_value(n) for n in levels] + list(sizes):
         tree = truncated_eigenvalues(sys, size)
         dense = np.linalg.eigvals(build_truncation(cfg, size).to_dense())
-        dist = np.abs(tree[:, None] - dense[None, :])
-        rows, cols = linear_sum_assignment(dist)
-        mult = (np.abs(tree[:, None] - tree[None, :]) <= 1e-6).sum(axis=1)[rows]
-        err = dist[rows, cols]
-        tol = (1e4 * np.finfo(float).eps) ** (1.0 / mult)
+        near = np.abs(tree[:, None] - tree[None, :]) <= 1e-6
+        cluster, mult = near.argmax(axis=1), near.sum(axis=1)  # a cluster is named by its first point
+        nearest = np.abs(dense[:, None] - tree[None, :]).argmin(axis=1)
+        if not np.array_equal(np.sort(cluster[nearest]), np.sort(cluster)):
+            return False, f"at size {size} the dense eigenvalues do not fill the tree's clusters"
+        err = np.abs(dense - tree[nearest])
+        tol = (1e4 * np.finfo(float).eps) ** (1.0 / mult[nearest])
         worst = max(worst, float(err.max()))
         worst_ratio = max(worst_ratio, float((err / tol).max()))
         largest = max(largest, int(mult.max()))
@@ -168,15 +168,16 @@ def _hit_probability(cfg: ChainConfig, start: int, horizon: int) -> float:
 
     v_t(n) = P_n(visit 0 within t steps) obeys v_0 = e_0 and v_{t+1} = A·v_t off
     state 0, with v_{t+1}(0) = 1.  A chain moves up by at most one per step, so
-    v_t(start) reads only states <= start + t and the truncation to
-    start + horizon + 2 states gives it exactly.
+    v_horizon(start) reads v_t only on states <= start + horizon - t: step t
+    computes those rows alone, and the truncation to start + horizon + 1
+    states holds every row and column they read.
     """
-    size = start + horizon + 2
-    a = build_truncation(cfg, size).matrix
+    size = start + horizon + 1
+    trunc = build_truncation(cfg, size)
     v = np.zeros(size)
     v[0] = 1.0
-    for _ in range(horizon):
-        v = a @ v
+    for stop in range(size - 1, start, -1):
+        v = trunc._row_action(v, stop)
         v[0] = 1.0
     return float(v[start])
 

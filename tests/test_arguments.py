@@ -34,7 +34,7 @@ from juliaspec.operator import (
     weyl_vector,
 )
 from juliaspec.render import GridSpec
-from juliaspec.sequences import sum_alpha_verdict, tail_product, tail_sum_alpha
+from juliaspec.sequences import sum_alpha_verdict, tail_product
 from juliaspec.spectra import (
     C0,
     classify,
@@ -62,7 +62,7 @@ def _slot(name, kind, lo, good, call):
     return pytest.param(kind, lo, good, call, id=name)
 
 
-# One row per (entry point, argument): kind, lower bound, a good value, and
+# One row per (entry point, argument): kind, lower bound (None for none), a good value, and
 # the call with that argument filled and every other one fixed and valid.
 SLOTS = [
     # dynamics
@@ -141,13 +141,16 @@ SLOTS = [
     _slot("value_at-j", "int", 1, 3, lambda v: _CFG.p.value_at(v)),
     _slot("float_at-j", "int", 1, 3, lambda v: _CFG.p.float_at(v)),
     _slot("tail_product-horizon", "horizon", 0, 6, lambda v: tail_product(_CFG.p, v)),
-    _slot("tail_sum_alpha-horizon", "horizon", 0, 6, lambda v: tail_sum_alpha(_CFG.p, 2, v)),
-    _slot("tail_sum_alpha-alpha", "real", 1, 1.5, lambda v: tail_sum_alpha(_CFG.p, v, 6)),
     _slot("sum_alpha_verdict-alpha", "real", 1, 1.5, lambda v: sum_alpha_verdict(_CFG.p, v)),
     # render
     _slot("GridSpec-width", "int", 1, 4, lambda v: GridSpec(**dict(_WINDOW, width=v))),
     _slot("GridSpec-height", "int", 1, 4, lambda v: GridSpec(**dict(_WINDOW, height=v))),
     _slot("GridSpec-max_iter", "int", 1, 10, lambda v: GridSpec(**dict(_WINDOW, max_iter=v))),
+    _slot("GridSpec-re_min", "real", None, -1.5, lambda v: GridSpec(**dict(_WINDOW, re_min=v))),
+    _slot("GridSpec-re_max", "real", None, 1.5, lambda v: GridSpec(**dict(_WINDOW, re_max=v))),
+    _slot("GridSpec-im_min", "real", None, -1.5, lambda v: GridSpec(**dict(_WINDOW, im_min=v))),
+    _slot("GridSpec-im_max", "real", None, 1.5, lambda v: GridSpec(**dict(_WINDOW, im_max=v))),
+    _slot("GridSpec-radius", "real", 1, 4.0, lambda v: GridSpec(**dict(_WINDOW, radius=v))),
     _slot("GridSpec.pixel_of-z", "point", None, _LAM, lambda v: GridSpec(**_WINDOW).pixel_of(v)),
 ]
 
@@ -194,6 +197,8 @@ def _generated_bad(kind, lo):
     if kind in ("int", "horizon"):
         bad = st.one_of(no_number, st.integers(max_value=lo - 1), st.floats(), st.complex_numbers())
         return bad.filter(lambda v: v is not None) if kind == "horizon" else bad
+    if kind == "real" and lo is None:
+        return st.one_of(no_number, non_finite)
     if kind == "real":
         below = st.floats(max_value=lo, exclude_max=True, allow_nan=False)
         return st.one_of(no_number, non_finite, below, st.integers(max_value=lo - 1))

@@ -18,7 +18,7 @@ from io import StringIO
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from scipy import stats
+from scipy import sparse, stats
 from strategies import P_SPECS
 
 from juliaspec.chain import ChainConfig, Recurrence, write_trajectory_csv
@@ -30,6 +30,7 @@ from juliaspec.errors import (
     OutOfRangeError,
 )
 from juliaspec.numeration import BaseSequence
+from juliaspec.operator import build_truncation
 from juliaspec.sequences import constant, geometric, harmonic, periodic, random_base, random_uniform
 from juliaspec.verify import _hit_probability, _mc_vs_exact, run_verify
 
@@ -299,6 +300,26 @@ def test_return_probability_bounds_the_finite_horizon_value(d, gamma, start):
     closed = cfg.return_probability(start)
     within = _hit_probability(cfg, start, 20_000)
     assert within <= closed <= within + 3e-4, (closed, within)
+
+
+def _csr_hit_probability(cfg, start, horizon):
+    """The reference: the whole truncation as a scipy CSR matrix, applied horizon times."""
+    size = start + horizon + 2
+    trunc = build_truncation(cfg, size)
+    data = np.array([float(m) for m in trunc.masses])[trunc.levels]
+    a = sparse.csr_array((data, trunc.cols, trunc.indptr), shape=(size, size))
+    v = np.zeros(size)
+    v[0] = 1.0
+    for _ in range(horizon):
+        v = a @ v
+        v[0] = 1.0
+    return float(v[start])
+
+
+@pytest.mark.parametrize("name", ["dendrite", "ternary-p12", "mixed23-harmonic", "binary-geometric"])
+def test_hit_probability_matches_the_csr_iteration(chains, name):
+    cfg = chains[name]
+    assert _hit_probability(cfg, 1, 20_000).hex() == _csr_hit_probability(cfg, 1, 20_000).hex()
 
 
 def test_return_probability_is_block_constant_and_one_when_recurrent(chains):

@@ -118,6 +118,8 @@ def test_from_digits_validates_each_digit():
         base.from_digits([-1])
     with pytest.raises(DigitOutOfRangeError):
         base.from_digits([0.5])
+    with pytest.raises(DigitOutOfRangeError):
+        base.from_digits([True, False, True])  # isinstance(True, int), yet no digit
 
 
 def test_state_validation():
@@ -163,6 +165,8 @@ def test_digit_expansion_round_trip_and_format():
     assert str(DigitExpansion.of_int(base, 0)) == ""
     with pytest.raises(DigitOutOfRangeError):
         DigitExpansion(base, (2, 0))
+    with pytest.raises(DigitOutOfRangeError):
+        DigitExpansion(base, (1, True))
 
 
 def test_digit_bases_are_read_once(monkeypatch):

@@ -337,6 +337,68 @@ def test_tree_route_keeps_repeated_roots():
     assert ok and "largest cluster 3" in detail, detail
 
 
+def _lsa_tree_vs_dense(cfg, levels, sizes=()):
+    """The reference: the tree-vs-dense check with the spectra paired by linear_sum_assignment."""
+    sys = FiberedSystem(cfg.base, cfg.p)
+    worst, worst_ratio, largest = 0.0, 0.0, 1
+    for size in [cfg.base.place_value(n) for n in levels] + list(sizes):
+        tree = truncated_eigenvalues(sys, size)
+        dense = np.linalg.eigvals(build_truncation(cfg, size).to_dense())
+        dist = np.abs(tree[:, None] - dense[None, :])
+        rows, cols = linear_sum_assignment(dist)
+        mult = (np.abs(tree[:, None] - tree[None, :]) <= 1e-6).sum(axis=1)[rows]
+        err = dist[rows, cols]
+        tol = (1e4 * np.finfo(float).eps) ** (1.0 / mult)
+        worst = max(worst, float(err.max()))
+        worst_ratio = max(worst_ratio, float((err / tol).max()))
+        largest = max(largest, int(mult.max()))
+    names = ", ".join([f"q_{n}" for n in levels] + [str(size) for size in sizes])
+    detail = f"max |tree - dense| {worst:.3e} at {names} (largest cluster {largest})"
+    if worst_ratio > 1:
+        return False, detail + " exceeds the cluster tolerance"
+    return True, detail
+
+
+def test_nearest_match_reports_what_the_assignment_reported(chains):
+    repeated = ChainConfig(BaseSequence(3), prefix_then(["1/2", "1/2", "1"], constant("1/2")))
+    cases = [(cfg, (3, 4), (45, 199)) for cfg in chains.values()] + [(repeated, (2,), (5, 9))]
+    for cfg, levels, sizes in cases:
+        assert _tree_vs_dense(cfg, levels, sizes) == _lsa_tree_vs_dense(cfg, levels, sizes)
+
+
+def _doctored_eigvals(monkeypatch, doctor):
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: doctor(eigvals(a)))
+
+
+def test_tree_vs_dense_fails_on_an_eigenvalue_moved_to_another_cluster(chains, monkeypatch):
+    cfg = chains["dendrite"]
+    assert _tree_vs_dense(cfg, (3,))[0]
+
+    def move(dense):
+        dense = dense.copy()
+        far = np.abs(dense - dense[0]).argmax()
+        dense[0] = dense[far]  # one cluster short, another one over
+        return dense
+
+    _doctored_eigvals(monkeypatch, move)
+    ok, detail = _tree_vs_dense(cfg, (3,))
+    assert not ok and "clusters" in detail, detail
+
+
+def test_tree_vs_dense_fails_on_an_eigenvalue_past_its_tolerance(chains, monkeypatch):
+    cfg = chains["dendrite"]
+
+    def nudge(dense):
+        dense = dense.copy()
+        dense[0] += 1e-9  # a simple root's tolerance is 1e4 ε ≈ 2.2e-12; its neighbours are far
+        return dense
+
+    _doctored_eigvals(monkeypatch, nudge)
+    ok, detail = _tree_vs_dense(cfg, (3,))
+    assert not ok and "exceeds the cluster tolerance" in detail, detail
+
+
 def test_tree_route_past_the_dense_cap(systems):
     vals = truncated_eigenvalues(systems["dendrite"], 8192)  # q_13
     assert vals.shape == (8192,)

@@ -6,10 +6,13 @@ centers are exact dyadics so conjugation symmetry is bit-exact.
 """
 
 import io
+import warnings
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
+from juliaspec import render
 from juliaspec.dynamics import FiberedSystem, escape_classify
 from juliaspec.errors import OriginEscapedError, OutOfRangeError
 from juliaspec.numeration import BaseSequence
@@ -93,7 +96,9 @@ def test_render_agrees_with_scalar_escape_test(systems):
     ]
     for grid in grids:
         for name, sys in systems.items():
-            field = render_field(sys, grid)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # an overflowing orbit escapes without a RuntimeWarning
+                field = render_field(sys, grid)
             for row in range(grid.height):
                 for col in range(grid.width):
                     out = escape_classify(sys, grid.complex_at(row, col), grid.max_iter)
@@ -201,21 +206,76 @@ def test_count_components_synthetic():
 
 
 def test_inside_set_is_labelled_once_per_field(monkeypatch):
-    from scipy import ndimage
-
     calls = []
-    label = ndimage.label
+    label = render._label_runs
 
     def counting_label(*args, **kwargs):
         calls.append(args)
         return label(*args, **kwargs)
 
-    monkeypatch.setattr(ndimage, "label", counting_label)
+    monkeypatch.setattr(render, "_label_runs", counting_label)
     field = render_field(shift_system(), GridSpec(-1.5, 1.5, -1.5, 1.5, 32, 32, 30))
     assert count_components(field) == 1
     assert component_of_zero(field).sum() == field.inside.sum()
     assert count_components(field) == 1
     assert len(calls) == 1
+
+
+# -- the run labeller against scipy.ndimage.label -----------------------------
+
+_CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+
+
+def _assert_same_partition(mask, label):
+    """The run labeller and ndimage.label (4-connected) split the mask alike."""
+    begin, end, root = render._label_runs(mask)
+    h, w = mask.shape
+    length = end - begin
+    padded = np.zeros(h * (w + 1), dtype=np.int64)  # root + 1 on every pixel of a run, 0 elsewhere
+    padded[np.arange(length.sum()) + np.repeat(begin - np.cumsum(length) + length, length)] = (
+        np.repeat(root + 1, length)
+    )
+    ours = padded.reshape(h, w + 1)[:, :w]
+    ref, count = ndimage.label(mask, structure=_CROSS)
+    assert np.count_nonzero(root == np.arange(root.size)) == count, label
+    assert np.array_equal(ours > 0, mask) and np.array_equal(ref > 0, mask), label
+    # k components on each side and k distinct (ours, ref) pairs: a bijection.
+    assert np.unique(np.stack([ours[mask], ref[mask]]), axis=1).shape[1] == count, label
+    return ref
+
+
+def test_run_labels_match_ndimage_on_canonical_masks(systems):
+    windows = {"full": (-1.5, 1.5, -1.5, 1.5), "zoom": (-0.2, 0.8, -0.5, 0.5)}
+    for name, sys in systems.items():
+        for window, bounds in windows.items():
+            for max_iter in (200, 20):
+                field = render_field(sys, GridSpec(*bounds, 512, 512, max_iter))
+                ref = _assert_same_partition(field.inside, (name, window, max_iter))
+                assert count_components(field) == ref.max()
+                row, col = field.grid.pixel_of(0j)
+                if field.inside[row, col]:
+                    assert np.array_equal(component_of_zero(field), ref == ref[row, col])
+
+
+def test_run_labels_match_ndimage_on_random_masks():
+    rng = np.random.default_rng(20261019)
+    for density in (0.3, 0.5, 0.6, 0.7):
+        for shape in ((512, 512), (37, 53), (1, 200), (200, 1)):
+            _assert_same_partition(rng.random(shape) < density, (density, shape))
+
+
+def test_run_labels_on_edge_masks():
+    for shape in ((1, 1), (1, 9), (9, 1), (6, 7)):
+        for fill in (False, True):
+            _assert_same_partition(np.full(shape, fill), (shape, fill))
+    assert render._label_runs(np.zeros((3, 4), dtype=bool))[2].size == 0
+    assert render._label_runs(np.ones((3, 4), dtype=bool))[2].tolist() == [0, 0, 0]
+    # Every other column: one-pixel runs, joined down each column into 5 stripes;
+    # transposed, every other row: one run each, 5 bars.
+    stripes = np.zeros((4, 9), dtype=bool)
+    stripes[:, ::2] = True
+    assert _assert_same_partition(stripes, "stripes").max() == 5
+    assert _assert_same_partition(stripes.T, "bars").max() == 5
 
 
 # -- artifacts ---------------------------------------------------------------

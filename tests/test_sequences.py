@@ -1,8 +1,7 @@
 """Parameter-sequence specs: exact evaluation, tail analysis, JSON round trips.
 
-Oracles here are independent closed forms (geometric series, integral
-bounds for the harmonic tail, long numpy partial products) — never the
-module's own formulas.
+Oracles here are independent closed forms (geometric series, long numpy
+partial products) — never the module's own formulas.
 """
 
 from fractions import Fraction
@@ -34,7 +33,6 @@ from juliaspec.sequences import (
     spec_to_json,
     sum_alpha_verdict,
     tail_product,
-    tail_sum_alpha,
     threshold_index,
 )
 from strategies import P_SPECS
@@ -221,40 +219,6 @@ def test_sum_alpha_verdicts():
     for alpha in (float("nan"), float("inf"), "abc", None, [2], 10**400):
         with pytest.raises(OutOfRangeError):
             sum_alpha_verdict(constant("1/2"), alpha)
-        with pytest.raises(OutOfRangeError):
-            tail_sum_alpha(harmonic("1/2", 1), alpha)
-    assert tail_sum_alpha(geometric(1, "1/2"), "2")[0] == Fraction(1, 3)  # numeric strings are numbers
-
-
-def test_tail_sum_geometric_limit_is_the_exact_series():
-    # Independent identity: limit == partial_J + exact geometric remainder.
-    spec = geometric(1, "1/4")
-    alpha = 2
-    limit, verdict = tail_sum_alpha(spec, alpha, None)
-    assert verdict is SumVerdict.CONVERGES
-    J = 40
-    partial, _ = tail_sum_alpha(spec, alpha, J)
-    g = Fraction(1, 4) ** alpha
-    remainder = g ** (J + 1) / (1 - g)
-    assert isinstance(limit, Fraction) and isinstance(partial, Fraction)
-    assert limit == partial + remainder
-
-
-def test_tail_sum_harmonic_limit_respects_integral_bounds():
-    # Monotone-tail bracket: partial_J <= limit <= partial_J + integral bound.
-    spec = harmonic("1/2", 1)
-    limit, _ = tail_sum_alpha(spec, 2, None)
-    J = 2000
-    partial, _ = tail_sum_alpha(spec, 2, J)
-    partial = float(partial)
-    tail_bound = 0.25 / (J + 1)  # integral of (1/2/(x+1))^2 from J to infinity
-    assert partial < limit <= partial + tail_bound * 1.000001
-
-
-def test_tail_sum_diverges_to_infinity():
-    limit, verdict = tail_sum_alpha(constant("1/2"), 1, None)
-    assert limit == float("inf")
-    assert verdict is SumVerdict.DIVERGES
 
 
 # -- qualitative certificates ------------------------------------------------
