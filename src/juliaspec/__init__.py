@@ -33,8 +33,6 @@ from .dynamics import (
     FactorTrace,
     FiberedSystem,
     TraceStatus,
-    dual_eigvec_entry,
-    eigvec_entry,
     escape_classify,
     factor_trace,
     factor_values,
@@ -125,8 +123,6 @@ __all__ = [
     "classify",
     "component_of_zero",
     "constant",
-    "dual_eigvec_entry",
-    "eigvec_entry",
     "escape_classify",
     "factor_trace",
     "factor_values",

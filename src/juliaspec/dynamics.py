@@ -66,7 +66,6 @@ import numpy as np
 
 from .errors import (
     BudgetExceededError,
-    DivisionByZeroIotaError,
     OutOfRangeError,
     check_int,
     check_point,
@@ -86,9 +85,7 @@ __all__ = [
     "FactorTrace",
     "factor_trace",
     "factor_values",
-    "eigvec_entry",
     "eigvec_head",
-    "dual_eigvec_entry",
     "preimages",
     "level_tree",
     "dedup_points",
@@ -383,22 +380,13 @@ def factor_values(sys: FiberedSystem, lam: complex, count: int) -> list[complex]
     return [iota for iota, _ in islice(sys.orbit(lam), count)]
 
 
-def eigvec_entry(
-    sys: FiberedSystem, lam: complex, n: int, factors: list[complex] | None = None
-) -> complex:
-    """v_λ(n) = Π_r ι_λ(r)^{a_r(n)} over the digits of n (empty product 1)."""
-    digits = sys.base.to_digits(n)
-    if factors is None or len(factors) < len(digits):
-        factors = factor_values(sys, lam, len(digits))
-    out = 1 + 0j
-    for r, a in enumerate(digits):
-        if a:
-            out *= _ipow(factors[r], a)
-    return out
-
-
 def eigvec_head(sys: FiberedSystem, lam: complex, length: int) -> list[complex]:
-    """v_λ(0..length-1) as kron_r (1, ι_r, ..., ι_r^{d_r-1}), equal bit for bit to eigvec_entry."""
+    """v_λ(0..length-1) as kron_r (1, ι_r, ..., ι_r^{d_r-1}), length >= 1.
+
+    Entry n is Π_r ι_r^{a_r(n)} over the digits of n, each power by `_ipow`
+    and the product taken from the lowest digit up.
+    """
+    length = check_int("length", length, 1)
     head = [1 + 0j]
     for r, iota in enumerate(factor_values(sys, lam, sys.base.level_of(length - 1)), 1):
         q = len(head)
@@ -406,22 +394,6 @@ def eigvec_head(sys: FiberedSystem, lam: complex, length: int) -> list[complex]:
             pw = _ipow(iota, a)
             head.extend([v * pw for v in head[: min(q, length - len(head))]])
     return head
-
-
-def dual_eigvec_entry(
-    sys: FiberedSystem, lam: complex, m: int, factors: list[complex] | None = None
-) -> complex:
-    """Dual entry 1 / v_λ(m); raises when a needed factor vanishes."""
-    digits = sys.base.to_digits(m)
-    if factors is None or len(factors) < len(digits):
-        factors = factor_values(sys, lam, len(digits))
-    for r, a in enumerate(digits):
-        if a and factors[r] == 0:
-            raise DivisionByZeroIotaError(f"factor at position {r + 1} vanishes for λ={lam}")
-    v = eigvec_entry(sys, lam, m, factors)
-    if v == 0:
-        raise DivisionByZeroIotaError(f"eigenvector entry underflowed to 0 at m={m}")
-    return 1.0 / v
 
 
 # -- preimages and the residual candidate set -------------------------------

@@ -62,31 +62,29 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class SparseTruncation:
-    """Top-left size×size block of the transition matrix, stored as arrays.
+    """Top-left size×size block of the transition matrix, stored as its row law.
 
     With P_r = p_1···p_r and ζ_n = 1 + max{r : q_r | n + 1}, row n falls to
     n - (q_r - 1) with mass (1 - p_{r+1}) P_r for each r < ζ_n and moves up
-    to n + 1 with mass P_ζ; zero masses are omitted.  Row n's entries are
-    indptr[n]:indptr[n+1], in increasing column order: entry i sits in
-    column cols[i] and has value masses[levels[i]].  `masses` is the chain's
-    level table (`ChainConfig.level`) read twice: the fall masses of levels
-    1..L, then the move-up masses P_1..P_L, and `place_values` holds
+    to n + 1 with mass P_ζ; zero masses are omitted.  So a row is fixed by
+    its ζ, held in the read-only array `zeta`, and the chain's level table
+    (`ChainConfig.level`): `masses` holds the fall masses of levels 1..L,
+    then the move-up masses P_1..P_L, and `place_values` holds
     q_0..q_{L-1}.  Values are Fractions when `exact`, floats otherwise.
 
     A fall never leaves the window, so only row size - 1 loses mass to the
     cut, through its move up: outflow[n] is 0 for every other row and `lost`
     for that one.  The lost mass is kept for inspection, never folded back.
     `to_dense`, `apply` and `apply_dual` work in floats, exact entries
-    rounded once; the actions read the level table, one strided slice per
-    level, and give a CSR product's sums bit for bit.  `rows` is built on
-    first use.
+    rounded once; they read the level table, one strided slice per level,
+    and give a CSR product's sums bit for bit.  The exact views (`rows`,
+    `entry`, `row_sum`, `write_matrix_csv`) read one template per ζ.
+    `rows` is built on first use.
     """
 
     size: int
     exact: bool
-    indptr: np.ndarray
-    cols: np.ndarray
-    levels: np.ndarray
+    zeta: np.ndarray
     masses: tuple
     place_values: tuple
     lost: Fraction | float
@@ -96,11 +94,22 @@ class SparseTruncation:
         return Fraction(0) if self.exact else 0.0
 
     @cached_property
+    def _templates(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """ζ -> the (column - n, level index) pairs of a row n with that ζ, in
+        column order: its falls from level ζ - 1 down to 0, then its move up."""
+        top = len(self.place_values)
+        falls = [(1 - q, r) for r, q in enumerate(self.place_values)][::-1]  # top level first
+        laws = {z: falls[top - z :] + [(1, top + z - 1)] for z in range(1, top + 1)}
+        return {z: tuple((d, k) for d, k in law if self.masses[k] != 0) for z, law in laws.items()}
+
+    def _pairs(self, n: int) -> list[tuple[int, int]]:
+        """Row n's (column, level index) pairs inside the window, in column order."""
+        return [(n + d, k) for d, k in self._templates[self.zeta[n]] if n + d < self.size]
+
+    @cached_property
     def rows(self) -> tuple[tuple[tuple[int, Fraction | float], ...], ...]:
         """rows[n]: row n's (column, value) pairs in increasing column order."""
-        pairs = list(zip(self.cols.tolist(), map(self.masses.__getitem__, self.levels.tolist())))
-        bounds = self.indptr.tolist()
-        return tuple(tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:]))
+        return tuple(tuple((c, self.masses[k]) for c, k in self._pairs(n)) for n in range(self.size))
 
     @cached_property
     def outflow(self) -> tuple[Fraction | float, ...]:
@@ -110,34 +119,29 @@ class SparseTruncation:
     @cached_property
     def _float_levels(self) -> tuple[list[tuple[int, float]], np.ndarray]:
         """(q_r, fall mass) of every level r with nonzero falls, top level first,
-        and the move-up mass of each row but the last, all in floats.
-
-        P_ζ > 0, so every row but the last ends with its move up.
-        """
+        and the move-up mass P_ζ of each row but the last, all in floats."""
         falls = [(q, float(m)) for q, m in zip(self.place_values, self.masses) if m != 0]
-        up = np.array([float(m) for m in self.masses])[self.levels[self.indptr[1:-1] - 1]]
+        up = np.array([float(m) for m in self.masses])[len(self.place_values) + self.zeta[:-1] - 1]
         return falls[::-1], up
 
     def entry(self, n: int, m: int):
         """Matrix entry at (row n, column m); 0 when absent."""
-        self._check_index(n)
-        self._check_index(m)
-        lo, hi = self.indptr[n], self.indptr[n + 1]
-        i = lo + np.searchsorted(self.cols[lo:hi], m)
-        return self.masses[self.levels[i]] if i < hi and self.cols[i] == m else self._zero
+        n, m = self._check_index(n), self._check_index(m)
+        return next((self.masses[k] for c, k in self._pairs(n) if c == m), self._zero)
 
     def row_sum(self, n: int):
         """In-window mass of row n (1 - outflow[n] for a stochastic source row)."""
-        self._check_index(n)
-        levels = self.levels[self.indptr[n] : self.indptr[n + 1]].tolist()
-        return sum(map(self.masses.__getitem__, levels), self._zero)
+        pairs = self._pairs(self._check_index(n))
+        return sum((self.masses[k] for _, k in pairs), self._zero)
 
     def to_dense(self) -> np.ndarray:
-        """Dense float64 matrix."""
-        dense = np.zeros((self.size, self.size))
-        rows = np.repeat(np.arange(self.size), np.diff(self.indptr))
-        dense[rows, self.cols] = np.array([float(m) for m in self.masses])[self.levels]
-        return dense
+        """Dense float64 matrix: each entry is one mass of the level table."""
+        falls, up = self._float_levels
+        dense = np.zeros(self.size * self.size)
+        dense[1 :: self.size + 1] = up  # row n moves up to column n + 1
+        for q, m in falls:  # row jq + q - 1 falls to column jq
+            dense[(q - 1) * self.size :: q * (self.size + 1)] = m
+        return dense.reshape(self.size, self.size)
 
     def apply(self, vec) -> np.ndarray:
         """Row action (A v)(n) = Σ_m A[n, m] v(m) in complex floats."""
@@ -177,46 +181,42 @@ class SparseTruncation:
         return y
 
     def _check_vector(self, vec) -> np.ndarray:
-        v = np.asarray(vec, dtype=complex)
+        try:
+            v = np.asarray(vec, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise OutOfRangeError(f"vector must hold numbers: {exc}") from None
         if v.shape != (self.size,):
             raise DimensionMismatchError(
                 f"vector of shape {v.shape} does not match truncation size {self.size}"
             )
         return v
 
-    def _check_index(self, i: int):
-        if check_int("index", i, 0) >= self.size:
+    def _check_index(self, i: int) -> int:
+        if (i := check_int("index", i, 0)) >= self.size:
             raise OutOfRangeError(f"index {i} outside truncation of size {self.size}")
+        return i
 
 
 def build_truncation(cfg: ChainConfig, size: int) -> SparseTruncation:
     """Truncate the transition matrix to states {0, ..., size-1}.
 
-    Built level by level from the row law (see `SparseTruncation`): the
-    rows with ζ_n > r are those with q_r | n + 1, each falling by q_r - 1.
-    Every row gets ζ_n + 1 slots, its falls r = ζ_n - 1, ..., 0 and then its
-    move up; a slot is dropped when its mass is 0 or its column is `size`.
-    No row reaches past level L, the number of digits of size.
+    Stores the row law (see `SparseTruncation`): the level table of levels
+    1..L, L the number of digits of size, past which no row reaches, and
+    ζ per row, counted level by level: the rows with ζ_n > r are those with
+    q_r | n + 1.
     """
     size = check_int("truncation size", size, 1)
     exact = cfg.p.is_rational()
     top = cfg.base.level_of(size)
     # The fall masses (1 - p_j) P_{j-1} of levels 1..top, then the move-up masses P_j.
     masses = tuple(cfg.level(j)[i] for i in (2, 1) for j in range(1, top + 1))
-    qs = [cfg.base.place_value(r) for r in range(top)]
+    qs = tuple(cfg.base.place_value(r) for r in range(top))
     zeta = np.ones(size, dtype=np.int64)
     for q in qs[1:]:
         zeta[q - 1 :: q] += 1
-    up = np.cumsum(zeta + 1) - 1  # slot of row n's move up; its falls sit just before it
-    cols, levels = np.empty((2, up[-1] + 1), dtype=np.int64)
-    cols[up], levels[up] = np.arange(1, size + 1), top + zeta - 1
-    for r, q in enumerate(qs):  # rows n = q - 1, 2q - 1, ... fall by q - 1 to 0, q, ...
-        slots = up[q - 1 :: q] - 1 - r
-        cols[slots], levels[slots] = np.arange(0, size - q + 1, q), r
-    keep = (cols < size) & np.array([m != 0 for m in masses])[levels]
-    indptr = np.concatenate(([0], np.cumsum(keep)[up]))
+    zeta.flags.writeable = False
     lost = (Fraction(0) if exact else 0.0) + masses[top + zeta[-1] - 1]
-    return SparseTruncation(size, exact, indptr, cols[keep], levels[keep], masses, tuple(qs), lost)
+    return SparseTruncation(size, exact, zeta, masses, qs, lost)
 
 
 # -- Weyl defect vectors -----------------------------------------------------
@@ -449,7 +449,8 @@ def write_matrix_csv(trunc: SparseTruncation, fileobj) -> None:
     """Write the nonzero entries in row-major order, one row per call.
 
     Exact truncations use the header row,col,num,den; float ones
-    row,col,value.  Each mass of the level table is formatted once.
+    row,col,value.  Each mass of the level table is formatted once, and
+    each row reads the formatted template of its ζ.
     """
     if trunc.exact:
         fileobj.write("row,col,num,den\n")
@@ -457,6 +458,6 @@ def write_matrix_csv(trunc: SparseTruncation, fileobj) -> None:
     else:
         fileobj.write("row,col,value\n")
         texts = [f"{v!r}\n" for v in trunc.masses]
-    cols, levels, bounds = trunc.cols.tolist(), trunc.levels.tolist(), trunc.indptr.tolist()
-    for n, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        fileobj.write("".join([f"{n},{c},{texts[k]}" for c, k in zip(cols[a:b], levels[a:b])]))
+    laws = {z: [(d, texts[k]) for d, k in pairs] for z, pairs in trunc._templates.items()}
+    for n, z in enumerate(trunc.zeta.tolist()):  # the last row's move up leaves the window
+        fileobj.write("".join([f"{n},{c},{t}" for d, t in laws[z] if (c := n + d) < trunc.size]))

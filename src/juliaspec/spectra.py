@@ -35,13 +35,11 @@ from .dynamics import (
     ResidualSets,
     TraceStatus,
     _check_tol,
-    _ipow,
     escape_classify,
     factor_trace,
-    factor_values,
     residual_set,
 )
-from .errors import DivisionByZeroIotaError, NotIrreducibleError, OutOfRangeError, check_int, check_point, check_real
+from .errors import NotIrreducibleError, OutOfRangeError, check_int, check_point, check_real
 from .sequences import (
     SumVerdict,
     limit_is_one,
@@ -66,8 +64,6 @@ __all__ = [
     "point_c0",
     "point_c",
     "point_lalpha",
-    "series_partial_sum",
-    "dual_consistency_residual",
     "ResidualReport",
     "residual_l1",
     "residual_verdict",
@@ -101,7 +97,7 @@ def l_alpha(alpha) -> Space:
 
 
 def parse_space(text: str) -> Space:
-    t = text.strip().lower()
+    t = text.strip().lower() if isinstance(text, str) else ""  # anything else is refused below
     if t in ("linf", "loo", "l_inf"):
         return L_INF
     if t == "c0":
@@ -311,16 +307,6 @@ def point_lalpha(
     return _point(_Orbit(sys, lam, budget), l_alpha(alpha))
 
 
-def series_partial_sum(sys: FiberedSystem, lam: complex, depth: int) -> float:
-    """Σ_{n < q_depth} Π_r |ι_λ(r)|^{a_r(n)} via the factored closed form.
-
-    The sum over one digit block splits, so the whole partial sum equals
-    Π_{k<=depth} (1 + |ι_λ(k)| + ... + |ι_λ(k)|^{d_k - 1}).
-    """
-    depth = check_int("depth", depth, 0)
-    return _series_product(sys, factor_values(sys, lam, depth))
-
-
 def _series_product(sys: FiberedSystem, factors) -> float:
     """Π_k (1 + |ι_k| + ... + |ι_k|^{d_k - 1}) over the factors ι_1, ι_2, ... given."""
     out = 1.0
@@ -328,28 +314,6 @@ def _series_product(sys: FiberedSystem, factors) -> float:
         m = abs(iota)
         out *= sum(m**i for i in range(sys.digit_base(k)))
     return out
-
-
-def dual_consistency_residual(sys: FiberedSystem, lam: complex, terms: int) -> float:
-    """Defect |ι_λ(1) - Σ_{i<=terms} (1-p_{i+1}) Π_{j=2..i} p_j / Π_{r<i} ι_λ(r)^{d_r-1}|.
-
-    The full series is the head identity the dual eigenvector must satisfy at
-    row 0; in the null-recurrent regime the defect tends to 0 along the
-    residual candidate points, in the transient regime it stays bounded away.
-    """
-    terms = check_int("terms", terms, 1)
-    fac = factor_values(sys, lam, terms)
-    acc = 0j
-    prod_p = 1.0
-    prod_fac = 1 + 0j
-    for i in range(1, terms + 1):
-        if i >= 2:
-            prod_p *= sys.p_float(i)
-        if prod_fac == 0:
-            raise DivisionByZeroIotaError(f"factor product vanishes before term {i}")
-        acc += (1.0 - sys.p_float(i + 1)) * prod_p / prod_fac
-        prod_fac *= _ipow(fac[i - 1], sys.digit_base(i) - 1)
-    return abs(fac[0] - acc)
 
 
 # -- residual spectrum ------------------------------------------------------

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from eigvec_reference import dual_eigvec_entry, eigvec_entry, series_partial_sum
 
 from juliaspec.canonical import CANONICAL_NAMES
 from juliaspec.chain import ChainConfig, Recurrence
@@ -26,8 +27,6 @@ from juliaspec.dynamics import (
     FiberedSystem,
     TraceStatus,
     dedup_points,
-    dual_eigvec_entry,
-    eigvec_entry,
     escape_classify,
     factor_trace,
     factor_values,
@@ -44,7 +43,6 @@ from juliaspec.spectra import (
     point_c,
     point_c0,
     point_lalpha,
-    series_partial_sum,
 )
 
 IN = Membership.IN_SPECTRUM

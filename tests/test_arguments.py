@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from juliaspec.canonical import canonical_config
 from juliaspec.dynamics import (
     dedup_points,
+    eigvec_head,
     escape_classify,
     factor_trace,
     factor_values,
@@ -38,13 +39,11 @@ from juliaspec.sequences import sum_alpha_verdict, tail_product
 from juliaspec.spectra import (
     C0,
     classify,
-    dual_consistency_residual,
     l_alpha,
     parse_space,
     point_c0,
     point_lalpha,
     residual_l1,
-    series_partial_sum,
     spectrum_membership,
     spectrum_summary,
 )
@@ -73,6 +72,7 @@ SLOTS = [
     _slot("factor_trace-budget", "int", 1, 20, lambda v: factor_trace(_SYS, _LAM, v)),
     _slot("factor_values-lambda", "point", None, _LAM, lambda v: factor_values(_SYS, v, 4)),
     _slot("factor_values-count", "int", 0, 4, lambda v: factor_values(_SYS, _LAM, v)),
+    _slot("eigvec_head-length", "int", 1, 4, lambda v: eigvec_head(_SYS, _LAM, v)),
     _slot("preimages-target", "point", None, 1.0, lambda v: preimages(_SYS, v, 3)),
     _slot("preimages-depth", "int", 0, 3, lambda v: preimages(_SYS, 1.0, v)),
     _slot("level_tree-k", "int", 0, 2, lambda v: level_tree(_SYS, v)),
@@ -91,9 +91,6 @@ SLOTS = [
     _slot("spectrum_membership-budget", "int", 1, 20, lambda v: spectrum_membership(_SYS, _LAM, v)),
     _slot("point_c0-lambda", "point", None, _LAM, lambda v: point_c0(_SYS, v, 20)),
     _slot("point_lalpha-alpha", "real", 1, 2.0, lambda v: point_lalpha(_SYS, _LAM, v, 20)),
-    _slot("series_partial_sum-depth", "int", 0, 3, lambda v: series_partial_sum(_SYS, _LAM, v)),
-    _slot("dual_consistency_residual-terms", "int", 1, 4,
-          lambda v: dual_consistency_residual(_SYS, _LAM, v)),
     _slot("residual_l1-depth", "int", 1, 2, lambda v: residual_l1(_SYS, v)),
     _slot("residual_l1-tol", "real", 0, 1e-6, lambda v: residual_l1(_SYS, 2, v)),
     _slot("spectrum_summary-lambdas", "point", None, _LAM,

@@ -30,7 +30,6 @@ from juliaspec.errors import (
     OutOfRangeError,
 )
 from juliaspec.numeration import BaseSequence
-from juliaspec.operator import build_truncation
 from juliaspec.sequences import constant, geometric, harmonic, periodic, random_base, random_uniform
 from juliaspec.verify import _hit_probability, _mc_vs_exact, run_verify
 
@@ -303,11 +302,14 @@ def test_return_probability_bounds_the_finite_horizon_value(d, gamma, start):
 
 
 def _csr_hit_probability(cfg, start, horizon):
-    """The reference: the whole truncation as a scipy CSR matrix, applied horizon times."""
+    """The reference: the whole truncation as a scipy CSR matrix, applied horizon times.
+
+    The matrix is assembled from `transition_row`, one exact row at a time.
+    """
     size = start + horizon + 2
-    trunc = build_truncation(cfg, size)
-    data = np.array([float(m) for m in trunc.masses])[trunc.levels]
-    a = sparse.csr_array((data, trunc.cols, trunc.indptr), shape=(size, size))
+    entries = [(n, t, float(v)) for n in range(size) for t, v in cfg.transition_row(n).entries]
+    n, t, v = zip(*[e for e in entries if e[1] < size])
+    a = sparse.csr_array((v, (n, t)), shape=(size, size))
     v = np.zeros(size)
     v[0] = 1.0
     for _ in range(horizon):

@@ -9,6 +9,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from eigvec_reference import dual_eigvec_entry, eigvec_entry
 
 from juliaspec.dynamics import (
     RHO,
@@ -16,8 +17,6 @@ from juliaspec.dynamics import (
     TraceStatus,
     _ipow,
     dedup_points,
-    dual_eigvec_entry,
-    eigvec_entry,
     escape_classify,
     factor_trace,
     factor_values,

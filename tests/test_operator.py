@@ -13,10 +13,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from eigvec_reference import eigvec_entry
 from scipy.optimize import linear_sum_assignment
 
 from juliaspec.chain import ChainConfig
-from juliaspec.dynamics import FiberedSystem, eigvec_entry, escape_classify, level_tree, preimages
+from juliaspec.dynamics import FiberedSystem, escape_classify, level_tree, preimages
 from juliaspec.errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -97,6 +98,11 @@ def test_dense_and_actions_agree(chains):
         tr.apply(np.ones(25))
     with pytest.raises(DimensionMismatchError):
         tr.apply_dual(np.ones(23))
+    for bad in (["a"] * 24, "a" * 24, [object()] * 24, [{}] * 24):
+        with pytest.raises(OutOfRangeError):
+            tr.apply(bad)
+        with pytest.raises(OutOfRangeError):
+            tr.apply_dual(bad)
 
 
 # -- column pattern beyond the head ------------------------------------------

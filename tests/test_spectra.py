@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from eigvec_reference import dual_consistency_residual, series_partial_sum
 
 import juliaspec.spectra as spectra
 from juliaspec.chain import ChainConfig
@@ -25,7 +26,6 @@ from juliaspec.spectra import (
     Membership,
     SpectralPart,
     classify,
-    dual_consistency_residual,
     l_alpha,
     parse_space,
     point_c,
@@ -33,7 +33,6 @@ from juliaspec.spectra import (
     point_lalpha,
     residual_l1,
     residual_verdict,
-    series_partial_sum,
     spectrum_membership,
     spectrum_summary,
 )
@@ -56,8 +55,9 @@ def test_space_parsing_and_formatting():
     assert str(l_alpha(2)) == "l2"
     assert str(l_alpha(2.5)) == "l2.5"
     assert str(C0) == "c0"
-    with pytest.raises(OutOfRangeError):
-        parse_space("banach")
+    for bad in ("banach", 5, None, 2.0, b"c0", ["c0"]):
+        with pytest.raises(OutOfRangeError):
+            parse_space(bad)
     for bad in (0.5, "abc", None, [2]):
         with pytest.raises(OutOfRangeError):
             l_alpha(bad)
