@@ -184,7 +184,8 @@ class ChainConfig:
         n + 1 - q_w otherwise.  That induces exactly the row law; the
         per-write sampler `step` is kept as the reference mechanism and the
         two are pinned together by a chi-square agreement test.  A trajectory
-        stops at its first visit to 0.  `return_probability` is the value the
+        stops at its first visit to 0, or once too few steps are left to
+        reach 0 from its block.  `return_probability` is the value the
         fraction tends to as the horizon grows.
         """
         trajectories = check_int("trajectories", trajectories, 1)
@@ -295,6 +296,9 @@ def _wilson_interval(hits: int, n: int):
     return max(0.0, center - half), min(1.0, center + half)
 
 
+_SCALAR_MAX = 32  # a block with at most this many live trajectories steps them as ints
+
+
 def _count_hits_lockstep(
     cfg: ChainConfig, start: int, trajectories: int, horizon: int, seed: int
 ) -> int:
@@ -321,6 +325,25 @@ def _count_hits_lockstep(
     (uint8: q_63 >= 2^63 bounds w by 63).  A trajectory leaves the batch at
     its first visit to 0 and its stream is never read again, so a hit count
     does not depend on when the others stop.
+
+    Reachability cut.  Let n >= 1 sit in block L, q_{L-1} <= n < q_L.  A
+    fall n + 1 - q_w (q_w | n + 1) with w < L stays in the block: q_w divides
+    q_{L-1} and n + 1 > q_{L-1}, so n + 1 >= q_{L-1} + q_w.  With w >= L,
+    q_w | n + 1 <= q_L <= q_w forces n + 1 = q_w, that is w = L and
+    n = q_L - 1, and the fall lands on 0: the one move to 0 from the block.
+    States rise by at most 1 per step, so a trajectory at n needs at least
+    q_L - n more steps to reach 0 (tight where those moves have mass:
+    q_L - n - 1 advances, then that fall).  So at the start of each block, with R steps left, every
+    trajectory with q_L(n) - n > R is a non-hit; it leaves the batch, and
+    its stream is never read again, which by the remark above leaves every
+    other count as it was.  A transient run ends once all climb out of reach.
+
+    Scalar stragglers.  A lockstep step costs a handful of numpy calls
+    whatever the batch size, some µs, against a fraction of a µs per
+    trajectory-step for Python ints.  A null-recurrent run spends most of
+    its steps on a few stragglers, so a block that starts with at most
+    `_SCALAR_MAX` live trajectories walks each one through its column of
+    the same w, with the same q_w and the same move rule.
     """
     bound = start + horizon + 2  # states move up by at most 1 per step
     qs = [1]
@@ -331,7 +354,7 @@ def _count_hits_lockstep(
             f"place value q_{len(qs) - 1} above start {start} + horizon {horizon} "
             "does not fit the 64-bit signed lockstep engine"
         )
-    qs = np.array(qs, dtype=np.int64)
+    qs_list, qs = qs, np.array(qs, dtype=np.int64)
     # Ascending; searchsorted counts the prefixes P_1..P_jmax that are >= u.
     neg_pref = -np.array([float(cfg.success_prefix(r)) for r in range(1, len(qs))])
     if start == 0:
@@ -341,11 +364,24 @@ def _count_hits_lockstep(
     gens = [np.random.default_rng(c) for c in children]
     block = 512
     states = np.full(trajectories, start, dtype=np.int64)
+    cut = 0  # trajectories dropped as out of reach; every other one gone hit 0
     for t0 in range(0, horizon, block):
+        reach = qs[qs.searchsorted(states, side="right")] - states <= horizon - t0
+        if not reach.all():
+            cut += len(gens) - int(reach.sum())
+            states = states[reach]
+            gens = [g for g, keep in zip(gens, reach) if keep]
+        if not gens:
+            break
         steps = min(block, horizon - t0)
         writes = np.empty((steps, len(gens)), dtype=np.uint8)
         for k, g in enumerate(gens):
             writes[:, k] = np.searchsorted(neg_pref, -g.random(steps), side="right")
+        if len(gens) <= _SCALAR_MAX:
+            ends = [_walk(n, ws, qs_list) for n, ws in zip(states.tolist(), writes.T.tolist())]
+            states = np.array([n for n in ends if n], dtype=np.int64)
+            gens = [g for g, n in zip(gens, ends) if n]
+            continue
         for i in range(steps):
             q = qs.take(writes[i])
             states += 1
@@ -356,8 +392,21 @@ def _count_hits_lockstep(
                 writes = writes[:, live]
                 gens = [g for g, keep in zip(gens, live) if keep]
                 if not gens:
-                    return trajectories
-    return trajectories - len(gens)
+                    break
+    return trajectories - cut - len(gens)
+
+
+def _walk(n: int, writes: list[int], qs: list[int]) -> int:
+    """The lockstep move rule on Python ints, for one trajectory through its
+    w of one block; 0 if it visits 0 (and stops there)."""
+    for w in writes:
+        q = qs[w]
+        n += 1
+        if n % q == 0:
+            n -= q
+            if not n:
+                return 0
+    return n
 
 
 def write_trajectory_csv(cfg: ChainConfig, trajectory, fileobj) -> None:

@@ -185,6 +185,9 @@ class SparseTruncation:
             v = np.asarray(vec, dtype=complex)
         except (TypeError, ValueError) as exc:
             raise OutOfRangeError(f"vector must hold numbers: {exc}") from None
+        # numpy reads None as NaN; a NaN from a float stays (weyl_defect's overflow).
+        if np.isnan(v).any() and any(x is None for x in np.asarray(vec, dtype=object).flat):
+            raise OutOfRangeError("vector must hold numbers, not None")
         if v.shape != (self.size,):
             raise DimensionMismatchError(
                 f"vector of shape {v.shape} does not match truncation size {self.size}"

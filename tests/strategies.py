@@ -1,9 +1,11 @@
-"""Hypothesis strategies shared by the property tests: valid specs of p̄ and d̄."""
+"""Hypothesis strategies shared by the property tests: valid specs of p̄ and
+d̄, and small Monte Carlo runs on the canonical configurations."""
 
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from juliaspec.canonical import CANONICAL_NAMES
 from juliaspec.sequences import (
     constant,
     geometric,
@@ -45,4 +47,14 @@ D_SPECS = st.one_of(
         st.just(tail),
         st.builds(prefix_then, st.lists(st.integers(2, 4), min_size=1, max_size=2), st.just(tail)),
     )
+)
+
+# (canonical name, start, trajectories, horizon, seed) for `return_statistics`'
+# engine: up to 64 trajectories, so a run crosses the scalar-straggler size.
+LOCKSTEP_RUNS = st.tuples(
+    st.sampled_from(CANONICAL_NAMES),
+    st.one_of(st.integers(0, 40), st.integers(0, 3000)),
+    st.integers(1, 64),
+    st.integers(0, 1500),
+    st.integers(0, 2**64 - 1),
 )

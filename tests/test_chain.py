@@ -11,7 +11,7 @@ sampler with the exact row law, agreement of the vectorized lockstep
 estimator with an explicit step-by-step loop, and bit-level determinism.
 """
 
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from io import StringIO
 
@@ -21,6 +21,7 @@ from hypothesis import example, given, settings
 from scipy import sparse, stats
 from strategies import P_SPECS
 
+from juliaspec.canonical import CANONICAL_NAMES
 from juliaspec.chain import ChainConfig, Recurrence, write_trajectory_csv
 from juliaspec.dynamics import FiberedSystem
 from juliaspec.errors import (
@@ -333,6 +334,32 @@ def test_return_probability_is_block_constant_and_one_when_recurrent(chains):
     assert abs(cfg.return_probability(8) - 4.0**-5 * 4 / 3) < 1e-6
     for name in ("dendrite", "binary-p34", "ternary-p12", "mixed23-harmonic"):
         assert chains[name].return_probability(12345) == 1.0
+
+
+@pytest.mark.parametrize("name", CANONICAL_NAMES)
+def test_shortest_path_to_zero_is_the_block_distance(chains, name):
+    # The lockstep engine drops a trajectory at n once fewer than q_L(n) - n
+    # steps are left, n in block L = [q_{L-1}, q_L).  Here the distance comes
+    # from the rows alone: one breadth-first search from 0 along reversed
+    # positive-mass edges, over the states below a cap.  A path from n < 300
+    # that leaves [0, cap) takes at least cap - n > q_L(n) - n steps, so the
+    # capped distance is the true one wherever it equals q_L(n) - n.
+    cfg = chains[name]
+    cap = 2 * cfg.base.place_value(cfg.base.level_of(299))
+    into = [[] for _ in range(cap)]
+    for m in range(1, cap):
+        for target, _ in cfg.transition_row(m).entries:
+            if target < cap:
+                into[target].append(m)
+    dist, queue = {0: 0}, deque([0])
+    while queue:
+        t = queue.popleft()
+        for m in into[t]:
+            if m not in dist:
+                dist[m] = dist[t] + 1
+                queue.append(m)
+    for n in range(1, 300):
+        assert dist[n] == cfg.base.place_value(cfg.base.level_of(n)) - n, n
 
 
 def test_return_probability_rejects_void_and_inconclusive_dichotomies(chains):

@@ -1,17 +1,23 @@
 """The lockstep Monte Carlo engine against the ζ-loop engine it replaced.
 
 `_count_hits_lockstep` decides each step with one modulo (advance iff
-n mod q_w ≠ q_w - 1, w the number of successful writes) and drops each
-trajectory at its first visit to 0.  The reference below computes ζ(n) level
-by level and steps every trajectory to the horizon.  Both read the same
-per-trajectory streams, so every hit count must be identical.
+n mod q_w ≠ q_w - 1, w the number of successful writes), drops each
+trajectory at its first visit to 0 or once 0 is out of its reach, and walks
+a block that starts with at most `_SCALAR_MAX` live trajectories as Python
+ints.  The reference below computes ζ(n) level by level and steps every
+trajectory to the horizon.  Both read the same per-trajectory streams, so
+every hit count must be identical.  `zeta_loop_blocks` counts, from the
+reference, which blocks the engine cuts and walks, so a case can state its
+path.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from strategies import LOCKSTEP_RUNS
 
 from juliaspec.canonical import CANONICAL_NAMES, canonical_config
-from juliaspec.chain import _count_hits_lockstep
+from juliaspec.chain import _SCALAR_MAX, _count_hits_lockstep
 from juliaspec.errors import IntegerOverflowError
 
 
@@ -62,6 +68,47 @@ def zeta_loop_hits(cfg, start, trajectories, horizon, seed):
     return int(hit.sum())
 
 
+def zeta_loop_blocks(cfg, start, trajectories, horizon, seed):
+    """(unhit, live) at each 512-step block start t0 of a ζ-loop run.
+
+    unhit counts the trajectories that have not visited 0 before t0; live
+    those of them within reach of 0: q_L - n <= horizon - t0 for n in block
+    L = [q_{L-1}, q_L), the fewest steps from n to 0 (checked on the rows in
+    `test_shortest_path_to_zero_is_the_block_distance`).  Same streams and
+    step as `zeta_loop_hits`.
+    """
+    base = cfg.base
+    qs = [1]
+    while qs[-1] <= start + horizon + 2:
+        qs.append(qs[-1] * base.digit_base(len(qs)))
+    qs = np.array(qs, dtype=np.int64)
+    pref = np.array([float(cfg.success_prefix(r)) for r in range(len(qs))])
+    gens = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(trajectories)]
+    block = 512
+    states = np.full(trajectories, start, dtype=np.int64)
+    hit = states == 0
+    counts = []
+    for t0 in range(0, horizon, block):
+        reach = [
+            n > 0 and base.place_value(base.level_of(n)) - n <= horizon - t0
+            for n in states.tolist()
+        ]
+        counts.append((int((~hit).sum()), int((~hit & np.array(reach)).sum())))
+        uniforms = np.array([g.random(block) for g in gens])
+        for u in uniforms.T[: horizon - t0]:
+            zeta = np.ones(trajectories, dtype=np.int64)
+            mask = states % qs[1] == qs[1] - 1
+            j = 1
+            while mask.any():
+                j += 1
+                zeta[mask] = j
+                mask &= states % qs[j] == qs[j] - 1
+            writes = np.searchsorted(-pref[1:], -u, side="right")
+            states = np.where(u <= pref[zeta], states + 1, states - (qs[writes] - 1))
+            hit |= states == 0
+    return counts
+
+
 def _outcome(engine, *args):
     try:
         return engine(*args)
@@ -105,3 +152,32 @@ def test_lockstep_overflow_refusal():
     assert _count_hits_lockstep(cfg, 2**62 - 800, 3, 797, 1) == 0
     with pytest.raises(IntegerOverflowError):
         _count_hits_lockstep(cfg, 2**62 - 800, 3, 798, 1)
+
+
+def test_cut_fires_while_the_batch_is_lockstep():
+    # Transient binary-geometric from 8: two trajectories visit 0 early; at
+    # t0 = 2048, 45 of the other 198 are out of reach and 153 stay in
+    # lockstep, and at t0 = 2560 the rest are cut.
+    cfg = canonical_config("binary-geometric").chain()
+    args = (cfg, 8, 200, 2700, 5)
+    blocks = zeta_loop_blocks(*args)
+    assert any(unhit > live > _SCALAR_MAX for unhit, live in blocks), blocks
+    assert _count_hits_lockstep(*args) == zeta_loop_hits(*args) == 2
+
+
+def test_stragglers_hand_over_from_lockstep_to_scalar():
+    # Null-recurrent dendrite from 1: 200 live in the first block, then a few
+    # stragglers that the later blocks walk as Python ints.
+    cfg = canonical_config("dendrite").chain()
+    args = (cfg, 1, 200, 3000, 20260823)
+    live = [n for _, n in zeta_loop_blocks(*args)]
+    assert live[0] > _SCALAR_MAX and 0 < min(live) <= _SCALAR_MAX, live
+    assert _count_hits_lockstep(*args) == zeta_loop_hits(*args)
+
+
+@settings(max_examples=40)
+@given(LOCKSTEP_RUNS)
+def test_lockstep_matches_zeta_loop_on_random_runs(run):
+    name, start, trajectories, horizon, seed = run
+    args = (canonical_config(name).chain(), start, trajectories, horizon, seed)
+    assert _count_hits_lockstep(*args) == zeta_loop_hits(*args)

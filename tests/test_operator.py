@@ -105,6 +105,19 @@ def test_dense_and_actions_agree(chains):
             tr.apply_dual(bad)
 
 
+def test_actions_refuse_none_entries(chains):
+    # numpy reads None as NaN; the actions refuse it, and keep taking the
+    # non-finite floats that an overflowing Weyl vector carries.
+    tr = build_truncation(chains["binary-p34"], 4)
+    for bad in ([None, 1, 2, 3], np.array([1, None, 2, 3], dtype=object)):
+        with pytest.raises(OutOfRangeError, match="None"):
+            tr.apply(bad)
+        with pytest.raises(OutOfRangeError, match="None"):
+            tr.apply_dual(bad)
+    assert np.isnan(tr.apply([float("nan"), 1, 2, 3])[0])
+    assert np.isinf(tr.apply_dual([float("inf"), 1, 2, 3])).any()
+
+
 # -- column pattern beyond the head ------------------------------------------
 
 
