@@ -16,7 +16,6 @@ spec is rational, and zero-probability entries are omitted.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -25,7 +24,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import ConfigError, IntegerOverflowError, NotIrreducibleError, OutOfRangeError, check_int
-from .numeration import BaseSequence, DigitExpansion
+from .numeration import BaseSequence
 from .sequences import ProductVerdict, SequenceSpec, irreducible, product_verdict, tail_product
 
 __all__ = [
@@ -177,11 +176,14 @@ class ChainConfig:
         Trajectory k draws its uniforms from the k-th spawned child of
         SeedSequence(seed), so each path is a pure function of (seed, k) and
         the result does not depend on scheduling or batch layout.  The engine
-        advances all trajectories in lockstep using the first-failure inverse
-        CDF: one uniform per step gives the number w of writes that succeed,
-        and the step advances iff ζ(n) <= w ⟺ n mod q_w ≠ q_w - 1 (the low w
-        digits of n spell q_w - 1 exactly when all are maximal), and falls to
-        n + 1 - q_w otherwise.  That induces exactly the row law; the
+        reads each step through the first-failure inverse CDF: one uniform
+        gives the number w of writes that succeed, and the step advances iff
+        ζ(n) <= w ⟺ n mod q_w ≠ q_w - 1 (the low w digits of n spell q_w - 1
+        exactly when all are maximal), and falls to n + 1 - q_w otherwise.
+        Two comparisons of the uniform mark the self-loops (w = 0) and the
+        steps that must advance (q_w above every state of the block), so a
+        batch of trajectories is stepped only at its events, the steps that
+        need the modulo.  That induces exactly the row law; the
         per-write sampler `step` is kept as the reference mechanism and the
         two are pinned together by a chi-square agreement test.  A trajectory
         stops at its first visit to 0, or once too few steps are left to
@@ -321,10 +323,33 @@ def _count_hits_lockstep(
     horizon + 2; every state reached stays below q_jmax - 1, where
     n mod q_jmax = n ≠ q_jmax - 1, so the cap never turns an advance into a fall.
 
-    Per 512-step block, each live trajectory's uniforms become a row of w
-    (uint8: q_63 >= 2^63 bounds w by 63).  A trajectory leaves the batch at
-    its first visit to 0 and its stream is never read again, so a hit count
-    does not depend on when the others stop.
+    At each 512-step block start, every live trajectory draws the uniforms of
+    the whole block from its own stream.  A trajectory leaves the batch at
+    the end of the block in which it first visits 0, and its stream is never
+    read again, so a hit count does not depend on when the others stop.
+
+    Three step classes.  Let a trajectory start a block of s steps at n.
+    Every state it holds before a step of the block is at most n + s - 1, so
+    each step of the block is one of:
+      - w = 0 (u > P_1): q_0 = 1 divides n' + 1 and the fall lands on n',
+        the self-loop; the state stays put.
+      - w >= v (u <= P_v), v the first level with q_v > n + s: then
+        0 < n' + 1 <= n + s < q_v <= q_w, so q_w cannot divide n' + 1, and
+        the step is an advance.  This is the cap argument above, block by
+        block; v <= jmax, so the capped w sorts the same way.
+      - 1 <= w < v (P_v < u <= P_1): an event, the only steps that need the
+        modulo.
+    Two array comparisons, against P_1 and against each row's P_v, sort a
+    block's steps; `_events` finds w for the events alone, gives each event
+    its rank within its row and the advances since the row's previous event
+    (two cumulative sums), and runs the move rule once per event rank across
+    the rows that have that many events: n += gap + 1, then n -= q_w where
+    q_w | n.  A row ends the block at its last event's state plus the
+    advances after it.  Only a fall reaches 0, so a row visits 0 iff its
+    state is 0 after one of its events; the events after that move it on
+    within [0, q_jmax) and are not read.  A block takes as many ranks as its
+    busiest row has events: on binary-geometric, where u falls in
+    (P_v, P_1] with probability at most P_1 - ∏ p_j ≈ 0.06, some 50 of 512.
 
     Reachability cut.  Let n >= 1 sit in block L, q_{L-1} <= n < q_L.  A
     fall n + 1 - q_w (q_w | n + 1) with w < L stays in the block: q_w divides
@@ -338,12 +363,12 @@ def _count_hits_lockstep(
     its stream is never read again, which by the remark above leaves every
     other count as it was.  A transient run ends once all climb out of reach.
 
-    Scalar stragglers.  A lockstep step costs a handful of numpy calls
+    Scalar stragglers.  An event rank costs a handful of numpy calls
     whatever the batch size, some µs, against a fraction of a µs per
     trajectory-step for Python ints.  A null-recurrent run spends most of
     its steps on a few stragglers, so a block that starts with at most
-    `_SCALAR_MAX` live trajectories walks each one through its column of
-    the same w, with the same q_w and the same move rule.
+    `_SCALAR_MAX` live trajectories walks each one through its row of w,
+    with the same q_w and the same move rule.
     """
     bound = start + horizon + 2  # states move up by at most 1 per step
     qs = [1]
@@ -355,8 +380,8 @@ def _count_hits_lockstep(
             "does not fit the 64-bit signed lockstep engine"
         )
     qs_list, qs = qs, np.array(qs, dtype=np.int64)
-    # Ascending; searchsorted counts the prefixes P_1..P_jmax that are >= u.
-    neg_pref = -np.array([float(cfg.success_prefix(r)) for r in range(1, len(qs))])
+    pref = np.array([float(cfg.success_prefix(r)) for r in range(len(qs))])  # P_0 .. P_jmax
+    neg_pref = -pref[1:]  # ascending; searchsorted counts the prefixes P_1..P_jmax >= u
     if start == 0:
         return trajectories
 
@@ -374,26 +399,72 @@ def _count_hits_lockstep(
         if not gens:
             break
         steps = min(block, horizon - t0)
-        writes = np.empty((steps, len(gens)), dtype=np.uint8)
-        for k, g in enumerate(gens):
-            writes[:, k] = np.searchsorted(neg_pref, -g.random(steps), side="right")
         if len(gens) <= _SCALAR_MAX:
-            ends = [_walk(n, ws, qs_list) for n, ws in zip(states.tolist(), writes.T.tolist())]
-            states = np.array([n for n in ends if n], dtype=np.int64)
-            gens = [g for g, n in zip(gens, ends) if n]
-            continue
-        for i in range(steps):
-            q = qs.take(writes[i])
-            states += 1
-            states -= q * (states % q == 0)  # n + 1 ≡ 0 (mod q_w): the fall
-            if not states.all():
-                live = states != 0
-                states = states[live]
-                writes = writes[:, live]
-                gens = [g for g, keep in zip(gens, live) if keep]
-                if not gens:
-                    break
+            ends = [
+                _walk(n, np.searchsorted(neg_pref, -g.random(steps), side="right").tolist(), qs_list)
+                for n, g in zip(states.tolist(), gens)
+            ]
+            ends = np.array(ends, dtype=np.int64)
+        else:
+            uniforms = np.empty((len(gens), steps))
+            for g, row in zip(gens, uniforms):
+                g.random(out=row)
+            ends = _events(states, uniforms, qs, pref)
+        live = ends != 0
+        states = ends[live]
+        gens = [g for g, keep in zip(gens, live) if keep]
     return trajectories - cut - len(gens)
+
+
+def _events(states, uniforms, qs, pref):
+    """One block of the batch: each row's end state, or 0 if it visits 0.
+
+    Row k holds trajectory k's uniforms for the block; only its events are
+    stepped, rank by rank (see `_count_hits_lockstep`).
+    """
+    m, steps = uniforms.shape
+    # w >= v, with q_v > n + steps, is an advance; 1 <= w < v is an event.
+    adv = uniforms <= pref[qs.searchsorted(states + steps, side="right")][:, None]
+    event = uniforms <= pref[1]
+    event ^= adv  # adv is a subset: P_v <= P_1
+    at = np.flatnonzero(event)  # row by row, in step order
+    rows = at // steps
+    q = qs[np.searchsorted(-pref[1:], -uniforms.take(at), side="right")]
+    advanced = np.cumsum(adv, axis=1, dtype=np.int16)
+    before = advanced.take(at).astype(np.int64)  # a row's advances before each event
+    counts = np.count_nonzero(event, axis=1)
+    first = np.cumsum(counts) - counts  # each row's first event
+    last = (first + counts - 1)[counts > 0]
+    since = np.zeros_like(before)  # a row's advances before its previous event
+    since[1:] = before[:-1]
+    since[first[first < len(at)]] = 0
+    jump = before - since + 1  # the advances since the last event, then the event
+    tail = advanced[:, -1].astype(np.int64)  # the advances after the last event
+    tail[counts > 0] -= before[last]
+
+    # Rows with the most events first: rank r steps the rows [0, active[r]).
+    order = np.argsort(-counts, kind="stable")
+    place = np.empty(m, dtype=np.intp)
+    place[order] = np.arange(m)
+    top = int(counts.max())
+    slots = (np.arange(len(at)) - first[rows]) * m + place[rows]
+    jumps = np.empty((top, m), dtype=np.int64)
+    moduli = np.empty((top, m), dtype=np.int64)
+    jumps.ravel()[slots] = jump
+    moduli.ravel()[slots] = q
+    active = np.searchsorted(-counts[order], -np.arange(top), side="left")
+    n = states[order]
+    low = n.copy()  # the lowest state after an event
+    for k, gaps, mods in zip(active.tolist(), jumps, moduli):
+        x, q, lo = n[:k], mods[:k], low[:k]
+        x += gaps[:k]
+        x -= q * (x % q == 0)  # x = n + 1 ≡ 0 (mod q_w): the fall
+        np.minimum(lo, x, out=lo)
+    n += tail[order]
+    n[low == 0] = 0
+    ends = np.empty_like(n)
+    ends[order] = n
+    return ends
 
 
 def _walk(n: int, writes: list[int], qs: list[int]) -> int:
@@ -410,8 +481,20 @@ def _walk(n: int, writes: list[int], qs: list[int]) -> int:
 
 
 def write_trajectory_csv(cfg: ChainConfig, trajectory, fileobj) -> None:
-    """Write (step, state, zeta, digits) rows; digits little-endian, ';'-joined."""
-    writer = csv.writer(fileobj)
-    writer.writerow(["step", "state", "zeta", "digits"])
+    """Write (step, state, zeta, digits) rows; digits little-endian, ';'-joined.
+
+    Each distinct state's `state,zeta,digits` is formatted once.  No field
+    holds a delimiter, a quote or a line break, so the bytes are those of the
+    csv module's default dialect, `\\r\\n` line ends included.
+    """
+    base = cfg.base
+    tails = {}
+    rows = ["step,state,zeta,digits\r\n"]
     for t, n in enumerate(trajectory):
-        writer.writerow([t, n, cfg.base.counter(n), str(DigitExpansion.of_int(cfg.base, n))])
+        key = (type(n), n)  # a bool is refused, not read as the int it equals
+        tail = tails.get(key)
+        if tail is None:
+            digits = ";".join(map(str, base.to_digits(n)))
+            tail = tails[key] = f"{n},{base.counter(n)},{digits}\r\n"
+        rows.append(f"{t},{tail}")
+    fileobj.write("".join(rows))
