@@ -299,6 +299,7 @@ def _wilson_interval(hits: int, n: int):
 
 
 _SCALAR_MAX = 32  # a block with at most this many live trajectories steps them as ints
+_DRAW_ROWS = 64  # trajectories drawn and classified at a time: bounds a block's temporaries
 
 
 def _count_hits_lockstep(
@@ -340,11 +341,11 @@ def _count_hits_lockstep(
       - 1 <= w < v (P_v < u <= P_1): an event, the only steps that need the
         modulo.
     Two array comparisons, against P_1 and against each row's P_v, sort a
-    block's steps; `_events` finds w for the events alone, gives each event
-    its rank within its row and the advances since the row's previous event
-    (two cumulative sums), and runs the move rule once per event rank across
-    the rows that have that many events: n += gap + 1, then n -= q_w where
-    q_w | n.  A row ends the block at its last event's state plus the
+    block's steps; `_events` finds w for the events alone, lays each row's
+    events out by rank with the advances since the row's previous event (a
+    cumulative sum along the row), and runs the move rule once per event rank
+    across the rows that have that many events: n += gap + 1, then n -= q_w
+    where q_w | n.  A row ends the block at its last event's state plus the
     advances after it.  Only a fall reaches 0, so a row visits 0 iff its
     state is 0 after one of its events; the events after that move it on
     within [0, q_jmax) and are not read.  A block takes as many ranks as its
@@ -406,58 +407,56 @@ def _count_hits_lockstep(
             ]
             ends = np.array(ends, dtype=np.int64)
         else:
-            uniforms = np.empty((len(gens), steps))
-            for g, row in zip(gens, uniforms):
-                g.random(out=row)
-            ends = _events(states, uniforms, qs, pref)
+            ends = _events(states, gens, steps, qs, pref)
         live = ends != 0
         states = ends[live]
         gens = [g for g, keep in zip(gens, live) if keep]
     return trajectories - cut - len(gens)
 
 
-def _events(states, uniforms, qs, pref):
-    """One block of the batch: each row's end state, or 0 if it visits 0.
+def _events(states, gens, steps, qs, pref):
+    """One block of the batch: each trajectory draws its uniforms, and only its
+    events are stepped (see `_count_hits_lockstep`); each row's end state, or
+    0 if it visits 0."""
+    m = len(gens)
+    caps = pref[qs.searchsorted(states + steps, side="right")]  # P_v, q_v > n + steps
+    neg_pref = -pref[1:]
+    uniforms = np.empty((min(m, _DRAW_ROWS), steps))
+    writes, before, counts, advances = [], [], [], []
+    for k in range(0, m, _DRAW_ROWS):
+        u = uniforms[: min(_DRAW_ROWS, m - k)]
+        for g, row in zip(gens[k : k + _DRAW_ROWS], u):
+            g.random(out=row)
+        adv = u <= caps[k : k + _DRAW_ROWS, None]  # w >= v
+        event = u <= pref[1]
+        event ^= adv  # 1 <= w < v; adv is a subset, as P_v <= P_1
+        at = np.flatnonzero(event)  # row by row, in step order
+        writes.append(np.searchsorted(neg_pref, -u.take(at), side="right").astype(np.uint8))
+        advanced = np.cumsum(adv, axis=1, dtype=np.int16)
+        before.append(advanced.take(at))  # advances before each event
+        advances.append(advanced[:, -1])
+        counts.append(event.sum(axis=1))
 
-    Row k holds trajectory k's uniforms for the block; only its events are
-    stepped, rank by rank (see `_count_hits_lockstep`).
-    """
-    m, steps = uniforms.shape
-    # w >= v, with q_v > n + steps, is an advance; 1 <= w < v is an event.
-    adv = uniforms <= pref[qs.searchsorted(states + steps, side="right")][:, None]
-    event = uniforms <= pref[1]
-    event ^= adv  # adv is a subset: P_v <= P_1
-    at = np.flatnonzero(event)  # row by row, in step order
-    rows = at // steps
-    q = qs[np.searchsorted(-pref[1:], -uniforms.take(at), side="right")]
-    advanced = np.cumsum(adv, axis=1, dtype=np.int16)
-    before = advanced.take(at).astype(np.int64)  # a row's advances before each event
-    counts = np.count_nonzero(event, axis=1)
-    first = np.cumsum(counts) - counts  # each row's first event
-    last = (first + counts - 1)[counts > 0]
-    since = np.zeros_like(before)  # a row's advances before its previous event
-    since[1:] = before[:-1]
-    since[first[first < len(at)]] = 0
-    jump = before - since + 1  # the advances since the last event, then the event
-    tail = advanced[:, -1].astype(np.int64)  # the advances after the last event
-    tail[counts > 0] -= before[last]
+    # Slot [k, r] holds the event of rank r of row k.
+    counts = np.concatenate(counts)
+    top = int(counts.max())
+    ranked = np.arange(top) < counts[:, None]
+    gaps = np.zeros((m, top), dtype=np.int16)
+    gaps[ranked] = np.concatenate(before)
+    tail = np.concatenate(advances) - gaps.max(axis=1, initial=0)  # advances after the last event
+    gaps = np.diff(gaps, axis=1, prepend=np.int16(0))  # advances since the previous event
+    gaps += 1  # and the event
+    w = np.zeros((m, top), dtype=np.uint8)
+    w[ranked] = np.concatenate(writes)
 
     # Rows with the most events first: rank r steps the rows [0, active[r]).
     order = np.argsort(-counts, kind="stable")
-    place = np.empty(m, dtype=np.intp)
-    place[order] = np.arange(m)
-    top = int(counts.max())
-    slots = (np.arange(len(at)) - first[rows]) * m + place[rows]
-    jumps = np.empty((top, m), dtype=np.int64)
-    moduli = np.empty((top, m), dtype=np.int64)
-    jumps.ravel()[slots] = jump
-    moduli.ravel()[slots] = q
     active = np.searchsorted(-counts[order], -np.arange(top), side="left")
     n = states[order]
     low = n.copy()  # the lowest state after an event
-    for k, gaps, mods in zip(active.tolist(), jumps, moduli):
-        x, q, lo = n[:k], mods[:k], low[:k]
-        x += gaps[:k]
+    for k, jump, ws in zip(active.tolist(), gaps[order].T, w[order].T):
+        x, q, lo = n[:k], qs.take(ws[:k]), low[:k]
+        x += jump[:k]
         x -= q * (x % q == 0)  # x = n + 1 ≡ 0 (mod q_w): the fall
         np.minimum(lo, x, out=lo)
     n += tail[order]

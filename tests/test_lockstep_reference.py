@@ -295,6 +295,17 @@ def test_step_classes_are_the_searchsorted_ones(name):
         assert ((u <= pref[v]) == (w >= v)).all(), v
 
 
+class _Preset:
+    """Stands in for a trajectory's generator: draws the given uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = uniforms
+
+    def random(self, out):
+        out[:] = self.uniforms
+        return out
+
+
 @pytest.mark.parametrize("name", CANONICAL_NAMES)
 def test_events_match_the_walk(name):
     """`_events` against `_walk` on each row of a block: uniforms drawn from
@@ -321,7 +332,8 @@ def test_events_match_the_walk(name):
         for row, n in enumerate(states.tolist()):
             if n + 1 in qs[1:jmax]:
                 uniforms[row, 0] = pref[qs.index(n + 1)]
-        got = _events(states, uniforms, np.array(qs[: jmax + 1], dtype=np.int64), pref)
+        gens = [_Preset(u) for u in uniforms]
+        got = _events(states, gens, steps, np.array(qs[: jmax + 1], dtype=np.int64), pref)
         want = [
             _walk(n, np.searchsorted(-pref[1:], -u, side="right").tolist(), qs[: jmax + 1])
             for n, u in zip(states.tolist(), uniforms)
