@@ -431,7 +431,8 @@ def _events(states, gens, steps, qs, pref):
         event = u <= pref[1]
         event ^= adv  # 1 <= w < v; adv is a subset, as P_v <= P_1
         at = np.flatnonzero(event)  # row by row, in step order
-        writes.append(np.searchsorted(neg_pref, -u.take(at), side="right").astype(np.uint8))
+        w = np.searchsorted(neg_pref, -u.take(at), side="right")
+        writes.append(w.astype(np.uint8))  # q_63 >= 2^63 bounds w by 63
         advanced = np.cumsum(adv, axis=1, dtype=np.int16)
         before.append(advanced.take(at))  # advances before each event
         advances.append(advanced[:, -1])
