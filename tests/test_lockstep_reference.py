@@ -317,10 +317,10 @@ def test_events_match_the_walk(name):
     while qs[-1] * cfg.base.digit_base(len(qs)) <= np.iinfo(np.int64).max:
         qs.append(qs[-1] * cfg.base.digit_base(len(qs)))
     edge = qs[-1] - 800
+    low = sorted({q + d for q in qs[1:-1] for d in (-2, -1, 0, 1) if 1 <= q + d <= edge})
     rng = np.random.default_rng(19)
     hits = 0
     for steps in (512, 37, 1):
-        low = sorted({q + d for q in qs[1:-1] for d in (-2, -1, 0, 1) if 1 <= q + d <= edge})
         states = np.array(low + [edge - 512, edge - steps, edge], dtype=np.int64)
         jmax = next(j for j, q in enumerate(qs) if q > edge + steps + 2)
         pref = np.array([float(cfg.success_prefix(r)) for r in range(jmax + 1)])
