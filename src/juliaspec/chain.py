@@ -87,6 +87,7 @@ class ChainConfig:
         self.base = base
         self.p = p
         self._levels: list[tuple] = []
+        self._laws: list[tuple] = [()]  # row_law(ζ) at index ζ; no row has ζ = 0
 
     # -- parameter access ---------------------------------------------------
 
@@ -120,23 +121,32 @@ class ChainConfig:
 
     # -- transition structure ----------------------------------------------
 
+    def row_law(self, zeta: int) -> tuple[tuple[int, Fraction | float], ...]:
+        """The (target - n, mass) pairs of every row n with ζ_n = zeta.
+
+        In ascending target order: the falls 1 - q_r for r = zeta - 1 down to
+        0, then the move up +1 with mass P_zeta; zero masses are omitted.
+        Law ζ is the fall of level ζ - 1, then law ζ - 1 without its move up,
+        then the move up P_ζ.  Each law is built once per chain.
+        """
+        zeta = check_int("zeta", zeta, 1)
+        while len(self._laws) <= zeta:
+            z = len(self._laws)
+            _, up, fall, _ = self.level(z)
+            below = (pair for pair in self._laws[-1] if pair[0] < 1)  # law z - 1's falls
+            law = [(1 - self.base.place_value(z - 1), fall), *below, (1, up)]
+            self._laws.append(tuple((d, m) for d, m in law if m != 0))
+        return self._laws[zeta]
+
     def transition_row(self, n: int) -> TransitionRow:
-        """Row n of the transition matrix, zero entries omitted."""
+        """Row n of the transition matrix: law ζ_n shifted by n."""
         zeta = self.base.counter(n)
-        up = self.level(zeta)[1]  # grows the table to ζ
-        entries = []
-        for r in range(zeta - 1, -1, -1):  # down-jumps and the self-loop, ascending targets
-            mass = self._levels[r][2]
-            if mass != 0:
-                entries.append((n - (self.base.place_value(r) - 1), mass))
-        if up != 0:
-            succ = n + 1
-            if succ > self.base.capacity:
-                raise IntegerOverflowError(
-                    f"successor of {n} exceeds {self.base.capacity_bits}-bit capacity"
-                )
-            entries.append((succ, up))
-        return TransitionRow(source=n, zeta=zeta, entries=tuple(entries))
+        law = self.row_law(zeta)
+        if law[-1][0] == 1 and n + 1 > self.base.capacity:
+            raise IntegerOverflowError(
+                f"successor of {n} exceeds {self.base.capacity_bits}-bit capacity"
+            )
+        return TransitionRow(source=n, zeta=zeta, entries=tuple((n + d, s) for d, s in law))
 
     # -- sampling -----------------------------------------------------------
 
@@ -300,6 +310,7 @@ def _wilson_interval(hits: int, n: int):
 
 _SCALAR_MAX = 32  # a block with at most this many live trajectories steps them as ints
 _DRAW_ROWS = 64  # trajectories drawn and classified at a time: bounds a block's temporaries
+_GROUP = 4096  # trajectories spawned and run at a time: bounds the generators held at once
 
 
 def _count_hits_lockstep(
@@ -328,6 +339,11 @@ def _count_hits_lockstep(
     the whole block from its own stream.  A trajectory leaves the batch at
     the end of the block in which it first visits 0, and its stream is never
     read again, so a hit count does not depend on when the others stop.
+    Nor does it depend on the grouping: trajectories are spawned and run
+    `_GROUP` at a time, each group to its end before the next, and repeated
+    `spawn` calls on the one root SeedSequence continue its child numbering,
+    so trajectory k still draws from child k.  Only one group's generators
+    are held at once.
 
     Three step classes.  Let a trajectory start a block of s steps at n.
     Every state it holds before a step of the block is at most n + s - 1, so
@@ -386,32 +402,36 @@ def _count_hits_lockstep(
     if start == 0:
         return trajectories
 
-    children = np.random.SeedSequence(seed).spawn(trajectories)
-    gens = [np.random.default_rng(c) for c in children]
+    root = np.random.SeedSequence(seed)
     block = 512
-    states = np.full(trajectories, start, dtype=np.int64)
-    cut = 0  # trajectories dropped as out of reach; every other one gone hit 0
-    for t0 in range(0, horizon, block):
-        reach = qs[qs.searchsorted(states, side="right")] - states <= horizon - t0
-        if not reach.all():
-            cut += len(gens) - int(reach.sum())
-            states = states[reach]
-            gens = [g for g, keep in zip(gens, reach) if keep]
-        if not gens:
-            break
-        steps = min(block, horizon - t0)
-        if len(gens) <= _SCALAR_MAX:
-            ends = [
-                _walk(n, np.searchsorted(neg_pref, -g.random(steps), side="right").tolist(), qs_list)
-                for n, g in zip(states.tolist(), gens)
-            ]
-            ends = np.array(ends, dtype=np.int64)
-        else:
-            ends = _events(states, gens, steps, qs, pref)
-        live = ends != 0
-        states = ends[live]
-        gens = [g for g, keep in zip(gens, live) if keep]
-    return trajectories - cut - len(gens)
+    hits = 0
+    for first in range(0, trajectories, _GROUP):
+        gens = [np.random.default_rng(c) for c in root.spawn(min(_GROUP, trajectories - first))]
+        states = np.full(len(gens), start, dtype=np.int64)
+        hits += len(gens)  # less those cut out of reach and those still out at the horizon
+        for t0 in range(0, horizon, block):
+            reach = qs[qs.searchsorted(states, side="right")] - states <= horizon - t0
+            if not reach.all():
+                hits -= len(gens) - int(reach.sum())
+                states = states[reach]
+                gens = [g for g, keep in zip(gens, reach) if keep]
+            if not gens:
+                break
+            steps = min(block, horizon - t0)
+            if len(gens) <= _SCALAR_MAX:
+                ends = [
+                    _walk(n, np.searchsorted(neg_pref, -g.random(steps), side="right").tolist(), qs_list)
+                    for n, g in zip(states.tolist(), gens)
+                ]
+                ends = np.array(ends, dtype=np.int64)
+            else:
+                ends = _events(states, gens, steps, qs, pref)
+            live = ends != 0
+            states = ends[live]
+            gens = [g for g, keep in zip(gens, live) if keep]
+        hits -= len(gens)
+        del gens  # this group's generators go before the next group's are made
+    return hits
 
 
 def _events(states, gens, steps, qs, pref):

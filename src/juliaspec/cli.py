@@ -28,10 +28,10 @@ from contextlib import contextmanager
 
 from . import chain as chain_mod
 from .canonical import CANONICAL_NAMES, canonical_config
-from .config import RunConfig, json_int, load_config_file
+from .config import RunConfig, load_config_file
 from .dynamics import ESCAPE_RADIUS
 from .dynamics import preimages as dyn_preimages
-from .errors import BudgetExceededError, ConfigError, IntegerOverflowError, JuliaspecError, VerificationError
+from .errors import BudgetExceededError, ConfigError, IntegerOverflowError, JuliaspecError, VerificationError, json_int
 from .operator import build_truncation, eigenvalue_report, truncated_eigenvalues, write_eigenvalue_csv, write_matrix_csv
 from .render import GridSpec, component_of_zero, count_components, render_field, write_field_csv, write_image, write_points_csv
 from .spectra import classify, parse_space, residual_l1, spectrum_summary
@@ -219,12 +219,12 @@ _COMMANDS = {
         ("--lambda", str, _REQUIRED, "complex λ, e.g. 0.3+0.2i"),
         ("--space", str, _REQUIRED, "c0 | c | linf | l<alpha>"),
         ("--budget", int, 80, "fiber maps applied before a verdict is undecided"),
-        ("--depth", int, 5, "residual-set depth for the point spectrum"),
+        ("--depth", int, 5, "truncation depth of the l^1 residual candidate set"),
     )),
     "spectrum-report": (_cmd_spectrum_report, "per-space spectral summary", (
         ("--lambdas", str, None, "comma-separated list of complex samples (default: none)"),
         ("--budget", int, 80, "fiber maps applied before a verdict is undecided"),
-        ("--depth", int, 5, "residual-set depth for the point spectrum"),
+        ("--depth", int, 5, "truncation depth of the l^1 residual candidate set"),
         ("--alphas", str, "1,2", "comma-separated α values of the l^α spaces"),
     )),
     "preimages": (_cmd_preimages, "preimages of a target under the compositions", (

@@ -14,11 +14,11 @@ from functools import cached_property
 
 from .chain import ChainConfig
 from .dynamics import FiberedSystem
-from .errors import ConfigError
+from .errors import ConfigError, json_int
 from .numeration import BaseSequence
 from .sequences import SequenceSpec, spec_from_json, spec_to_json
 
-__all__ = ["RunConfig", "parse_config", "load_config_file", "json_int"]
+__all__ = ["RunConfig", "parse_config", "load_config_file"]
 
 _KEYS = ("p", "d", "seed", "command", "capacity_bits")
 _INT_RANGES = {"seed": (0, 2**64 - 1), "capacity_bits": (64, 512)}
@@ -62,18 +62,6 @@ class RunConfig:
         if self.capacity_bits != 64:
             out["capacity_bits"] = self.capacity_bits
         return out
-
-
-def json_int(what: str, v, lo=None, hi=None) -> int:
-    """v as an int the way a JSON document states one, else ConfigError.
-
-    Integral floats such as 1.0 count as integers; booleans do not.
-    """
-    if isinstance(v, bool) or not (isinstance(v, int) or isinstance(v, float) and v.is_integer()):
-        raise ConfigError(f"{what} must be an integer, got {v!r}")
-    if lo is not None and not lo <= v <= hi:
-        raise ConfigError(f"{what} must lie in [{lo}, {hi}], got {v!r}")
-    return int(v)
 
 
 def parse_config(obj) -> RunConfig:

@@ -14,7 +14,7 @@ Every integer, exponent and point argument of the library API is checked by
 * a point (λ, z, a target) is a finite real or complex number or its
   text, never a bool.
 
-JSON documents and CLI text keep their own rule (`config.json_int`,
+JSON documents and CLI text keep their own rule (`json_int`,
 `cli.parse_complex`): there 1.0 counts as an integer and a refusal is a
 ConfigError.
 """
@@ -28,6 +28,7 @@ __all__ = [
     "check_int",
     "check_real",
     "check_point",
+    "json_int",
     "JuliaspecError",
     "ConfigError",
     "IntegerOverflowError",
@@ -37,7 +38,6 @@ __all__ = [
     "NotIrreducibleError",
     "BudgetExceededError",
     "DimensionMismatchError",
-    "DivisionByZeroIotaError",
     "OriginEscapedError",
     "VerificationError",
 ]
@@ -79,10 +79,6 @@ class DimensionMismatchError(JuliaspecError):
     """Vector length does not match the truncation size."""
 
 
-class DivisionByZeroIotaError(JuliaspecError):
-    """A dual eigenvector entry requires dividing by a vanishing factor."""
-
-
 class OriginEscapedError(JuliaspecError):
     """The pixel containing the origin is classified as escaped."""
 
@@ -111,6 +107,18 @@ def check_real(what: str, v, lo: float) -> float:
 def check_point(what: str, z) -> complex:
     """z as a complex: a finite real or complex number or the text of one, never a bool."""
     return _convert(what, z, complex, "a finite complex number")
+
+
+def json_int(what: str, v, lo=None, hi=None) -> int:
+    """v as an int the way a JSON document states one, else ConfigError.
+
+    Integral floats such as 1.0 count as integers; booleans do not.
+    """
+    if isinstance(v, bool) or not (isinstance(v, int) or isinstance(v, float) and v.is_integer()):
+        raise ConfigError(f"{what} must be an integer, got {v!r}")
+    if lo is not None and not lo <= v <= hi:
+        raise ConfigError(f"{what} must lie in [{lo}, {hi}], got {v!r}")
+    return int(v)
 
 
 def _convert(what: str, v, cast, noun: str):

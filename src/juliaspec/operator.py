@@ -67,49 +67,47 @@ class SparseTruncation:
     With P_r = p_1···p_r and ζ_n = 1 + max{r : q_r | n + 1}, row n falls to
     n - (q_r - 1) with mass (1 - p_{r+1}) P_r for each r < ζ_n and moves up
     to n + 1 with mass P_ζ; zero masses are omitted.  So a row is fixed by
-    its ζ, held in the read-only array `zeta`, and the chain's level table
-    (`ChainConfig.level`): `masses` holds the fall masses of levels 1..L,
-    then the move-up masses P_1..P_L, and `place_values` holds
-    q_0..q_{L-1}.  Values are Fractions when `exact`, floats otherwise.
+    its ζ, held in the read-only array `zeta`, and `laws[ζ - 1]` is the
+    chain's `row_law(ζ)` for ζ = 1..L, the same tuples the chain holds:
+    (column - n, mass) pairs in column order.  Masses are Fractions when
+    `exact`, floats otherwise.
 
     A fall never leaves the window, so only row size - 1 loses mass to the
     cut, through its move up: outflow[n] is 0 for every other row and `lost`
     for that one.  The lost mass is kept for inspection, never folded back.
     `to_dense`, `apply` and `apply_dual` work in floats, exact entries
-    rounded once; they read the level table, one strided slice per level,
-    and give a CSR product's sums bit for bit.  The exact views (`rows`,
-    `entry`, `row_sum`, `write_matrix_csv`) read one template per ζ.
+    rounded once; they read the falls of the top law, one strided slice per
+    level, and give a CSR product's sums bit for bit.  The exact views
+    (`rows`, `entry`, `row_sum`, `write_matrix_csv`) read law ζ_n for row n.
     `rows` is built on first use.
     """
 
     size: int
     exact: bool
     zeta: np.ndarray
-    masses: tuple
-    place_values: tuple
-    lost: Fraction | float
+    laws: tuple
 
     @property
     def _zero(self):
         return Fraction(0) if self.exact else 0.0
 
-    @cached_property
-    def _templates(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """ζ -> the (column - n, level index) pairs of a row n with that ζ, in
-        column order: its falls from level ζ - 1 down to 0, then its move up."""
-        top = len(self.place_values)
-        falls = [(1 - q, r) for r, q in enumerate(self.place_values)][::-1]  # top level first
-        laws = {z: falls[top - z :] + [(1, top + z - 1)] for z in range(1, top + 1)}
-        return {z: tuple((d, k) for d, k in law if self.masses[k] != 0) for z, law in laws.items()}
+    def _up(self, law) -> Fraction | float:
+        """The move-up mass of a law, 0 where it is omitted."""
+        return law[-1][1] if law[-1][0] == 1 else self._zero
 
-    def _pairs(self, n: int) -> list[tuple[int, int]]:
-        """Row n's (column, level index) pairs inside the window, in column order."""
-        return [(n + d, k) for d, k in self._templates[self.zeta[n]] if n + d < self.size]
+    def _row(self, n: int) -> list[tuple[int, Fraction | float]]:
+        """Row n's (column, mass) pairs inside the window, in column order."""
+        return [(n + d, m) for d, m in self.laws[self.zeta[n] - 1] if n + d < self.size]
 
     @cached_property
     def rows(self) -> tuple[tuple[tuple[int, Fraction | float], ...], ...]:
         """rows[n]: row n's (column, value) pairs in increasing column order."""
-        return tuple(tuple((c, self.masses[k]) for c, k in self._pairs(n)) for n in range(self.size))
+        return tuple(tuple(self._row(n)) for n in range(self.size))
+
+    @property
+    def lost(self) -> Fraction | float:
+        """The mass of the last row's move up, which leaves the window."""
+        return self._zero + self._up(self.laws[self.zeta[-1] - 1])
 
     @cached_property
     def outflow(self) -> tuple[Fraction | float, ...]:
@@ -120,22 +118,21 @@ class SparseTruncation:
     def _float_levels(self) -> tuple[list[tuple[int, float]], np.ndarray]:
         """(q_r, fall mass) of every level r with nonzero falls, top level first,
         and the move-up mass P_ζ of each row but the last, all in floats."""
-        falls = [(q, float(m)) for q, m in zip(self.place_values, self.masses) if m != 0]
-        up = np.array([float(m) for m in self.masses])[len(self.place_values) + self.zeta[:-1] - 1]
-        return falls[::-1], up
+        falls = [(1 - d, float(m)) for d, m in self.laws[-1] if d != 1]
+        ups = np.array([float(self._up(law)) for law in self.laws])
+        return falls, ups[self.zeta[:-1] - 1]
 
     def entry(self, n: int, m: int):
         """Matrix entry at (row n, column m); 0 when absent."""
         n, m = self._check_index(n), self._check_index(m)
-        return next((self.masses[k] for c, k in self._pairs(n) if c == m), self._zero)
+        return next((v for c, v in self._row(n) if c == m), self._zero)
 
     def row_sum(self, n: int):
         """In-window mass of row n (1 - outflow[n] for a stochastic source row)."""
-        pairs = self._pairs(self._check_index(n))
-        return sum((self.masses[k] for _, k in pairs), self._zero)
+        return sum((v for _, v in self._row(self._check_index(n))), self._zero)
 
     def to_dense(self) -> np.ndarray:
-        """Dense float64 matrix: each entry is one mass of the level table."""
+        """Dense float64 matrix: each entry is one mass of a law."""
         falls, up = self._float_levels
         dense = np.zeros(self.size * self.size)
         dense[1 :: self.size + 1] = up  # row n moves up to column n + 1
@@ -203,23 +200,19 @@ class SparseTruncation:
 def build_truncation(cfg: ChainConfig, size: int) -> SparseTruncation:
     """Truncate the transition matrix to states {0, ..., size-1}.
 
-    Stores the row law (see `SparseTruncation`): the level table of levels
-    1..L, L the number of digits of size, past which no row reaches, and
-    ζ per row, counted level by level: the rows with ζ_n > r are those with
-    q_r | n + 1.
+    Stores the row law (see `SparseTruncation`): the chain's laws for
+    ζ = 1..L, L the number of digits of size, past which no row reaches,
+    and ζ per row, counted level by level: the rows with ζ_n > r are those
+    with q_r | n + 1.
     """
     size = check_int("truncation size", size, 1)
-    exact = cfg.p.is_rational()
     top = cfg.base.level_of(size)
-    # The fall masses (1 - p_j) P_{j-1} of levels 1..top, then the move-up masses P_j.
-    masses = tuple(cfg.level(j)[i] for i in (2, 1) for j in range(1, top + 1))
-    qs = tuple(cfg.base.place_value(r) for r in range(top))
     zeta = np.ones(size, dtype=np.int64)
-    for q in qs[1:]:
+    for q in map(cfg.base.place_value, range(1, top)):
         zeta[q - 1 :: q] += 1
     zeta.flags.writeable = False
-    lost = (Fraction(0) if exact else 0.0) + masses[top + zeta[-1] - 1]
-    return SparseTruncation(size, exact, zeta, masses, qs, lost)
+    laws = tuple(cfg.row_law(z) for z in range(1, top + 1))
+    return SparseTruncation(size, cfg.p.is_rational(), zeta, laws)
 
 
 # -- Weyl defect vectors -----------------------------------------------------
@@ -452,15 +445,11 @@ def write_matrix_csv(trunc: SparseTruncation, fileobj) -> None:
     """Write the nonzero entries in row-major order, one row per call.
 
     Exact truncations use the header row,col,num,den; float ones
-    row,col,value.  Each mass of the level table is formatted once, and
-    each row reads the formatted template of its ζ.
+    row,col,value.  Each law's masses are formatted once, and each row
+    reads the formatted law of its ζ.
     """
-    if trunc.exact:
-        fileobj.write("row,col,num,den\n")
-        texts = [f"{f.numerator},{f.denominator}\n" for f in map(Fraction, trunc.masses)]
-    else:
-        fileobj.write("row,col,value\n")
-        texts = [f"{v!r}\n" for v in trunc.masses]
-    laws = {z: [(d, texts[k]) for d, k in pairs] for z, pairs in trunc._templates.items()}
+    fileobj.write("row,col,num,den\n" if trunc.exact else "row,col,value\n")
+    fmt = "{0.numerator},{0.denominator}\n" if trunc.exact else "{0!r}\n"
+    laws = [[(d, fmt.format(m)) for d, m in law] for law in trunc.laws]
     for n, z in enumerate(trunc.zeta.tolist()):  # the last row's move up leaves the window
-        fileobj.write("".join([f"{n},{c},{t}" for d, t in laws[z] if (c := n + d) < trunc.size]))
+        fileobj.write("".join([f"{n},{c},{t}" for d, t in laws[z - 1] if (c := n + d) < trunc.size]))

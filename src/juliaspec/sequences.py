@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigError, OutOfRangeError, check_int, check_real
+from .errors import ConfigError, OutOfRangeError, check_int, check_real, json_int
 
 __all__ = [
     "SequenceSpec",
@@ -73,8 +73,8 @@ def _rat(x) -> Fraction:
         return x
     if isinstance(x, bool):
         raise OutOfRangeError(f"boolean is not a valid scalar: {x!r}")
-    if isinstance(x, int):
-        return Fraction(x)
+    if isinstance(x, (int, np.integer)):
+        return Fraction(int(x))
     if isinstance(x, float):
         if not math.isfinite(x):
             raise OutOfRangeError(f"scalar must be finite, got {x!r}")
@@ -212,21 +212,16 @@ def _check_p(v: Fraction, what: str) -> Fraction:
 
 
 def _check_d(v, what: str) -> int:
-    if isinstance(v, Fraction):
-        if v.denominator != 1:
-            raise OutOfRangeError(f"{what} must be an integer >= 2, got {v}")
+    if isinstance(v, Fraction) and v.denominator == 1:
         v = v.numerator
-    if not isinstance(v, int) or v < 2:
-        raise OutOfRangeError(f"{what} must be an integer >= 2, got {v!r}")
-    return v
+    return check_int(what, v, 2)
 
 
 def _check_seed(seed) -> int:
-    # Integral floats such as 1.0 count as integers; booleans do not.
-    integral = isinstance(seed, int) or isinstance(seed, float) and seed.is_integer()
-    if isinstance(seed, bool) or not integral or seed < 0:
-        raise OutOfRangeError(f"seed must be an integer >= 0, got {seed!r}")
-    return int(seed)
+    # An integral float such as 1.0 counts as an integer seed; a bool does not.
+    if isinstance(seed, float) and seed.is_integer():
+        seed = int(seed)
+    return check_int("seed", seed, 0)
 
 
 def constant(value, codomain: str = "p") -> SequenceSpec:
@@ -533,11 +528,15 @@ def spec_from_json(obj, codomain: str) -> SequenceSpec:
     if not isinstance(obj, dict):
         raise ConfigError(f"sequence spec must be an object, got {type(obj).__name__}")
     kind = obj.get("kind")
+
+    def num(v):  # a d value is an integer the way JSON states one (`json_int`)
+        return json_int("base", v) if codomain == "d" else v
+
     try:
         if kind == "constant":
-            return constant(obj["value"], codomain)
+            return constant(num(obj["value"]), codomain)
         if kind == "periodic":
-            return periodic(obj["values"], codomain)
+            return periodic([num(v) for v in obj["values"]], codomain)
         if kind == "geometric":
             if codomain != "p":
                 raise ConfigError("geometric kind is only valid for p")
@@ -547,11 +546,12 @@ def spec_from_json(obj, codomain: str) -> SequenceSpec:
                 raise ConfigError("harmonic kind is only valid for p")
             return harmonic(obj["c"], obj["a"])
         if kind == "prefix":
-            return prefix_then(obj["prefix"], spec_from_json(obj["tail"], codomain))
+            return prefix_then([num(v) for v in obj["prefix"]], spec_from_json(obj["tail"], codomain))
         if kind == "random":
+            seed = json_int("seed", obj["seed"])
             if codomain == "p":
-                return random_uniform(obj["low"], obj["high"], obj["seed"])
-            return random_base(obj["max"], obj["seed"])
+                return random_uniform(obj["low"], obj["high"], seed)
+            return random_base(json_int("random base max", obj["max"]), seed)
     except ConfigError:
         raise
     except KeyError as exc:

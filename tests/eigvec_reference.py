@@ -8,8 +8,12 @@ time, straight from the definitions, for the tests to check against.
 """
 
 from juliaspec.dynamics import FiberedSystem, _ipow, factor_values
-from juliaspec.errors import DivisionByZeroIotaError, check_int
+from juliaspec.errors import JuliaspecError, check_int
 from juliaspec.spectra import _series_product
+
+
+class DivisionByZeroIotaError(JuliaspecError):
+    """A dual eigenvector entry requires dividing by a vanishing factor."""
 
 
 def eigvec_entry(

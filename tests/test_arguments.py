@@ -35,7 +35,7 @@ from juliaspec.operator import (
     weyl_vector,
 )
 from juliaspec.render import GridSpec
-from juliaspec.sequences import sum_alpha_verdict, tail_product
+from juliaspec.sequences import constant, periodic, prefix_then, random_base, sum_alpha_verdict, tail_product
 from juliaspec.spectra import (
     C0,
     classify,
@@ -139,6 +139,11 @@ SLOTS = [
     _slot("float_at-j", "int", 1, 3, lambda v: _CFG.p.float_at(v)),
     _slot("tail_product-horizon", "horizon", 0, 6, lambda v: tail_product(_CFG.p, v)),
     _slot("sum_alpha_verdict-alpha", "real", 1, 1.5, lambda v: sum_alpha_verdict(_CFG.p, v)),
+    _slot("constant-base", "int", 2, 3, lambda v: constant(v, "d")),
+    _slot("periodic-base", "int", 2, 3, lambda v: periodic([2, v], "d")),
+    _slot("prefix_then-base", "int", 2, 3, lambda v: prefix_then([v], constant(2, "d"))),
+    _slot("random_base-d_max", "int", 2, 4, lambda v: random_base(v, 1)),
+    _slot("ChainConfig.row_law-zeta", "int", 1, 3, lambda v: _CFG.row_law(v)),
     # render
     _slot("GridSpec-width", "int", 1, 4, lambda v: GridSpec(**dict(_WINDOW, width=v))),
     _slot("GridSpec-height", "int", 1, 4, lambda v: GridSpec(**dict(_WINDOW, height=v))),

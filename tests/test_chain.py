@@ -31,7 +31,7 @@ from juliaspec.errors import (
     OutOfRangeError,
 )
 from juliaspec.numeration import BaseSequence
-from juliaspec.sequences import constant, geometric, harmonic, periodic, random_base, random_uniform
+from juliaspec.sequences import constant, geometric, harmonic, periodic, prefix_then, random_base, random_uniform
 from juliaspec.verify import _hit_probability, _mc_vs_exact, run_verify
 
 
@@ -67,6 +67,21 @@ def test_rows_match_the_digit_algorithm_oracle(chains):
             assert row.as_dict() == oracle_row(cfg, n), (name, n)
             assert row.source == n
             assert row.zeta == cfg.base.counter(n)
+
+
+def test_row_laws_match_the_digit_algorithm_oracle(chains):
+    # p_2 = p_4 = 1: the falls that fail at writes 2 and 4 have mass 0 and are left out.
+    certain = ChainConfig(BaseSequence(2), prefix_then(["1/2", 1, "2/3", 1], constant("3/4")))
+    for name, cfg in {**chains, "certain-writes": certain}.items():
+        for zeta in range(1, 21):
+            n = cfg.base.place_value(zeta - 1) - 1  # the first row with this ζ
+            law = cfg.row_law(zeta)
+            assert cfg.base.counter(n) == zeta, (name, zeta)
+            assert {n + d: m for d, m in law} == oracle_row(cfg, n), (name, zeta)
+            offsets = [d for d, _ in law]
+            assert offsets == sorted(set(offsets)) and all(m != 0 for _, m in law), (name, zeta)
+            assert cfg.row_law(zeta) is law  # built once per chain
+    assert [d for d, _ in certain.row_law(5)] == [1 - 16, 1 - 4, 0, 1]
 
 
 def test_rows_match_oracle_on_a_random_base_mixture():

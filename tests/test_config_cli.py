@@ -95,6 +95,39 @@ def test_config_json_roundtrip():
             rc.with_seed(bad)
 
 
+@pytest.mark.parametrize(
+    "d, want, bad",
+    [
+        ({"kind": "constant", "value": 2.0}, {"kind": "constant", "value": 2}, {"kind": "constant", "value": 2.5}),
+        (
+            {"kind": "periodic", "values": [2, 3.0]},
+            {"kind": "periodic", "values": [2, 3]},
+            {"kind": "periodic", "values": [2, True]},
+        ),
+        (
+            {"kind": "prefix", "prefix": [3.0], "tail": {"kind": "constant", "value": 2.0}},
+            {"kind": "prefix", "prefix": [3], "tail": {"kind": "constant", "value": 2}},
+            {"kind": "prefix", "prefix": ["3"], "tail": {"kind": "constant", "value": 2}},
+        ),
+        (
+            {"kind": "random", "max": 3.0, "seed": 4.0},
+            {"kind": "random", "max": 3, "seed": 4},
+            {"kind": "random", "max": 3.5, "seed": 4},
+        ),
+    ],
+)
+def test_base_specs_read_integers_the_json_way(d, want, bad, tmp_path, capsys):
+    rc = parse_config({**MINIMAL, "d": d})
+    assert json.dumps(spec_to_json(rc.d)) == json.dumps(want)
+    assert rc == parse_config({**MINIMAL, "d": want})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**MINIMAL, "d": d}))
+    assert main(["classify", "--config", str(path), "--lambda", "0.5", "--space", "c0"]) == 0
+    capsys.readouterr()
+    with pytest.raises(ConfigError):  # a fraction, a bool or a string is not an integer
+        parse_config({**MINIMAL, "d": bad})
+
+
 def test_chain_and_system_share_one_base():
     rc = parse_config(TERNARY_DOC)
     assert rc.chain().base is rc.system().base is rc.base()
@@ -678,6 +711,13 @@ def test_command_entries_read_the_way_json_writes_them(tmp_path, capsys):
     assert out.read_text().splitlines()[1:] == ["1.0,0.0"]  # dendrite's residual set is {1}
     assert _run_with_command(tmp_path, "residual-set", {"depth": 2, "out": ""}) == 0
     assert capsys.readouterr().out.splitlines() == ["re,im", "1.0,0.0"]
+
+
+@pytest.mark.parametrize("cmd", ["classify", "spectrum-report"])
+def test_depth_help_names_the_residual_candidate_set(cmd):
+    # The depth feeds only `residual_l1`, never the point spectrum.
+    (text,) = [h for flag, _, _, h in _COMMANDS[cmd][2] if flag == "--depth"]
+    assert "residual candidate set" in text and "point spectrum" not in text
 
 
 @pytest.mark.parametrize("cmd", list(_COMMANDS))

@@ -9,7 +9,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from eigvec_reference import dual_eigvec_entry, eigvec_entry
+from eigvec_reference import DivisionByZeroIotaError, dual_eigvec_entry, eigvec_entry
 
 from juliaspec.dynamics import (
     RHO,
@@ -25,7 +25,6 @@ from juliaspec.dynamics import (
 )
 from juliaspec.errors import (
     BudgetExceededError,
-    DivisionByZeroIotaError,
     OutOfRangeError,
 )
 from juliaspec.numeration import BaseSequence

@@ -16,6 +16,7 @@ prefixes that the comparisons read are pinned nonincreasing, and
 `_events` is pinned to `_walk` row by row on blocks of tied uniforms.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from strategies import LOCKSTEP_RUNS, P_SPECS
 
+import juliaspec.chain as chain_mod
 from juliaspec.canonical import CANONICAL_NAMES, canonical_config
 from juliaspec.chain import _SCALAR_MAX, ChainConfig, _count_hits_lockstep, _events, _walk
 from juliaspec.errors import IntegerOverflowError
@@ -213,6 +215,44 @@ def test_stragglers_hand_over_from_lockstep_to_scalar():
     live = [n for _, n in zeta_loop_blocks(*args)]
     assert live[0] > _SCALAR_MAX and 0 < min(live) <= _SCALAR_MAX, live
     assert _count_hits_lockstep(*args) == zeta_loop_hits(*args)
+
+
+def test_repeated_spawns_continue_the_child_numbering():
+    # Trajectories run a group at a time from one root: trajectory k keeps child k.
+    whole = np.random.SeedSequence(5).spawn(200)
+    root = np.random.SeedSequence(5)
+    parts = root.spawn(64) + root.spawn(64) + root.spawn(72)
+    assert [c.spawn_key for c in parts] == [c.spawn_key for c in whole]
+    for a, b in zip(parts, whole):
+        assert np.array_equal(np.random.default_rng(a).random(4), np.random.default_rng(b).random(4))
+
+
+@pytest.mark.parametrize("group", [7, 64])
+def test_hit_counts_do_not_depend_on_the_group_size(monkeypatch, group):
+    paths = []
+    monkeypatch.setattr(chain_mod, "_events", lambda *a: paths.append("batch") or _events(*a))
+    monkeypatch.setattr(chain_mod, "_walk", lambda *a: paths.append("scalar") or _walk(*a))
+    runs = [(canonical_config(name).chain(), start, 200, 2000, 11) for name in CANONICAL_NAMES for start in (1, 8)]
+    want = [_count_hits_lockstep(*run) for run in runs]
+    assert set(paths) == {"batch", "scalar"}
+    paths.clear()
+    monkeypatch.setattr(chain_mod, "_GROUP", group)
+    assert [_count_hits_lockstep(*run) for run in runs] == want
+    assert set(paths) == ({"scalar"} if group <= _SCALAR_MAX else {"batch", "scalar"})
+
+
+def test_generators_are_made_a_group_at_a_time():
+    cfg = canonical_config("dendrite").chain()
+    cfg.success_prefix(20)  # the level table, so that only the run is traced
+    tracemalloc.start()
+    try:
+        hits = _count_hits_lockstep(cfg, 1, 20_000, 1, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A generator and its SeedSequence child take about 0.9 KB: all 20,000 at once peak near 20 MiB.
+    assert peak < 8 * 2**20, peak
+    assert 0 < hits < 20_000
 
 
 @settings(max_examples=40)

@@ -474,3 +474,25 @@ def test_matrix_csv_float_branch():
     assert len(lines) == 1 + sum(len(r) for r in tr.rows)
     n, c, val = lines[1].split(",")
     assert float(val) == float(tr.entry(int(n), int(c)))
+
+
+def test_truncation_holds_the_chains_laws(chains):
+    for name, cfg in chains.items():
+        for size in (1, 2, 100, 1296):
+            tr = build_truncation(cfg, size)
+            assert len(tr.laws) == cfg.base.level_of(size), (name, size)
+            assert all(law is cfg.row_law(z) for z, law in enumerate(tr.laws, start=1)), (name, size)
+            assert not {"masses", "place_values", "_templates"} & set(dir(tr))
+
+
+def test_a_move_up_that_underflows_is_left_out():
+    # p_j below 1e-199: P_2 underflows to 0.0, so no row with ζ >= 2 moves up.
+    cfg = ChainConfig(BaseSequence(2), random_uniform("1e-200", "1e-199", 3))
+    assert [d for d, _ in cfg.row_law(2)] == [-1, 0]
+    tr = build_truncation(cfg, 4)
+    assert [c for c, _ in tr.rows[1]] == [0, 1] and [c for c, _ in tr.rows[2]] == [2, 3]
+    assert type(tr.lost) is float and tr.lost == tr.outflow[-1] == 0.0
+    dense = tr.to_dense()
+    assert dense[1, 2] == dense[3, 0] == 0.0 and dense[2, 3] == cfg.p_float(1)
+    e = np.eye(4)
+    assert tr.apply(e[2])[1] == 0 and tr.apply_dual(e[1])[2] == 0

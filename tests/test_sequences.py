@@ -164,6 +164,32 @@ def test_factories_reject_out_of_range_parameters():
     constant(1)  # p_j = 1 is allowed (the deterministic adding machine)
 
 
+# Each factory slot that takes a rational or a seed, with a good integer for it; the
+# base slots are in `tests/test_arguments.py`.
+INTEGER_SLOTS = [
+    pytest.param(lambda v: constant(v), 1, id="constant-value"),
+    pytest.param(lambda v: periodic([v, "1/2"]), 1, id="periodic-value"),
+    pytest.param(lambda v: geometric(v, "1/4"), 1, id="geometric-c"),
+    pytest.param(lambda v: harmonic(v, 1), 1, id="harmonic-c"),
+    pytest.param(lambda v: harmonic("1/2", v), 1, id="harmonic-a"),
+    pytest.param(lambda v: prefix_then([v], constant("1/2")), 1, id="prefix_then-value"),
+    pytest.param(lambda v: random_uniform(v, 1, 0), 1, id="random_uniform-low"),
+    pytest.param(lambda v: random_uniform("1/2", v, 0), 1, id="random_uniform-high"),
+    pytest.param(lambda v: random_uniform("1/4", "3/4", v), 3, id="random_uniform-seed"),
+    pytest.param(lambda v: random_base(4, v), 1, id="random_base-seed"),
+]
+
+
+@pytest.mark.parametrize("call, good", INTEGER_SLOTS)
+def test_numpy_integers_fill_every_factory_slot(call, good):
+    want = repr(call(good))
+    for cast in (np.int64, np.uint16, np.int8):
+        assert repr(call(cast(good))) == want, cast
+    for bad in (True, np.True_):
+        with pytest.raises(OutOfRangeError):
+            call(bad)
+
+
 # -- tail analysis -----------------------------------------------------------
 
 

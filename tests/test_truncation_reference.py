@@ -1,9 +1,10 @@
 """The row-law truncation against the per-row `Fraction` build it replaced.
 
 `build_truncation` stores a truncation as its row law: ζ per row and the
-chain's level table.  The float actions read one strided slice per level,
-and the exact views and `write_matrix_csv` read one (column offset, level
-index) template per ζ.  The reference below is the earlier code: one
+chain's `row_law(ζ)` for each ζ up to the window's level count.  The float
+actions read the falls of the top law, one strided slice per level, and
+the exact views and `write_matrix_csv` read law ζ_n for row n: its
+(column - n, mass) pairs.  The reference below is the earlier code: one
 `transition_row` per row, a tuple of (column, value) pairs per row, and a
 float CSR assembled from Python lists.  Every view of the two must agree
 exactly: the rows, outflow and entries by value and type, the CSV bytes,
