@@ -130,12 +130,12 @@ class ChainConfig:
         then the move up P_ζ.  Each law is built once per chain.
         """
         zeta = check_int("zeta", zeta, 1)
-        while len(self._laws) <= zeta:
-            z = len(self._laws)
+        for z in range(len(self._laws), zeta + 1):
             _, up, fall, _ = self.level(z)
-            below = (pair for pair in self._laws[-1] if pair[0] < 1)  # law z - 1's falls
-            law = [(1 - self.base.place_value(z - 1), fall), *below, (1, up)]
-            self._laws.append(tuple((d, m) for d, m in law if m != 0))
+            below = self._laws[-1]
+            law = ((1 - self.base.place_value(z - 1), fall),) if fall else ()
+            law += below[:-1] if below and below[-1][0] == 1 else below  # law z - 1 without its move up
+            self._laws.append(law + ((1, up),) if up else law)
         return self._laws[zeta]
 
     def transition_row(self, n: int) -> TransitionRow:
