@@ -211,7 +211,7 @@ def build_truncation(cfg: ChainConfig, size: int) -> SparseTruncation:
     for q in map(cfg.base.place_value, range(1, top)):
         zeta[q - 1 :: q] += 1
     zeta.flags.writeable = False
-    laws = tuple(cfg.row_law(z) for z in range(1, top + 1))
+    laws = tuple(map(cfg.row_law, range(1, top + 1)))
     return SparseTruncation(size, cfg.p.is_rational(), zeta, laws)
 
 
