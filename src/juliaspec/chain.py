@@ -140,6 +140,7 @@ class ChainConfig:
 
     def transition_row(self, n: int) -> TransitionRow:
         """Row n of the transition matrix: law ζ_n shifted by n."""
+        n = self.base._check_state(n)
         zeta = self.base.counter(n)
         law = self.row_law(zeta)
         if law[-1][0] == 1 and n + 1 > self.base.capacity:
@@ -150,32 +151,30 @@ class ChainConfig:
 
     # -- sampling -----------------------------------------------------------
 
-    def step(self, n: int, rng: np.random.Generator) -> int:
-        """One transition, drawn digit write by digit write.
-
-        Attempt j succeeds when a fresh uniform is < p_j; the first failure
-        after r successful writes aborts at n - (q_r - 1).
-        """
-        zeta = self.base.counter(n)
-        for j in range(1, zeta + 1):
-            if not rng.random() < self.p_float(j):
-                return n - (self.base.place_value(j - 1) - 1)
-        if n + 1 > self.base.capacity:
-            raise IntegerOverflowError(
-                f"successor of {n} exceeds {self.base.capacity_bits}-bit capacity"
-            )
-        return n + 1
-
     def simulate(self, start: int, steps: int, seed: int) -> list[int]:
-        """Trajectory [X_0, ..., X_steps] from a seeded generator."""
+        """Trajectory [X_0, ..., X_steps] from a seeded generator.
+
+        Step t reads the t-th uniform of default_rng(seed) and moves by the
+        Monte Carlo engine's rule (see `_count_hits_lockstep`): w, the number
+        of writes that succeed, from the first-failure inverse CDF, then the
+        advance to n + 1 iff n mod q_w ≠ q_w - 1, else the fall to
+        n + 1 - q_w.  States are Python ints, so a path may run up to the
+        capacity; IntegerOverflowError is raised iff it advances past it.
+        """
         steps = check_int("steps", steps, 0)
         start = self.base._check_state(start, "start state")
         rng = np.random.default_rng(check_int("seed", seed, 0))
+        qs, pref = _move_table(self, start, steps)
+        neg_pref = -pref[1:]
         traj = [start]
-        n = start
-        for _ in range(steps):
-            n = self.step(n, rng)
-            traj.append(n)
+        for t0 in range(0, steps, _BLOCK):  # a block's uniforms at a time: the same stream
+            u = rng.random(min(_BLOCK, steps - t0))
+            for w in np.searchsorted(neg_pref, -u, side="right").tolist():
+                traj.append(_walk(traj[-1], (w,), qs))  # one step
+        if max(traj) > self.base.capacity:  # states rise by at most 1 per step
+            raise IntegerOverflowError(
+                f"successor of {self.base.capacity} exceeds {self.base.capacity_bits}-bit capacity"
+            )
         return traj
 
     def return_statistics(
@@ -193,9 +192,8 @@ class ChainConfig:
         Two comparisons of the uniform mark the self-loops (w = 0) and the
         steps that must advance (q_w above every state of the block), so a
         batch of trajectories is stepped only at its events, the steps that
-        need the modulo.  That induces exactly the row law; the
-        per-write sampler `step` is kept as the reference mechanism and the
-        two are pinned together by a chi-square agreement test.  A trajectory
+        need the modulo.  That induces exactly the row law, and `simulate`
+        walks the same rule one step at a time.  A trajectory
         stops at its first visit to 0, or once too few steps are left to
         reach 0 from its block.  `return_probability` is the value the
         fraction tends to as the horizon grows.
@@ -308,9 +306,21 @@ def _wilson_interval(hits: int, n: int):
     return max(0.0, center - half), min(1.0, center + half)
 
 
+_BLOCK = 512  # steps whose uniforms a trajectory draws at once
 _SCALAR_MAX = 32  # a block with at most this many live trajectories steps them as ints
 _DRAW_ROWS = 64  # trajectories drawn and classified at a time: bounds a block's temporaries
 _GROUP = 4096  # trajectories spawned and run at a time: bounds the generators held at once
+
+
+def _move_table(cfg: ChainConfig, start: int, steps: int) -> tuple[list[int], np.ndarray]:
+    """The place values q_0..q_jmax, jmax the first level with q_jmax above
+    start + steps + 2, and the float prefixes P_0..P_jmax (P_r = p_1···p_r):
+    the table of the move rule for paths of `steps` steps from `start`."""
+    bound = start + steps + 2  # states move up by at most 1 per step
+    qs = [1]
+    while qs[-1] <= bound:
+        qs.append(qs[-1] * cfg.base.digit_base(len(qs)))
+    return qs, np.array([float(cfg.success_prefix(r)) for r in range(len(qs))])
 
 
 def _count_hits_lockstep(
@@ -387,29 +397,24 @@ def _count_hits_lockstep(
     `_SCALAR_MAX` live trajectories walks each one through its row of w,
     with the same q_w and the same move rule.
     """
-    bound = start + horizon + 2  # states move up by at most 1 per step
-    qs = [1]
-    while qs[-1] <= bound:
-        qs.append(qs[-1] * cfg.base.digit_base(len(qs)))
-    if qs[-1] > np.iinfo(np.int64).max:
+    qs_list, pref = _move_table(cfg, start, horizon)
+    if qs_list[-1] > np.iinfo(np.int64).max:
         raise IntegerOverflowError(
-            f"place value q_{len(qs) - 1} above start {start} + horizon {horizon} "
+            f"place value q_{len(qs_list) - 1} above start {start} + horizon {horizon} "
             "does not fit the 64-bit signed lockstep engine"
         )
-    qs_list, qs = qs, np.array(qs, dtype=np.int64)
-    pref = np.array([float(cfg.success_prefix(r)) for r in range(len(qs))])  # P_0 .. P_jmax
+    qs = np.array(qs_list, dtype=np.int64)
     neg_pref = -pref[1:]  # ascending; searchsorted counts the prefixes P_1..P_jmax >= u
     if start == 0:
         return trajectories
 
     root = np.random.SeedSequence(seed)
-    block = 512
     hits = 0
     for first in range(0, trajectories, _GROUP):
         gens = [np.random.default_rng(c) for c in root.spawn(min(_GROUP, trajectories - first))]
         states = np.full(len(gens), start, dtype=np.int64)
         hits += len(gens)  # less those cut out of reach and those still out at the horizon
-        for t0 in range(0, horizon, block):
+        for t0 in range(0, horizon, _BLOCK):
             reach = qs[qs.searchsorted(states, side="right")] - states <= horizon - t0
             if not reach.all():
                 hits -= len(gens) - int(reach.sum())
@@ -417,7 +422,7 @@ def _count_hits_lockstep(
                 gens = [g for g, keep in zip(gens, reach) if keep]
             if not gens:
                 break
-            steps = min(block, horizon - t0)
+            steps = min(_BLOCK, horizon - t0)
             if len(gens) <= _SCALAR_MAX:
                 ends = [
                     _walk(n, np.searchsorted(neg_pref, -g.random(steps), side="right").tolist(), qs_list)

@@ -123,6 +123,7 @@ SLOTS = [
           lambda v: _CFG.return_statistics(1, v, 20, 3)),
     _slot("return_statistics-horizon", "int", 0, 20, lambda v: _CFG.return_statistics(1, 4, v, 3)),
     _slot("return_statistics-seed", "int", 0, 3, lambda v: _CFG.return_statistics(1, 4, 20, v)),
+    _slot("transition_row-n", "int", 0, 5, lambda v: _CFG.transition_row(v)),
     _slot("ChainConfig.level-j", "int", 1, 3, lambda v: _CFG.level(v)),
     _slot("ChainConfig.p_float-j", "int", 1, 3, lambda v: _CFG.p_float(v)),
     _slot("success_prefix-r", "int", 0, 3, lambda v: _CFG.success_prefix(v)),

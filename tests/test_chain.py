@@ -7,11 +7,13 @@ and compute each outcome's state directly from the digits that were zeroed,
 rational agreement on every row is then a real cross-check.
 
 Sampling is pinned three ways: chi-square agreement of the per-write
-sampler with the exact row law, agreement of the vectorized lockstep
-estimator with an explicit step-by-step loop, and bit-level determinism.
+sampler `step` (the fallible counter itself, kept here as the reference
+mechanism) and of `simulate`'s moves with the exact row law, agreement of
+the vectorized lockstep estimator with a loop of `step`, and bit-level
+determinism.
 """
 
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from fractions import Fraction
 from io import StringIO
 
@@ -190,12 +192,25 @@ def test_harmonic_vector_at_the_capacity_ceiling(chains):
 # -- sampling ----------------------------------------------------------------
 
 
+def step(cfg: ChainConfig, n: int, rng: np.random.Generator) -> int:
+    """One transition, drawn digit write by digit write.
+
+    Attempt j succeeds when a fresh uniform is < p_j; the first failure
+    after r successful writes aborts at n - (q_r - 1).
+    """
+    zeta = cfg.base.counter(n)
+    for j in range(1, zeta + 1):
+        if not rng.random() < cfg.p_float(j):
+            return n - (cfg.base.place_value(j - 1) - 1)
+    return n + 1
+
+
 def test_step_sampler_agrees_with_the_row_law(chains):
     draws = 20000
     for name, state in (("dendrite", 3), ("mixed23-harmonic", 5)):
         cfg = chains[name]
         rng = np.random.default_rng(987)
-        counts = Counter(cfg.step(state, rng) for _ in range(draws))
+        counts = Counter(step(cfg, state, rng) for _ in range(draws))
         row = cfg.transition_row(state).as_dict()
         assert set(counts) <= set(row)
         targets = sorted(row)
@@ -203,6 +218,29 @@ def test_step_sampler_agrees_with_the_row_law(chains):
         f_exp = [float(row[t]) * draws for t in targets]
         result = stats.chisquare(f_obs, f_exp)
         assert result.pvalue > 1e-4, (name, state, result)
+
+
+def test_simulate_moves_follow_the_row_law(chains):
+    # Row n's law depends on n only through ζ_n, so by the strong Markov
+    # property the moves out of the first visits to the rows with one ζ are
+    # independent draws from row_law(ζ).
+    draws = 1000
+    for name in ("dendrite", "mixed23-harmonic"):
+        cfg = chains[name]
+        traj = cfg.simulate(start=5, steps=20000, seed=4242)
+        moves = defaultdict(list)
+        for x, y in zip(traj, traj[1:]):
+            moves[cfg.base.counter(x)].append(y - x)
+        for zeta in (1, 2, 3, 4):
+            law = dict(cfg.row_law(zeta))
+            counts = Counter(moves[zeta][:draws])
+            assert sum(counts.values()) == draws, (name, zeta)
+            assert set(counts) <= set(law)
+            targets = sorted(law)
+            f_obs = [counts.get(t, 0) for t in targets]
+            f_exp = [float(law[t]) * draws for t in targets]
+            result = stats.chisquare(f_obs, f_exp)
+            assert result.pvalue > 1e-4, (name, zeta, result)
 
 
 def test_simulate_is_deterministic_and_well_formed(chains):
@@ -233,7 +271,7 @@ def test_return_statistics_matches_plain_loop_estimate(chains):
     for _ in range(loops):
         state = 1
         for _ in range(horizon):
-            state = cfg.step(state, rng)
+            state = step(cfg, state, rng)
             if state == 0:
                 hits += 1
                 break
