@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 
@@ -92,19 +92,17 @@ class ChainConfig:
     # -- parameter access ---------------------------------------------------
 
     def level(self, j: int) -> tuple:
-        """(p_j, P_j = p_1···p_j, (1 - p_j) P_{j-1}, p_j as a float) for j >= 1.
+        """(p_j, P_j = p_1···p_j, (1 - p_j) P_{j-1}) for j >= 1.
 
-        The first three are exact where the spec is rational; the third is the
-        mass of the move that fails at write j.  The fourth is
-        `SequenceSpec.float_at(j)`, the float the fibered system reads, so the
-        chain and the fiber maps of one (d̄, p̄) share one float p_j.
+        All three are exact where the spec is rational; the third is the mass
+        of the move that fails at write j.  Every partial product of the
+        program is a P_j of this table.
         """
         j = check_int("probability index", j, 1)
         while len(self._levels) < j:
-            i = len(self._levels) + 1
-            p = self.p.value_at(i)
+            p = self.p.value_at(len(self._levels) + 1)
             prev = self._levels[-1][1] if self._levels else Fraction(1)
-            self._levels.append((p, prev * p, (1 - p) * prev, self.p.float_at(i)))
+            self._levels.append((p, prev * p, (1 - p) * prev))
         return self._levels[j - 1]
 
     def p_at(self, j: int):
@@ -112,7 +110,8 @@ class ChainConfig:
         return self.level(j)[0]
 
     def p_float(self, j: int) -> float:
-        return self.level(j)[3]
+        """p_j as the float `SequenceSpec.float_at(j)`, the one the fibered system reads."""
+        return self.p.float_at(j)
 
     def success_prefix(self, r: int):
         """∏_{j<=r} p_j (empty product 1), exact where possible."""
@@ -131,7 +130,7 @@ class ChainConfig:
         """
         zeta = check_int("zeta", zeta, 1)
         for z in range(len(self._laws), zeta + 1):
-            _, up, fall, _ = self.level(z)
+            _, up, fall = self.level(z)
             below = self._laws[-1]
             law = ((1 - self.base.place_value(z - 1), fall),) if fall else ()
             law += below[:-1] if below and below[-1][0] == 1 else below  # law z - 1 without its move up
@@ -239,10 +238,15 @@ class ChainConfig:
         Piecewise constant on the blocks [q_l, q_{l+1}): equal to
         1 / (p_2 ··· p_{l+1}) there, with value 1 on [1, q_1).  In the
         transient regime this is (up to scale) the probability of never
-        visiting 0.
+        visiting 0.  OutOfRangeError when a float product p_2 ··· p_{l+1}
+        underflows, so that its reciprocal leaves the float range.
         """
         level = self.base.level_of(check_int("m", m, 1))  # q_{level-1} <= m < q_level
-        return 1 / self._harmonic_denominator(level)
+        den = self._harmonic_denominator(level)
+        value = 1 / den if den else inf
+        if value == inf:
+            raise OutOfRangeError(f"harmonic value at m={m} overflows: p_2···p_{level} underflows")
+        return value
 
     def return_probability(self, m: int) -> float:
         """Probability that the chain started at m ever visits 0 (time 0 counts).
@@ -280,8 +284,7 @@ class ChainConfig:
         self.base._check_state(m, "start state")
         if m == 0 or recurrence is Recurrence.NULL_RECURRENT:
             return 1.0
-        limit, _ = tail_product(self.p, None)
-        return 1.0 - float(self.harmonic_value(m)) * (limit / self.p_float(1))
+        return 1.0 - float(self.harmonic_value(m)) * (tail_product(self.p) / self.p_float(1))
 
     def _harmonic_denominator(self, level: int):
         den = Fraction(1) if self.p.is_rational() else 1.0

@@ -546,19 +546,15 @@ def _polish_block(levels, target: complex, leaves):
     return out
 
 
-def preimages(
-    sys: FiberedSystem, target: complex, depth: int, polish: bool = True
-) -> list[complex]:
-    """The multiset f̃_depth^{-1}{target}, size q_depth, via branch recursion.
+def preimages(sys: FiberedSystem, target: complex, depth: int) -> list[complex]:
+    """The multiset f̃_depth^{-1}{target}, size q_depth, polished leaves in tree order.
 
-    Levels are peeled outermost-first: solutions of f̃_n = w are preimages
-    under f_n of solutions of f̃_{n-1} = w.  Each branch extracts d_j-th
-    roots and undoes the affine map; a final damped Newton pass polishes
-    every leaf against the full composition.  The polish runs over numpy
-    arrays of `_POLISH_BLOCK` leaves at a time, with real and imaginary parts
-    kept apart so that every float operation is the one CPython's `complex`
-    arithmetic performs: the leaves equal, bit for bit, a per-leaf scalar
-    polish through `composed_with_derivative`.
+    The leaves are those of the branch recursion (`_tree`), each then given
+    one damped Newton pass against the full composition.  The polish runs
+    over numpy arrays of `_POLISH_BLOCK` leaves at a time, with real and
+    imaginary parts kept apart so that every float operation is the one
+    CPython's `complex` arithmetic performs: the leaves equal, bit for bit, a
+    per-leaf scalar polish through `composed_with_derivative`.
     """
     depth = check_int("depth", depth, 0)
     if sys.base.place_value(depth) > _PREIMAGE_CAP:
@@ -566,12 +562,8 @@ def preimages(
             f"preimage tree at depth {depth} exceeds {_PREIMAGE_CAP} leaves"
         )
     target = check_point("target", target)
-    points = [target]
-    for j in range(depth, 0, -1):
-        c, p, d = sys.level(j)
-        units = [_unit_root(k, d) for k in range(d)]
-        points = [c + p * w for u in points for w in _droots(u, d, units)]
-    if not polish or depth == 0:
+    points = _tree(sys, target, depth)
+    if depth == 0:
         return points
     levels = _split_levels(sys, depth)
     leaves = np.array(points, dtype=complex)
@@ -581,6 +573,21 @@ def preimages(
         for lo in range(0, len(points), _POLISH_BLOCK):
             out.extend(_polish_block(levels, target, leaves[lo : lo + _POLISH_BLOCK]).tolist())
     return out
+
+
+def _tree(sys: FiberedSystem, target: complex, depth: int) -> list[complex]:
+    """The unpolished leaves of f̃_depth^{-1}{target} by branch recursion.
+
+    Levels are peeled outermost-first: solutions of f̃_n = w are preimages
+    under f_n of solutions of f̃_{n-1} = w.  Each branch extracts d_j-th
+    roots and undoes the affine map.
+    """
+    points = [target]
+    for j in range(depth, 0, -1):
+        c, p, d = sys.level(j)
+        units = [_unit_root(k, d) for k in range(d)]
+        points = [c + p * w for u in points for w in _droots(u, d, units)]
+    return points
 
 
 def level_tree(sys: FiberedSystem, k: int) -> np.ndarray:

@@ -8,7 +8,9 @@ place values q_j = d_0·d_1···d_j and a unique expansion of every n >= 0,
 stored little-endian (lowest position first).  Two derived indices drive the
 adding machine: the counter ζ_n (first position whose digit is below its
 maximum — the number of digit writes an increment performs) and the lowest
-nonzero position ξ_m of m >= 1.  They are linked by ξ_{m+1} = ζ_m.
+nonzero position ξ_m of m >= 1.  Both read one scan,
+ν(m) = 1 + max{r : q_r | m}: ξ_m = ν(m) and ζ_n = ν(n + 1), so
+ξ_{n+1} = ζ_n.
 
 All state arithmetic is exact integer arithmetic; exceeding the configured
 capacity raises instead of wrapping.
@@ -121,25 +123,27 @@ class BaseSequence:
             raise DigitOutOfRangeError(f"digit a_{j}={a!r} outside [0, {d - 1}]")
 
     def counter(self, n: int) -> int:
-        """ζ_n: the first position j >= 1 with a_j(n) != d_j - 1.
+        """ζ_n = ν(n + 1): the first position j >= 1 with a_j(n) != d_j - 1.
 
         Equals the number of digit writes the deterministic increment n -> n+1
         performs (positions 1..ζ−1 reset to zero, position ζ incremented).
+        Only n is checked, so ζ of the capacity itself is defined.
         """
-        n = self._check_state(n)
-        j = 1
-        while True:
-            d = self.digit_base(j)
-            n, a = divmod(n, d)
-            if a != d - 1:
-                return j
-            j += 1
+        return self._nu(self._check_state(n) + 1)
 
     def first_nonzero(self, m: int) -> int:
-        """ξ_m: the lowest position with a nonzero digit (m >= 1)."""
+        """ξ_m = ν(m): the lowest position with a nonzero digit (m >= 1)."""
         m = self._check_state(m)
         if m == 0:
             raise UndefinedForZeroError("lowest nonzero digit is undefined for 0")
+        return self._nu(m)
+
+    def _nu(self, m: int) -> int:
+        """ν(m) = 1 + max{r : q_r | m} for m >= 1, read digit by digit.
+
+        The digits of n + 1 below ζ_n are the zeros left by the carry, and
+        a_ζ(n + 1) = a_ζ(n) + 1 != 0, so ν(n + 1) = ζ_n and ξ_m = ν(m).
+        """
         j = 1
         while True:
             m, a = divmod(m, self.digit_base(j))

@@ -203,9 +203,12 @@ def build_truncation(cfg: ChainConfig, size: int) -> SparseTruncation:
     Stores the row law (see `SparseTruncation`): the chain's laws for
     ζ = 1..L, L the number of digits of size, past which no row reaches,
     and ζ per row, counted level by level: the rows with ζ_n > r are those
-    with q_r | n + 1.
+    with q_r | n + 1.  A size above 2^20, the cap of
+    `truncated_eigenvalues`, is refused before anything is allocated.
     """
     size = check_int("truncation size", size, 1)
+    if size > _PREIMAGE_CAP:
+        raise BudgetExceededError(f"truncation size {size} exceeds {_PREIMAGE_CAP} rows")
     top = cfg.base.level_of(size)
     zeta = np.ones(size, dtype=np.int64)
     for q in map(cfg.base.place_value, range(1, top)):
@@ -271,7 +274,7 @@ def column0_coefficient(cfg: ChainConfig, level: int):
     """
     head = cfg.success_prefix(check_int("level", level, 0) + 1)
     try:
-        limit, _ = tail_product(cfg.p, None)
+        limit = tail_product(cfg.p)
     except ConfigError:
         # Inconclusive fate: fall back to a long partial product as the limit.
         limit = cfg.success_prefix(4096)

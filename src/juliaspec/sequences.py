@@ -58,10 +58,6 @@ __all__ = [
 _P_KINDS = ("constant", "periodic", "geometric", "harmonic", "prefix", "random")
 _D_KINDS = ("constant", "periodic", "prefix", "random")
 
-# Exact partial products/sums switch to floats beyond this horizon: rational
-# partials of geometric specs acquire denominators like γ^(J(J+1)/2).
-_EXACT_HORIZON_CAP = 512
-
 # Term cap for the positive product limit, and the largest index
 # threshold_index certifies on a geometric tail (its exact check computes γ^j).
 _SCAN_CAP = 100_000
@@ -337,29 +333,17 @@ def product_verdict(spec: SequenceSpec) -> ProductVerdict:
     return _PRODUCT_OF_SERIES[sum_alpha_verdict(spec, 1)]
 
 
-def tail_product(spec: SequenceSpec, horizon: int | None = None):
-    """Partial or limiting product of p_j.
+def tail_product(spec: SequenceSpec):
+    """The limit of the products P_J = p_1···p_J as J grows.
 
-    With an integer horizon J, returns (∏_{j<=J} p_j, verdict); the partial
-    is exact when the spec is rational and J is moderate.  With horizon=None,
-    returns the limit: exactly 0 when the product provably vanishes, a float
-    when it provably converges to a positive value; raises ConfigError when
-    the fate is inconclusive.
+    Exactly 0 when the product provably vanishes, a float when it provably
+    converges to a positive value; ConfigError when the fate is inconclusive.
+    A finite P_J is `ChainConfig.success_prefix(J)`, exact where the spec is
+    rational.
     """
     verdict = product_verdict(spec)
-    if horizon is not None:
-        horizon = check_int("horizon", horizon, 0)
-        if spec.is_rational() and horizon <= _EXACT_HORIZON_CAP:
-            part = Fraction(1)
-            for j in range(1, horizon + 1):
-                part *= spec.value_at(j)
-        else:
-            part = 1.0
-            for j in range(1, horizon + 1):
-                part *= spec.float_at(j)
-        return part, verdict
     if verdict is ProductVerdict.TENDS_TO_ZERO:
-        return Fraction(0), verdict
+        return Fraction(0)
     if verdict is ProductVerdict.CONVERGES_POSITIVE:
         part = 1.0
         for j in range(1, _SCAN_CAP + 1):
@@ -367,8 +351,8 @@ def tail_product(spec: SequenceSpec, horizon: int | None = None):
             part *= q
             if 1.0 - q < 1e-17:
                 break
-        return part, verdict
-    raise ConfigError("product limit is inconclusive for this spec; pass a finite horizon")
+        return part
+    raise ConfigError("product limit is inconclusive for this spec")
 
 
 def sum_alpha_verdict(spec: SequenceSpec, alpha) -> SumVerdict:

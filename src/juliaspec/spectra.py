@@ -446,10 +446,13 @@ def classify(
     space: Space,
     budget: int = 80,
     depth: int = 5,
-    tol: float = 1e-8,
 ) -> SpectralVerdict:
-    """Full verdict for one λ on one space: membership plus part resolution."""
-    report = residual_l1(sys, depth, tol) if space == _L1 else None
+    """Full verdict for one λ on one space: membership plus part resolution.
+
+    On l^1 the residual candidates are `residual_l1` at this depth and its
+    default tol, as in `spectrum_summary`.
+    """
+    report = residual_l1(sys, depth) if space == _L1 else None
     return _classify(_Orbit(sys, lam, budget), space, report)
 
 

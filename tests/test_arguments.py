@@ -35,7 +35,7 @@ from juliaspec.operator import (
     weyl_vector,
 )
 from juliaspec.render import GridSpec
-from juliaspec.sequences import constant, periodic, prefix_then, random_base, sum_alpha_verdict, tail_product
+from juliaspec.sequences import constant, periodic, prefix_then, random_base, sum_alpha_verdict
 from juliaspec.spectra import (
     C0,
     classify,
@@ -138,7 +138,6 @@ SLOTS = [
     # sequences
     _slot("value_at-j", "int", 1, 3, lambda v: _CFG.p.value_at(v)),
     _slot("float_at-j", "int", 1, 3, lambda v: _CFG.p.float_at(v)),
-    _slot("tail_product-horizon", "horizon", 0, 6, lambda v: tail_product(_CFG.p, v)),
     _slot("sum_alpha_verdict-alpha", "real", 1, 1.5, lambda v: sum_alpha_verdict(_CFG.p, v)),
     _slot("constant-base", "int", 2, 3, lambda v: constant(v, "d")),
     _slot("periodic-base", "int", 2, 3, lambda v: periodic([2, v], "d")),
@@ -159,11 +158,9 @@ SLOTS = [
 
 _NAN, _INF = math.nan, math.inf
 # The named bad values of each kind; an int or real slot also refuses lo - 1.
-# A horizon is an int, or None for the limit.
 _NUMPY_BAD = [np.float64(2.0), np.True_, np.array([1, 2])]
 BAD = {
     "int": [2.5, 2.0, True, None, "3", "x", _NAN, complex(_NAN, 0), *_NUMPY_BAD],
-    "horizon": [2.5, 2.0, True, "3", "x", _NAN, complex(_NAN, 0), *_NUMPY_BAD],
     "real": [True, None, "x", _NAN, _INF, -_INF, 1j, complex(_NAN, 0), np.array([1.0, 2.0])],
     "point": [True, None, "x", complex(_NAN, 0), complex(0, _INF), complex(_INF, _NAN), _NAN, -_INF,
               np.complex128(complex(_NAN, 1)), np.array([1j, 2])],
@@ -186,7 +183,7 @@ def test_named_bad_values_are_refused(kind, lo, good, call):
     assert accepted == []
 
 
-@pytest.mark.parametrize("kind, lo, good, call", [p for p in SLOTS if p.values[0] in ("int", "horizon")])
+@pytest.mark.parametrize("kind, lo, good, call", [p for p in SLOTS if p.values[0] == "int"])
 def test_numpy_integers_act_as_python_ints(kind, lo, good, call):
     want = repr(call(good))
     for cast in (np.int64, np.uint16):
@@ -197,9 +194,8 @@ def _generated_bad(kind, lo):
     """Bad values beyond the named ones: the range below the bound, and wrong types."""
     no_number = st.one_of(st.none(), st.booleans(), st.text(alphabet="xyz ", max_size=3))
     non_finite = st.sampled_from([_NAN, _INF, -_INF])
-    if kind in ("int", "horizon"):
-        bad = st.one_of(no_number, st.integers(max_value=lo - 1), st.floats(), st.complex_numbers())
-        return bad.filter(lambda v: v is not None) if kind == "horizon" else bad
+    if kind == "int":
+        return st.one_of(no_number, st.integers(max_value=lo - 1), st.floats(), st.complex_numbers())
     if kind == "real" and lo is None:
         return st.one_of(no_number, non_finite)
     if kind == "real":

@@ -33,7 +33,16 @@ from juliaspec.errors import (
     OutOfRangeError,
 )
 from juliaspec.numeration import BaseSequence
-from juliaspec.sequences import constant, geometric, harmonic, periodic, prefix_then, random_base, random_uniform
+from juliaspec.sequences import (
+    constant,
+    geometric,
+    harmonic,
+    periodic,
+    prefix_then,
+    random_base,
+    random_uniform,
+    tail_product,
+)
 from juliaspec.verify import _hit_probability, _mc_vs_exact, run_verify
 
 
@@ -187,6 +196,26 @@ def test_harmonic_vector_at_the_capacity_ceiling(chains):
     assert chains["dendrite"].harmonic_value(2**64 - 1) == 2**63
     assert chains["dendrite"].harmonic_value(2**63) == 2**63
     assert chains["dendrite"].harmonic_value(2**63 - 1) == 2**62
+
+
+def test_harmonic_value_refuses_an_underflowed_product():
+    # p_j ~ 1e-200: p_2 alone is a float, p_2 p_3 underflows to 0.0.
+    cfg = ChainConfig(BaseSequence(2), random_uniform("1e-200", "1e-199", 3))
+    assert cfg.harmonic_value(2) == 1 / cfg.p_at(2) == 8.130997816363798e199
+    with pytest.raises(OutOfRangeError):
+        cfg.harmonic_value(4)
+
+
+def test_tail_product_lies_below_every_success_prefix(chains):
+    # p_j = 1 - 4^-j: 0 < P_J - ∏ p_j = P_J (1 - ∏_{j>J} p_j) <= P_J Σ_{j>J} 4^-j < 4^-J.
+    cfg = chains["binary-geometric"]
+    limit = tail_product(cfg.p)
+    assert isinstance(limit, float)
+    gaps = [cfg.success_prefix(J) - Fraction(limit) for J in range(19)]
+    assert all(0 < gap < Fraction(1, 4**J) for J, gap in enumerate(gaps)), gaps
+    assert gaps == sorted(gaps, reverse=True)
+    # A vanishing product is exactly 0.
+    assert tail_product(chains["dendrite"].p) == 0
 
 
 # -- sampling ----------------------------------------------------------------

@@ -16,6 +16,7 @@ from juliaspec.dynamics import (
     FiberedSystem,
     TraceStatus,
     _ipow,
+    _tree,
     dedup_points,
     escape_classify,
     factor_trace,
@@ -325,8 +326,8 @@ def test_preimages_depth_zero_and_validation(systems):
 def test_polish_does_not_hurt(systems):
     sys = systems["mixed23-harmonic"]
     target = 0.3 + 0.4j
-    raw = preimages(sys, target, 3, polish=False)
-    polished = preimages(sys, target, 3, polish=True)
+    raw = _tree(sys, target, 3)
+    polished = preimages(sys, target, 3)
     err_raw = max(abs(sys.composed(3, z) - target) for z in raw)
     err_pol = max(abs(sys.composed(3, z) - target) for z in polished)
     assert err_pol <= err_raw + 1e-12

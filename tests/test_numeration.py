@@ -6,6 +6,8 @@ accumulated place values.  The counter and first-nonzero indices are pinned
 both to a direct digit-scan oracle and to the structural link between them.
 """
 
+import random
+
 import pytest
 
 from juliaspec.errors import (
@@ -15,7 +17,7 @@ from juliaspec.errors import (
     UndefinedForZeroError,
 )
 from juliaspec.numeration import BaseSequence, DigitExpansion
-from juliaspec.sequences import constant, periodic, random_base
+from juliaspec.sequences import constant, periodic, prefix_then, random_base
 
 BASES = {
     "binary": BaseSequence(2),
@@ -85,6 +87,60 @@ def test_counter_links_to_first_nonzero_of_successor(name):
     base = BASES[name]
     for n in range(2000):
         assert base.counter(n) == base.first_nonzero(n + 1)
+
+
+def scan_counter(base: BaseSequence, n: int) -> int:
+    """ζ_n digit by digit: the first position whose digit is below its maximum."""
+    j = 1
+    while True:
+        d = base.digit_base(j)
+        n, a = divmod(n, d)
+        if a != d - 1:
+            return j
+        j += 1
+
+
+def scan_first_nonzero(base: BaseSequence, m: int) -> int:
+    """ξ_m digit by digit: the first position whose digit is nonzero."""
+    j = 1
+    while True:
+        m, a = divmod(m, base.digit_base(j))
+        if a != 0:
+            return j
+        j += 1
+
+
+NU_BASES = {
+    "d2": BaseSequence(2),
+    "d3": BaseSequence(3),
+    "periodic23": BaseSequence(periodic([2, 3], "d")),
+    "random5": BaseSequence(random_base(5, 7)),
+    "prefix42-then-3": BaseSequence(prefix_then([4, 2], constant(3, "d")), capacity_bits=100),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NU_BASES))
+def test_one_scan_gives_counter_and_first_nonzero(name):
+    # counter and first_nonzero share one scan; each must equal its own digit-by-digit form.
+    base = NU_BASES[name]
+    rng = random.Random(20261019)
+    top = base.level_of(base.capacity)
+    edges = [base.place_value(j) + k for j in range(top) for k in (-1, 0)]
+    states = [
+        *range(5000),
+        *edges,
+        base.capacity - 1,
+        base.capacity,
+        *(rng.randrange(base.capacity + 1) for _ in range(1000)),
+        *(rng.randrange(1 << rng.randrange(1, base.capacity_bits + 1)) for _ in range(1000)),
+    ]
+    for n in states:
+        assert base.counter(n) == scan_counter(base, n), (name, n)
+        if n:
+            assert base.first_nonzero(n) == scan_first_nonzero(base, n), (name, n)
+    for call in (base.counter, base.first_nonzero):
+        with pytest.raises(IntegerOverflowError):
+            call(base.capacity + 1)
 
 
 @pytest.mark.parametrize("name", sorted(BASES))

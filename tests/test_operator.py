@@ -8,6 +8,7 @@ form that a brute-force series sum must reproduce.
 
 import io
 import json
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -308,6 +309,25 @@ def test_truncated_eigenvalues_cap(monkeypatch, systems):
         truncated_eigenvalues(systems["dendrite"], (1 << 20) + 1)
     with pytest.raises(OutOfRangeError):
         truncated_eigenvalues(systems["dendrite"], 0)
+
+
+def test_truncation_sizes_past_the_cap_are_refused_before_allocating(chains, systems):
+    # A truncation's spectrum is its tree leaves, so it shares their 2^20 cap;
+    # size 2^20 itself builds (tests/test_truncation_reference.py).
+    cfg, sys = chains["dendrite"], systems["dendrite"]
+    cfg.level(22), sys.level(22)  # the level tables, so that only the refused calls are traced
+    for call in (
+        lambda: build_truncation(cfg, (1 << 20) + 1),
+        lambda: weyl_defect(cfg, sys, 0.3 + 0.2j, 20),  # size 2 q_20 = 2^21
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
 
 def _multiset_gap(a, b) -> float:

@@ -1,8 +1,8 @@
 """The batched preimage tree against its scalar reference implementations.
 
-`preimages` polishes leaves in numpy blocks and `dedup_points` searches a
-sorted window; both must give exactly what the straightforward per-point
-code below gives: the same leaves bit for bit (signs of zero included) and
+`preimages` polishes the raw leaves of `_tree` in numpy blocks and
+`dedup_points` searches a sorted window; both must give exactly what the
+straightforward per-point code below gives: the same leaves bit for bit (signs of zero included) and
 the same representatives in the same order.
 """
 
@@ -20,6 +20,7 @@ from juliaspec.dynamics import (
     _ipow,
     _real_divisor,
     _split_levels,
+    _tree,
     dedup_points,
     preimages,
     residual_set,
@@ -106,7 +107,7 @@ def test_composed_arrays_match_scalar_composition(systems, name):
 
 def _check_polish(sys, target, depth):
     target = complex(target)
-    raw = preimages(sys, target, depth, polish=False)
+    raw = _tree(sys, target, depth)
     ref = [scalar_polish(sys, depth, target, z) for z in raw] if depth else raw
     assert bits(preimages(sys, target, depth)) == bits(ref), (target, depth)
 

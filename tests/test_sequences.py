@@ -207,30 +207,17 @@ def test_product_verdicts():
     assert product_verdict(random_uniform(1, 1, 0)) is ProductVerdict.CONVERGES_POSITIVE
 
 
-def test_tail_product_partial_is_exact():
-    part, verdict = tail_product(constant("1/2"), 10)
-    assert part == Fraction(1, 1024)
-    assert verdict is ProductVerdict.TENDS_TO_ZERO
-    part, _ = tail_product(geometric(1, "1/2"), 3)
-    assert part == Fraction(1, 2) * Fraction(3, 4) * Fraction(7, 8)
-
-
 def test_tail_product_limit_matches_long_numpy_product():
-    limit, verdict = tail_product(geometric(1, "1/4"), None)
-    assert verdict is ProductVerdict.CONVERGES_POSITIVE
+    limit = tail_product(geometric(1, "1/4"))
     oracle = float(np.prod(1.0 - 0.25 ** np.arange(1, 80)))
     assert limit == pytest.approx(oracle, rel=1e-12)
-    zero, _ = tail_product(harmonic("1/2", 1), None)
-    assert zero == 0
+    zero = tail_product(harmonic("1/2", 1))
+    assert zero == 0 and isinstance(zero, Fraction)
 
 
-def test_tail_product_inconclusive_needs_horizon():
-    spec = random_uniform("1/2", 1, 3)
+def test_tail_product_limit_is_refused_when_inconclusive():
     with pytest.raises(ConfigError):
-        tail_product(spec, None)
-    part, verdict = tail_product(spec, 50)
-    assert 0.0 < part < 1.0
-    assert verdict is ProductVerdict.INCONCLUSIVE
+        tail_product(random_uniform("1/2", 1, 3))
 
 
 def test_sum_alpha_verdicts():
