@@ -23,7 +23,14 @@ from math import inf, sqrt
 
 import numpy as np
 
-from .errors import ConfigError, IntegerOverflowError, NotIrreducibleError, OutOfRangeError, check_int
+from .errors import (
+    BudgetExceededError,
+    ConfigError,
+    IntegerOverflowError,
+    NotIrreducibleError,
+    OutOfRangeError,
+    check_int,
+)
 from .numeration import BaseSequence
 from .sequences import ProductVerdict, SequenceSpec, irreducible, product_verdict, tail_product
 
@@ -159,8 +166,12 @@ class ChainConfig:
         advance to n + 1 iff n mod q_w ≠ q_w - 1, else the fall to
         n + 1 - q_w.  States are Python ints, so a path may run up to the
         capacity; IntegerOverflowError is raised iff it advances past it.
+        More than `_STEPS_CAP` steps are refused (BudgetExceededError)
+        before anything is allocated.
         """
         steps = check_int("steps", steps, 0)
+        if steps > _STEPS_CAP:
+            raise BudgetExceededError(f"trajectory of {steps} steps exceeds {_STEPS_CAP} steps")
         start = self.base._check_state(start, "start state")
         rng = np.random.default_rng(check_int("seed", seed, 0))
         qs, pref = _move_table(self, start, steps)
@@ -310,6 +321,7 @@ def _wilson_interval(hits: int, n: int):
 
 
 _BLOCK = 512  # steps whose uniforms a trajectory draws at once
+_STEPS_CAP = 1 << 20  # steps of one `simulate` trajectory, which is held whole as Python ints
 _SCALAR_MAX = 32  # a block with at most this many live trajectories steps them as ints
 _DRAW_ROWS = 64  # trajectories drawn and classified at a time: bounds a block's temporaries
 _GROUP = 4096  # trajectories spawned and run at a time: bounds the generators held at once

@@ -106,6 +106,10 @@ _CYCLE_SEARCH = 1000
 _PREIMAGE_CAP = 1 << 20
 #: Leaves per array pass of the Newton polish; bounds its working memory.
 _POLISH_BLOCK = 4096
+#: Children of a tree level from which it is built as one array pass.  A pass
+#: makes ~40 numpy calls whatever its size: it breaks even with the node-by-node
+#: Python recursion near 64 children (d = 2; ~80 at d = 3), and is 2.7x faster at 512.
+_ARRAY_CHILDREN = 64
 
 
 def _ipow(z: complex, n: int) -> complex:
@@ -516,23 +520,24 @@ def _composed_arrays(levels, zr, zi, derivative: bool):
     return vr, vi, dr, di
 
 
-def _polish_block(levels, target: complex, leaves):
-    """One damped Newton pass on f̃_depth(z) - target for every point of a complex array.
+def _polish_block(levels, target: complex, zr, zi, out):
+    """One damped Newton pass on f̃_depth(z) - target for every point z = zr + i·zi, into out.
 
     Per point: take the Newton step, then keep the first of z - step,
     z - step/2, z - step/4, z - step/8 whose residual is no larger than that of
     z, else z itself.  Each try evaluates only the points still undecided.
+    `out` is a complex array the size of zr; its real and imaginary parts are
+    assigned apart, which keeps every sign of zero.
     """
-    zr, zi = leaves.real.copy(), leaves.imag.copy()
+    out.real, out.imag = zr, zi
     vr, vi, dr, di = _composed_arrays(levels, zr, zi, derivative=True)
     er, ei = vr - target.real, vi - target.imag
     best = np.hypot(er, ei)
     idx = np.flatnonzero((best != 0) & (np.hypot(dr, di) != 0))  # dv == 0 iff |dv| == 0
     if not idx.size:
-        return leaves
+        return
     sr, si = _c_div(er[idx], ei[idx], dr[idx], di[idx])
     best = best[idx]
-    out = leaves.copy()
     for _ in range(4):
         cr, ci = zr[idx] - sr, zi[idx] - si
         vr, vi, _, _ = _composed_arrays(levels, cr, ci, derivative=False)
@@ -543,17 +548,17 @@ def _polish_block(levels, target: complex, leaves):
             break
         idx, best = idx[miss], best[miss]
         sr, si = _c_div_real(sr[miss], si[miss], _HALVE)
-    return out
 
 
 def preimages(sys: FiberedSystem, target: complex, depth: int) -> list[complex]:
     """The multiset f̃_depth^{-1}{target}, size q_depth, polished leaves in tree order.
 
     The leaves are those of the branch recursion (`_tree`), each then given
-    one damped Newton pass against the full composition.  The polish runs
-    over numpy arrays of `_POLISH_BLOCK` leaves at a time, with real and
-    imaginary parts kept apart so that every float operation is the one
-    CPython's `complex` arithmetic performs: the leaves equal, bit for bit, a
+    one damped Newton pass against the full composition.  The tree's larger
+    levels and the polish run over numpy arrays, the polish `_POLISH_BLOCK`
+    leaves at a time, with real and imaginary parts kept apart so that every
+    float operation is the one CPython's `complex` arithmetic performs: the
+    leaves equal, bit for bit, a per-node scalar recursion followed by a
     per-leaf scalar polish through `composed_with_derivative`.
     """
     depth = check_int("depth", depth, 0)
@@ -562,39 +567,81 @@ def preimages(sys: FiberedSystem, target: complex, depth: int) -> list[complex]:
             f"preimage tree at depth {depth} exceeds {_PREIMAGE_CAP} leaves"
         )
     target = check_point("target", target)
-    points = _tree(sys, target, depth)
     if depth == 0:
-        return points
+        return [target]
     levels = _split_levels(sys, depth)
-    leaves = np.array(points, dtype=complex)
-    out: list[complex] = []
     # Overflow and NaN pass silently, as they do in `complex` arithmetic.
     with np.errstate(all="ignore"):
-        for lo in range(0, len(points), _POLISH_BLOCK):
-            out.extend(_polish_block(levels, target, leaves[lo : lo + _POLISH_BLOCK]).tolist())
-    return out
+        zr, zi = _tree(sys, target, depth)
+        out = np.empty(zr.size, dtype=complex)
+        for lo in range(0, zr.size, _POLISH_BLOCK):
+            block = slice(lo, lo + _POLISH_BLOCK)
+            _polish_block(levels, target, zr[block], zi[block], out[block])
+    return out.tolist()
 
 
-def _tree(sys: FiberedSystem, target: complex, depth: int) -> list[complex]:
-    """The unpolished leaves of f̃_depth^{-1}{target} by branch recursion.
+def _tree(sys: FiberedSystem, target: complex, depth: int):
+    """The unpolished leaves of f̃_depth^{-1}{target} by branch recursion, as (re, im) arrays.
 
     Levels are peeled outermost-first: solutions of f̃_n = w are preimages
-    under f_n of solutions of f̃_{n-1} = w.  Each branch extracts d_j-th
-    roots and undoes the affine map.
+    under f_n of solutions of f̃_{n-1} = w.  Each node u has the d_j-th roots
+    of u (`_droots`), and each root w becomes the child c + p·w.  A level
+    with fewer than `_ARRAY_CHILDREN` children is built node by node in
+    Python, a larger one by one array pass (`_children`); both give the same
+    bits, and the tree only grows, so the array passes come last.
     """
-    points = [target]
-    for j in range(depth, 0, -1):
+    points, j = [target], depth
+    while j:
         c, p, d = sys.level(j)
+        if len(points) * d >= _ARRAY_CHILDREN:
+            break
         units = [_unit_root(k, d) for k in range(d)]
         points = [c + p * w for u in points for w in _droots(u, d, units)]
-    return points
+        j -= 1
+    leaves = np.array(points, dtype=complex)
+    zr, zi = leaves.real, leaves.imag
+    for j in range(j, 0, -1):
+        zr, zi = _children(zr, zi, *sys.level(j))
+    return zr, zi
+
+
+def _children(zr, zi, c: float, p: float, d: int):
+    """The children c + p·w of the nodes zr + i·zi, w over `_droots` of each, in tree order.
+
+    One array pass, bit for bit the Python recursion: |u|, phase(u) and
+    r = |u|^{1/d} are Python's libm calls, one per node, since numpy's differ
+    from them in the last bit.  exp(iθ/d) is cos + i·sin of θ/d (exp(±0.0) =
+    1.0), from numpy's cos and sin, which give libm's bits (the tests pin
+    that).  Every product and sum is the one CPython's `complex` arithmetic
+    performs, ±0.0 terms included, so θ = 0 gives the root r + 0j; a node
+    u = 0 has d roots w = 0j.
+    """
+    nodes = np.empty(zr.size, dtype=complex)
+    nodes.real, nodes.imag = zr, zi
+    nodes = nodes.tolist()
+    theta = np.fromiter(map(cmath.phase, nodes), float, len(nodes))
+    # r = |u| ** (1/d), one libm pow per node.
+    r = np.fromiter(map((1.0 / d).__rpow__, map(abs, nodes)), float, len(nodes))
+    # r·exp(iθ/d) is (r + 0j)·(cos + i·sin).  At θ = ±0.0 that is exactly
+    # r + 0j, `_droots`'s θ = 0 branch: cos is 1.0, sin is ±0.0, and ±0.0 + 0.0 = 0.0.
+    a = theta / float(d)
+    er, ei = np.cos(a), np.sin(a)
+    pr, pi = r * er - 0.0 * ei, r * ei + 0.0 * er
+    units = np.array([_unit_root(k, d) for k in range(d)])
+    wr, wi = _c_mul(pr[:, None], pi[:, None], units.real, units.imag)
+    zero = (zr == 0.0) & (zi == 0.0)
+    wr[zero], wi[zero] = 0.0, 0.0
+    # c + p·w is (c + 0j) + (p + 0j)·w.
+    return (c + (p * wr - 0.0 * wi)).ravel(), (0.0 + (p * wi + 0.0 * wr)).ravel()
 
 
 def level_tree(sys: FiberedSystem, k: int) -> np.ndarray:
     """T_k = f̃_k⁻¹{1 - p_{k+1}}, q_k points in tree order; memoized per system, read-only.
 
     T_k is the spectrum of the q_k truncation (`operator.truncated_eigenvalues`)
-    and f̃_{k+1} vanishes on it.
+    and f̃_{k+1} vanishes on it.  The points are those `preimages` returns
+    for target 1 - p_{k+1} at depth k (the array tree, then the polish), bit
+    for bit.
     """
     k = check_int("level", k, 0)
     tree = sys._trees.get(k)

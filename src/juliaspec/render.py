@@ -27,7 +27,14 @@ from functools import cached_property
 import numpy as np
 
 from .dynamics import ESCAPE_RADIUS, FiberedSystem
-from .errors import OriginEscapedError, OutOfRangeError, check_int, check_point, check_real
+from .errors import (
+    BudgetExceededError,
+    OriginEscapedError,
+    OutOfRangeError,
+    check_int,
+    check_point,
+    check_real,
+)
 
 __all__ = [
     "GridSpec",
@@ -44,6 +51,8 @@ __all__ = [
 # Fixed palette: solid color for inside pixels, a warm-to-dark ramp over
 # escape-step/budget ratio for escaped ones.
 INSIDE_COLOR = (18, 26, 92)
+#: Pixels per grid (2048 x 2048): `render_field` holds several arrays of this size.
+_PIXEL_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -51,7 +60,9 @@ class GridSpec:
     """A complex-plane raster window with an iteration budget.
 
     Row 0 is the top of the image (largest imaginary part), matching image
-    conventions; pixel (row, col) samples the center of its cell.
+    conventions; pixel (row, col) samples the center of its cell.  A grid
+    of more than `_PIXEL_CAP` pixels is refused (BudgetExceededError), so
+    `render_field` never starts on one.
     """
 
     re_min: float
@@ -66,6 +77,10 @@ class GridSpec:
     def __post_init__(self):
         for name in ("width", "height", "max_iter"):  # kept as ints, numpy integers too
             object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
+        if self.width * self.height > _PIXEL_CAP:
+            raise BudgetExceededError(
+                f"grid of {self.width}x{self.height} pixels exceeds {_PIXEL_CAP} pixels"
+            )
         for name in ("re_min", "re_max", "im_min", "im_max", "radius"):
             object.__setattr__(self, name, check_real(name, getattr(self, name), -math.inf))
         if not (self.re_min < self.re_max):

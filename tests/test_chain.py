@@ -13,6 +13,7 @@ the vectorized lockstep estimator with a loop of `step`, and bit-level
 determinism.
 """
 
+import tracemalloc
 from collections import Counter, defaultdict, deque
 from fractions import Fraction
 from io import StringIO
@@ -24,9 +25,10 @@ from scipy import sparse, stats
 from strategies import P_SPECS
 
 from juliaspec.canonical import CANONICAL_NAMES
-from juliaspec.chain import ChainConfig, Recurrence, write_trajectory_csv
+from juliaspec.chain import _STEPS_CAP, ChainConfig, Recurrence, write_trajectory_csv
 from juliaspec.dynamics import FiberedSystem
 from juliaspec.errors import (
+    BudgetExceededError,
     ConfigError,
     IntegerOverflowError,
     NotIrreducibleError,
@@ -286,6 +288,20 @@ def test_simulate_is_deterministic_and_well_formed(chains):
     assert c != a
     with pytest.raises(OutOfRangeError):
         cfg.simulate(start=-1, steps=10, seed=0)
+
+
+def test_simulate_past_the_step_cap_is_refused_before_allocating(chains):
+    cfg = chains["dendrite"]
+    assert cfg.simulate(start=1, steps=0, seed=0) == [1]
+    for steps in (_STEPS_CAP + 1, 10**12):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError):
+                cfg.simulate(start=1, steps=steps, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (steps, peak)
 
 
 def test_return_statistics_matches_plain_loop_estimate(chains):

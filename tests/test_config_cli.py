@@ -441,6 +441,23 @@ def test_exit_code_2_bad_grid(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["render", "--width", "4096", "--height", "4096", "--out-prefix", "{tmp}/img"],
+        ["simulate", "--steps", str(1 << 30), "--out", "{tmp}/traj.csv"],
+    ],
+)
+def test_exit_code_3_past_the_size_caps(argv, tmp_path, capsys):
+    # Refused before anything is allocated or written.
+    rc = main([argv[0], "--canonical", "dendrite", *(a.format(tmp=tmp_path) for a in argv[1:])])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "window",
     [
         ["--re-min=-inf", "--re-max=inf"],  # used to write nan centers, then a traceback

@@ -326,7 +326,7 @@ def test_preimages_depth_zero_and_validation(systems):
 def test_polish_does_not_hurt(systems):
     sys = systems["mixed23-harmonic"]
     target = 0.3 + 0.4j
-    raw = _tree(sys, target, 3)
+    raw = list(map(complex, *_tree(sys, target, 3)))
     polished = preimages(sys, target, 3)
     err_raw = max(abs(sys.composed(3, z) - target) for z in raw)
     err_pol = max(abs(sys.composed(3, z) - target) for z in polished)

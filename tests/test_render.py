@@ -6,6 +6,7 @@ centers are exact dyadics so conjugation symmetry is bit-exact.
 """
 
 import io
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,7 +15,7 @@ from scipy import ndimage
 
 from juliaspec import render
 from juliaspec.dynamics import FiberedSystem, escape_classify
-from juliaspec.errors import OriginEscapedError, OutOfRangeError
+from juliaspec.errors import BudgetExceededError, OriginEscapedError, OutOfRangeError
 from juliaspec.numeration import BaseSequence
 from juliaspec.render import (
     INSIDE_COLOR,
@@ -58,6 +59,24 @@ def test_grid_validation():
     ):
         with pytest.raises(OutOfRangeError):
             GridSpec(**bad)
+
+
+def test_grids_past_the_pixel_cap_are_refused_before_allocating():
+    # 2048 x 2048 is the cap itself; one row more is refused before any array exists.
+    assert render._PIXEL_CAP == 2048 * 2048
+    window = (-1.0, 1.0, -1.0, 1.0)
+    GridSpec(*window, 2048, 2048, 10)
+    sys = shift_system()
+    sys.level(10)  # the level table, so that only the refused calls are traced
+    for width, height in ((2048, 2049), (2, 1 << 21 | 1), (10**6, 10**6)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError):
+                render_field(sys, GridSpec(*window, width, height, 10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (width, height, peak)
 
 
 def test_pixel_center_roundtrip():
