@@ -24,7 +24,6 @@ from math import inf, sqrt
 import numpy as np
 
 from .errors import (
-    BudgetExceededError,
     ConfigError,
     IntegerOverflowError,
     NotIrreducibleError,
@@ -169,9 +168,7 @@ class ChainConfig:
         More than `_STEPS_CAP` steps are refused (BudgetExceededError)
         before anything is allocated.
         """
-        steps = check_int("steps", steps, 0)
-        if steps > _STEPS_CAP:
-            raise BudgetExceededError(f"trajectory of {steps} steps exceeds {_STEPS_CAP} steps")
+        steps = check_int("steps", steps, 0, _STEPS_CAP)
         start = self.base._check_state(start, "start state")
         rng = np.random.default_rng(check_int("seed", seed, 0))
         qs, pref = _move_table(self, start, steps)

@@ -64,14 +64,8 @@ from itertools import count, islice
 
 import numpy as np
 
-from .errors import (
-    BudgetExceededError,
-    OutOfRangeError,
-    check_int,
-    check_point,
-    check_real,
-)
-from .numeration import BaseSequence
+from .errors import OutOfRangeError, check_int, check_point, check_real
+from .numeration import _LEVEL_CAP, BaseSequence
 from .sequences import SequenceSpec, _tail_range, limit_is_one, threshold_index
 
 __all__ = [
@@ -103,6 +97,8 @@ ESCAPE_RADIUS = 1.0 + 1e-9
 _ONE_TOL = 1e-9
 #: Iterations of the critical value 0 under a constant tail map in search of ẑ.
 _CYCLE_SEARCH = 1000
+#: Leaves of a preimage tree, rows of a truncation and entries of an
+#: eigenvector head: about 16 B each per array, several arrays at once.
 _PREIMAGE_CAP = 1 << 20
 #: Leaves per array pass of the Newton polish; bounds its working memory.
 _POLISH_BLOCK = 4096
@@ -178,8 +174,8 @@ class FiberedSystem:
         self._residual: dict[tuple[int, float], ResidualSets] = {}
 
     def level(self, j: int) -> tuple[float, float, int]:
-        """(1 - p_j, p_j, d_j) for fiber index j >= 1, from the level table."""
-        j = check_int("fiber index", j, 1)
+        """(1 - p_j, p_j, d_j) for fiber index 1 <= j <= `_LEVEL_CAP`, from the level table."""
+        j = check_int("fiber index", j, 1, _LEVEL_CAP)
         for i in range(len(self._levels) + 1, j + 1):
             p = self.p.float_at(i)
             self._levels.append((1.0 - p, p, self.digit_base(i)))
@@ -219,7 +215,8 @@ class FiberedSystem:
     def orbit(self, z: complex, start: int = 1) -> Iterator[tuple[complex, complex]]:
         """Endless (ι_j, f̃_j), j = start, start + 1, ...: ι_j = h_j(f̃_{j-1}), f̃_j = ι_j^{d_j}.
 
-        z is f̃_{start-1}: from start = 1, the point itself.
+        z is f̃_{start-1}: from start = 1, the point itself.  The orbit stops
+        with BudgetExceededError past level `_LEVEL_CAP`.
         """
         start = check_int("orbit start level", start, 1)
         w, levels = complex(z), self._levels
@@ -235,7 +232,7 @@ class FiberedSystem:
 
     def composed_with_derivative(self, j: int, z: complex) -> tuple[complex, complex]:
         """(f̃_j(z), f̃_j'(z)) in one forward pass (chain rule)."""
-        j = check_int("composition depth", j, 0)
+        j = check_int("composition depth", j, 0, _LEVEL_CAP)
         v = complex(z)
         dv = 1 + 0j
         # zip reads level l of the table only after orbit has grown it to l.
@@ -290,7 +287,7 @@ def escape_classify(
     bounded.  With start > 1, z stands for f̃_{start-1} of some point whose
     earlier levels are known not to decide the test; levels start..budget run.
     """
-    budget = check_int("budget", budget, 1)
+    budget = check_int("budget", budget, 1, _LEVEL_CAP)
     start = check_int("start", start, 1)
     radius = ESCAPE_RADIUS
     w = check_point("z", z)
@@ -343,7 +340,7 @@ class FactorTrace:
 
 def factor_trace(sys: FiberedSystem, lam: complex, budget: int) -> FactorTrace:
     """Run the factor recursion ι(r+1) = h_{r+1}(ι(r)^{d_r}) with stopping rules."""
-    budget = check_int("budget", budget, 1)
+    budget = check_int("budget", budget, 1, _LEVEL_CAP)
     lam = check_point("lambda", lam)
     if lam == 1:
         # Every factor is exactly 1; avoid float drift around the repelling point.
@@ -377,7 +374,7 @@ def factor_trace(sys: FiberedSystem, lam: complex, budget: int) -> FactorTrace:
 
 def factor_values(sys: FiberedSystem, lam: complex, count: int) -> list[complex]:
     """Raw factors ι_λ(1..count) without stopping rules (may grow huge)."""
-    count = check_int("count", count, 0)
+    count = check_int("count", count, 0, _LEVEL_CAP)
     lam = check_point("lambda", lam)
     if lam == 1:
         return [1.0 + 0j] * count
@@ -390,7 +387,7 @@ def eigvec_head(sys: FiberedSystem, lam: complex, length: int) -> list[complex]:
     Entry n is Π_r ι_r^{a_r(n)} over the digits of n, each power by `_ipow`
     and the product taken from the lowest digit up.
     """
-    length = check_int("length", length, 1)
+    length = check_int("length", length, 1, _PREIMAGE_CAP)
     head = [1 + 0j]
     for r, iota in enumerate(factor_values(sys, lam, sys.base.level_of(length - 1)), 1):
         q = len(head)
@@ -559,16 +556,20 @@ def preimages(sys: FiberedSystem, target: complex, depth: int) -> list[complex]:
     leaves at a time, with real and imaginary parts kept apart so that every
     float operation is the one CPython's `complex` arithmetic performs: the
     leaves equal, bit for bit, a per-node scalar recursion followed by a
-    per-leaf scalar polish through `composed_with_derivative`.
+    per-leaf scalar polish through `composed_with_derivative`.  A tree of
+    more than `_PREIMAGE_CAP` leaves is refused (BudgetExceededError), and so,
+    at depth >= 1, is a target whose modulus passes the float range
+    (OutOfRangeError).
     """
     depth = check_int("depth", depth, 0)
-    if sys.base.place_value(depth) > _PREIMAGE_CAP:
-        raise BudgetExceededError(
-            f"preimage tree at depth {depth} exceeds {_PREIMAGE_CAP} leaves"
-        )
+    check_int("preimage leaves", sys.base.place_value(depth), 1, _PREIMAGE_CAP)
     target = check_point("target", target)
     if depth == 0:
         return [target]
+    try:
+        abs(target)  # the tree's first |u|
+    except OverflowError:
+        raise OutOfRangeError(f"target {target} has a modulus past the float range") from None
     levels = _split_levels(sys, depth)
     # Overflow and NaN pass silently, as they do in `complex` arithmetic.
     with np.errstate(all="ignore"):
@@ -718,10 +719,10 @@ def residual_set(sys: FiberedSystem, depth: int, tol: float = 1e-8) -> ResidualS
     key = (depth, tol)
     if key in sys._residual:
         return sys._residual[key]
+    ones = dedup_points(preimages(sys, 1.0, depth), tol)  # the largest tree: refused first
     zeros_all: list[complex] = [0j]
     for k in range(depth):
         zeros_all.extend(level_tree(sys, k).tolist())
-    ones = dedup_points(preimages(sys, 1.0, depth), tol)
     zeros = dedup_points(zeros_all, tol)
     zeros_re = [w.real for w in zeros]
     kept = tuple(

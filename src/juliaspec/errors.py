@@ -14,6 +14,14 @@ Every integer, exponent and point argument of the library API is checked by
 * a point (λ, z, a target) is a finite real or complex number or its
   text, never a bool.
 
+An integer that sizes work or memory also has a cap: `check_int(what, v, lo,
+cap)` refuses v > cap with BudgetExceededError (CLI exit code 3), one
+comparison before the caller allocates anything.  The caps are 2^20 levels
+for every iteration budget and level index (`numeration._LEVEL_CAP`), 2^20
+leaves or rows for preimage trees, truncations and eigenvector heads
+(`dynamics._PREIMAGE_CAP`), 4096 rows for a dense matrix, 2^22 pixels for a
+raster and 2^20 steps for a trajectory.
+
 JSON documents and CLI text keep their own rule (`json_int`,
 `cli.parse_complex`): there 1.0 counts as an integer and a refusal is a
 ConfigError.
@@ -87,12 +95,18 @@ class VerificationError(JuliaspecError):
     """An internal invariant check failed."""
 
 
-def check_int(what: str, v, lo: int) -> int:
-    """v as an int >= lo: a Python or numpy integer, never a bool."""
+def check_int(what: str, v, lo: int, cap: int | None = None) -> int:
+    """v as an int >= lo: a Python or numpy integer, never a bool.
+
+    Above `cap` it is refused with BudgetExceededError, before the caller
+    allocates anything for it.
+    """
     if type(v) is not int:
         v = _convert(what, v, operator.index, "an integer")
     if v < lo:
         raise OutOfRangeError(f"{what} must be >= {lo}, got {v}")
+    if cap is not None and v > cap:
+        raise BudgetExceededError(f"{what} {v} exceeds the cap {cap}")
     return v
 
 

@@ -32,6 +32,12 @@ from .sequences import SequenceSpec, constant
 
 __all__ = ["BaseSequence", "DigitExpansion"]
 
+#: Levels: the largest digit index, fiber level and iteration budget taken.
+#: The digit memo and the fiber level table keep one entry per level, and an
+#: orbit costs about 130 B per level it runs (a 10^6-level one peaked at
+#: 123 MiB), so about 136 MB at the cap.
+_LEVEL_CAP = 1 << 20
+
 
 class BaseSequence:
     """Handle for one base sequence d̄ with memoized digit bases and place values.
@@ -67,10 +73,9 @@ class BaseSequence:
         return hash((self.spec, self.capacity_bits))
 
     def digit_base(self, j: int) -> int:
-        """d_j for j >= 1 (d_0 = 1 is implicit and never queried)."""
-        if type(j) is not int or j < 1:
-            return int(self.spec.value_at(j))  # value_at checks j
-        if j > len(self._d):
+        """d_j for 1 <= j <= `_LEVEL_CAP` (d_0 = 1 is implicit and never queried)."""
+        if type(j) is not int or not 0 < j <= len(self._d):
+            j = check_int("digit index", j, 1, _LEVEL_CAP)
             with self._lock:
                 while j > len(self._d):
                     self._d.append(int(self.spec.value_at(len(self._d) + 1)))

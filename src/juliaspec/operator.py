@@ -38,7 +38,6 @@ from .dynamics import (
     level_tree,
 )
 from .errors import (
-    BudgetExceededError,
     ConfigError,
     DimensionMismatchError,
     OutOfRangeError,
@@ -46,6 +45,7 @@ from .errors import (
     check_point,
     check_real,
 )
+from .numeration import _LEVEL_CAP
 from .sequences import tail_product
 
 __all__ = [
@@ -59,6 +59,10 @@ __all__ = [
     "write_eigenvalue_csv",
     "write_matrix_csv",
 ]
+
+#: Rows of a dense matrix (128 MiB of float64 at the cap).
+_DENSE_CAP = 4096
+
 
 @dataclass(frozen=True, eq=False)
 class SparseTruncation:
@@ -132,7 +136,8 @@ class SparseTruncation:
         return sum((v for _, v in self._row(self._check_index(n))), self._zero)
 
     def to_dense(self) -> np.ndarray:
-        """Dense float64 matrix: each entry is one mass of a law."""
+        """Dense float64 matrix: each entry is one mass of a law; at most `_DENSE_CAP` rows."""
+        check_int("dense matrix rows", self.size, 1, _DENSE_CAP)
         falls, up = self._float_levels
         dense = np.zeros(self.size * self.size)
         dense[1 :: self.size + 1] = up  # row n moves up to column n + 1
@@ -203,12 +208,10 @@ def build_truncation(cfg: ChainConfig, size: int) -> SparseTruncation:
     Stores the row law (see `SparseTruncation`): the chain's laws for
     ζ = 1..L, L the number of digits of size, past which no row reaches,
     and ζ per row, counted level by level: the rows with ζ_n > r are those
-    with q_r | n + 1.  A size above 2^20, the cap of
+    with q_r | n + 1.  A size above `_PREIMAGE_CAP`, the cap of
     `truncated_eigenvalues`, is refused before anything is allocated.
     """
-    size = check_int("truncation size", size, 1)
-    if size > _PREIMAGE_CAP:
-        raise BudgetExceededError(f"truncation size {size} exceeds {_PREIMAGE_CAP} rows")
+    size = check_int("truncation size", size, 1, _PREIMAGE_CAP)
     top = cfg.base.level_of(size)
     zeta = np.ones(size, dtype=np.int64)
     for q in map(cfg.base.place_value, range(1, top)):
@@ -225,10 +228,10 @@ def weyl_vector(sys: FiberedSystem, lam: complex, level: int, size: int) -> np.n
     """Candidate eigenvector head padded with zeros.
 
     Entries 0..q_level carry the factor-product values v_λ(m); entries above
-    are zero.  `size` must be at least q_level + 1.
+    are zero.  `size` must be at least q_level + 1 and at most `_PREIMAGE_CAP`.
     """
     k = sys.base.place_value(check_int("level", level, 1))
-    w = np.zeros(check_int("size", size, k + 1), dtype=complex)
+    w = np.zeros(check_int("size", size, k + 1, _PREIMAGE_CAP), dtype=complex)
     w[: k + 1] = eigvec_head(sys, lam, k + 1)
     return w
 
@@ -335,7 +338,7 @@ def truncated_eigenvalues(sys: FiberedSystem, size: int) -> np.ndarray:
 
     They are the multiset union of a_k copies of T_{k-1} = f̃_{k-1}⁻¹{1 - p_k},
     where (a_1, a_2, ...) are the digits of size: size leaves in all.  A
-    size above 2^20 is refused before any tree is built.
+    size above `_PREIMAGE_CAP` is refused before any tree is built.
 
     Place values.  At size = q_n the spectrum is T_n, because, with
     P_r = p_1···p_r,
@@ -382,9 +385,7 @@ def truncated_eigenvalues(sys: FiberedSystem, size: int) -> np.ndarray:
     A_n(1 - p_{n+1}) and one block A_r.  Its spectrum is a copies of T_n and
     that of A_r, and r has the lower digits of size: induction on size.
     """
-    size = check_int("truncation size", size, 1)
-    if size > _PREIMAGE_CAP:
-        raise BudgetExceededError(f"truncation size {size} exceeds {_PREIMAGE_CAP} leaves")
+    size = check_int("truncation size", size, 1, _PREIMAGE_CAP)
     digits = sys.base.to_digits(size)
     vals = np.concatenate([level_tree(sys, k) for k, a in enumerate(digits) for _ in range(a)])
     order = np.lexsort((vals.imag, vals.real, -np.abs(vals)))
@@ -421,7 +422,7 @@ def eigenvalue_report(sys: FiberedSystem, size: int, budget: int = 60) -> list[d
     from level j + 1 is 0 again at level k + 1, where the test of T_k
     starts, and a trap it entered before that level still holds there.
     """
-    budget = check_int("budget", budget, 1)
+    budget = check_int("budget", budget, 1, _LEVEL_CAP)
     vals = truncated_eigenvalues(sys, size).tolist()
     tags: dict[complex, str] = {}
     for k, a in enumerate(sys.base.to_digits(size)):

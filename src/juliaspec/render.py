@@ -28,13 +28,13 @@ import numpy as np
 
 from .dynamics import ESCAPE_RADIUS, FiberedSystem
 from .errors import (
-    BudgetExceededError,
     OriginEscapedError,
     OutOfRangeError,
     check_int,
     check_point,
     check_real,
 )
+from .numeration import _LEVEL_CAP
 
 __all__ = [
     "GridSpec",
@@ -61,8 +61,8 @@ class GridSpec:
 
     Row 0 is the top of the image (largest imaginary part), matching image
     conventions; pixel (row, col) samples the center of its cell.  A grid
-    of more than `_PIXEL_CAP` pixels is refused (BudgetExceededError), so
-    `render_field` never starts on one.
+    of more than `_PIXEL_CAP` pixels, or a `max_iter` above `_LEVEL_CAP`,
+    is refused (BudgetExceededError), so `render_field` never starts on one.
     """
 
     re_min: float
@@ -75,12 +75,10 @@ class GridSpec:
     radius: float = ESCAPE_RADIUS
 
     def __post_init__(self):
-        for name in ("width", "height", "max_iter"):  # kept as ints, numpy integers too
-            object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
-        if self.width * self.height > _PIXEL_CAP:
-            raise BudgetExceededError(
-                f"grid of {self.width}x{self.height} pixels exceeds {_PIXEL_CAP} pixels"
-            )
+        for name, cap in (("width", None), ("height", None), ("max_iter", _LEVEL_CAP)):
+            # kept as ints, numpy integers too
+            object.__setattr__(self, name, check_int(name, getattr(self, name), 1, cap))
+        check_int("pixels", self.width * self.height, 1, _PIXEL_CAP)
         for name in ("re_min", "re_max", "im_min", "im_max", "radius"):
             object.__setattr__(self, name, check_real(name, getattr(self, name), -math.inf))
         if not (self.re_min < self.re_max):

@@ -40,6 +40,7 @@ from .dynamics import (
     residual_set,
 )
 from .errors import NotIrreducibleError, OutOfRangeError, check_int, check_point, check_real
+from .numeration import _LEVEL_CAP
 from .sequences import (
     SumVerdict,
     limit_is_one,
@@ -153,7 +154,8 @@ class _Orbit:
     """One λ's orbit: its escape test and its factor trace, each run at most once, on first use."""
 
     def __init__(self, sys: FiberedSystem, lam: complex, budget: int):
-        self.sys, self.lam, self.budget = sys, check_point("lambda", lam), check_int("budget", budget, 1)
+        self.sys, self.lam = sys, check_point("lambda", lam)
+        self.budget = check_int("budget", budget, 1, _LEVEL_CAP)
 
     @cached_property
     def escape(self) -> EscapeOutcome:
@@ -264,8 +266,7 @@ def _point(orbit: _Orbit, space: Space) -> SpectralVerdict:
         return _verdict(lam, space, Membership.INSIDE_BUDGET_UNKNOWN, tag, trace=trace, **extra)
     k = trace.status_index
     if lalpha:
-        partial = _series_product(orbit.sys, trace.values[:8])
-        extra["alpha_series_partial"] = partial ** (1.0 / space.alpha)
+        extra["alpha_series_partial"] = _series_product(orbit.sys, trace.values[:8], space.alpha)
     rules = ["contraction-certificate-rho", *tag]
     return _verdict(
         lam, space, Membership.IN_SPECTRUM, rules, SpectralPart.POINT, trace=trace,
@@ -307,12 +308,16 @@ def point_lalpha(
     return _point(_Orbit(sys, lam, budget), l_alpha(alpha))
 
 
-def _series_product(sys: FiberedSystem, factors) -> float:
-    """Π_k (1 + |ι_k| + ... + |ι_k|^{d_k - 1}) over the factors ι_1, ι_2, ... given."""
+def _series_product(sys: FiberedSystem, factors, alpha: float) -> float:
+    """Σ_{n<q_k} |v_λ(n)|^α = Π_{r<=k} Σ_{a<d_r} |ι_r|^{aα} over the k factors ι_1, ι_2, ... given.
+
+    The eigenvector's entries over the first k digits are the products
+    Π_r ι_r^{a_r}, so their α-series partial sum factors digit by digit.
+    """
     out = 1.0
-    for k, iota in enumerate(factors, 1):
+    for r, iota in enumerate(factors, 1):
         m = abs(iota)
-        out *= sum(m**i for i in range(sys.digit_base(k)))
+        out *= sum(m ** (a * alpha) for a in range(sys.digit_base(r)))
     return out
 
 
@@ -450,10 +455,11 @@ def classify(
     """Full verdict for one λ on one space: membership plus part resolution.
 
     On l^1 the residual candidates are `residual_l1` at this depth and its
-    default tol, as in `spectrum_summary`.
+    default tol, as in `spectrum_summary`.  λ and the budget are checked
+    before that set is built.
     """
-    report = residual_l1(sys, depth) if space == _L1 else None
-    return _classify(_Orbit(sys, lam, budget), space, report)
+    orbit = _Orbit(sys, lam, budget)
+    return _classify(orbit, space, residual_l1(sys, depth) if space == _L1 else None)
 
 
 _CONTRACTION_POINT = {
@@ -487,6 +493,7 @@ def spectrum_summary(
     and sys must be built from the same (d̄, p̄).
     """
     _check_model(chain_cfg, sys)
+    budget = check_int("budget", budget, 1, _LEVEL_CAP)  # before the residual set is built
     try:
         recurrence = chain_cfg.classify_recurrence().value
     except NotIrreducibleError:

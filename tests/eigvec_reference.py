@@ -46,14 +46,14 @@ def dual_eigvec_entry(
     return 1.0 / v
 
 
-def series_partial_sum(sys: FiberedSystem, lam: complex, depth: int) -> float:
-    """Σ_{n < q_depth} Π_r |ι_λ(r)|^{a_r(n)} via the factored closed form.
+def series_partial_sum(sys: FiberedSystem, lam: complex, depth: int, alpha: float = 1.0) -> float:
+    """Σ_{n < q_depth} |v_λ(n)|^α = Σ_n Π_r |ι_λ(r)|^{a_r(n)·α} via the factored closed form.
 
     The sum over one digit block splits, so the whole partial sum equals
-    Π_{k<=depth} (1 + |ι_λ(k)| + ... + |ι_λ(k)|^{d_k - 1}).
+    Π_{k<=depth} (1 + |ι_λ(k)|^α + ... + |ι_λ(k)|^{(d_k - 1)α}).
     """
     depth = check_int("depth", depth, 0)
-    return _series_product(sys, factor_values(sys, lam, depth))
+    return _series_product(sys, factor_values(sys, lam, depth), alpha)
 
 
 def dual_consistency_residual(sys: FiberedSystem, lam: complex, terms: int) -> float:

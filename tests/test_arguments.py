@@ -7,6 +7,7 @@ Python int gives, to the last character of the result's repr.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from juliaspec.dynamics import (
     preimages,
     residual_set,
 )
-from juliaspec.errors import JuliaspecError
+from juliaspec.errors import BudgetExceededError, JuliaspecError
 from juliaspec.numeration import BaseSequence
 from juliaspec.operator import (
     build_truncation,
@@ -57,38 +58,49 @@ _L1 = parse_space("l1")
 _WINDOW = dict(re_min=-1.5, re_max=1.5, im_min=-1.5, im_max=1.5, width=4, height=4, max_iter=10)
 
 
-def _slot(name, kind, lo, good, call):
-    return pytest.param(kind, lo, good, call, id=name)
+def _slot(name, kind, lo, good, call, cap=None):
+    return pytest.param(kind, lo, good, call, cap, id=name)
 
 
-# One row per (entry point, argument): kind, lower bound (None for none), a good value, and
-# the call with that argument filled and every other one fixed and valid.
+# The caps of `errors.check_int`, as the README states them.
+_LEVELS = 1 << 20  # fiber levels and iteration budgets
+_LEAVES = 1 << 20  # preimage leaves, truncation rows and eigenvector head entries
+_STEPS = 1 << 20  # steps of one trajectory
+_PIXELS = 1 << 22  # pixels of one raster
+
+# One row per (entry point, argument): kind, lower bound (None for none), a good value, the
+# call with that argument filled and every other one fixed and valid, and the largest value
+# the slot takes (None for no cap).  A depth or level slot's cap is the one at which its tree
+# or truncation reaches its cap on binary-p34 (d = 2).
 SLOTS = [
     # dynamics
     _slot("escape_classify-z", "point", None, _LAM, lambda v: escape_classify(_SYS, v, 20)),
-    _slot("escape_classify-budget", "int", 1, 20, lambda v: escape_classify(_SYS, _LAM, v)),
+    _slot("escape_classify-budget", "int", 1, 20,
+          lambda v: escape_classify(_SYS, _LAM, v), cap=_LEVELS),
     _slot("escape_classify-start", "int", 1, 2, lambda v: escape_classify(_SYS, _LAM, 20, v)),
     _slot("factor_trace-lambda", "point", None, _LAM, lambda v: factor_trace(_SYS, v, 20)),
-    _slot("factor_trace-budget", "int", 1, 20, lambda v: factor_trace(_SYS, _LAM, v)),
+    _slot("factor_trace-budget", "int", 1, 20, lambda v: factor_trace(_SYS, _LAM, v), cap=_LEVELS),
     _slot("factor_values-lambda", "point", None, _LAM, lambda v: factor_values(_SYS, v, 4)),
-    _slot("factor_values-count", "int", 0, 4, lambda v: factor_values(_SYS, _LAM, v)),
-    _slot("eigvec_head-length", "int", 1, 4, lambda v: eigvec_head(_SYS, _LAM, v)),
+    _slot("factor_values-count", "int", 0, 4, lambda v: factor_values(_SYS, _LAM, v), cap=_LEVELS),
+    _slot("eigvec_head-length", "int", 1, 4, lambda v: eigvec_head(_SYS, _LAM, v), cap=_LEAVES),
     _slot("preimages-target", "point", None, 1.0, lambda v: preimages(_SYS, v, 3)),
-    _slot("preimages-depth", "int", 0, 3, lambda v: preimages(_SYS, 1.0, v)),
-    _slot("level_tree-k", "int", 0, 2, lambda v: level_tree(_SYS, v)),
-    _slot("residual_set-depth", "int", 1, 2, lambda v: residual_set(_SYS, v)),
+    _slot("preimages-depth", "int", 0, 3, lambda v: preimages(_SYS, 1.0, v), cap=20),
+    _slot("level_tree-k", "int", 0, 2, lambda v: level_tree(_SYS, v), cap=20),
+    _slot("residual_set-depth", "int", 1, 2, lambda v: residual_set(_SYS, v), cap=20),
     _slot("residual_set-tol", "real", 0, 1e-6, lambda v: residual_set(_SYS, 2, v)),
     _slot("dedup_points-tol", "real", 0, 0.5, lambda v: dedup_points([0j, 0.1 + 0j, 1j], v)),
-    _slot("FiberedSystem.level-j", "int", 1, 3, lambda v: _SYS.level(v)),
-    _slot("FiberedSystem.composed-j", "int", 0, 3, lambda v: _SYS.composed(v, _LAM)),
+    _slot("FiberedSystem.level-j", "int", 1, 3, lambda v: _SYS.level(v), cap=_LEVELS),
+    _slot("FiberedSystem.composed-j", "int", 0, 3, lambda v: _SYS.composed(v, _LAM), cap=_LEVELS),
     # spectra
     _slot("classify-lambda", "point", None, _LAM, lambda v: classify(_SYS, v, C0, budget=20)),
-    _slot("classify-budget", "int", 1, 20, lambda v: classify(_SYS, _LAM, C0, budget=v)),
+    _slot("classify-budget", "int", 1, 20,
+          lambda v: classify(_SYS, _LAM, C0, budget=v), cap=_LEVELS),
     _slot("classify-depth", "int", 1, 2, lambda v: classify(_SYS, _LAM, _L1, budget=20, depth=v)),
     _slot("classify-budget-residual-point", "int", 1, 20,
-          lambda v: classify(_DENDRITE, 1.0, _L1, budget=v, depth=2)),
+          lambda v: classify(_DENDRITE, 1.0, _L1, budget=v, depth=2), cap=_LEVELS),
     _slot("spectrum_membership-lambda", "point", None, _LAM, lambda v: spectrum_membership(_SYS, v, 20)),
-    _slot("spectrum_membership-budget", "int", 1, 20, lambda v: spectrum_membership(_SYS, _LAM, v)),
+    _slot("spectrum_membership-budget", "int", 1, 20,
+          lambda v: spectrum_membership(_SYS, _LAM, v), cap=_LEVELS),
     _slot("point_c0-lambda", "point", None, _LAM, lambda v: point_c0(_SYS, v, 20)),
     _slot("point_lalpha-alpha", "real", 1, 2.0, lambda v: point_lalpha(_SYS, _LAM, v, 20)),
     _slot("residual_l1-depth", "int", 1, 2, lambda v: residual_l1(_SYS, v)),
@@ -96,27 +108,32 @@ SLOTS = [
     _slot("spectrum_summary-lambdas", "point", None, _LAM,
           lambda v: spectrum_summary(_CFG, _SYS, lams=(v,), budget=20, depth=2)),
     _slot("spectrum_summary-budget", "int", 1, 20,
-          lambda v: spectrum_summary(_CFG, _SYS, lams=(_LAM,), budget=v, depth=2)),
+          lambda v: spectrum_summary(_CFG, _SYS, lams=(_LAM,), budget=v, depth=2), cap=_LEVELS),
     _slot("spectrum_summary-depth", "int", 1, 2, lambda v: spectrum_summary(_CFG, _SYS, depth=v)),
     _slot("spectrum_summary-alphas", "real", 1, 1.5,
           lambda v: spectrum_summary(_CFG, _SYS, depth=2, alphas=(v,))),
     _slot("l_alpha-alpha", "real", 1, 1.5, l_alpha),
     # operator
-    _slot("build_truncation-size", "int", 1, 8, lambda v: build_truncation(_CFG, v)),
-    _slot("truncated_eigenvalues-size", "int", 1, 8, lambda v: truncated_eigenvalues(_SYS, v)),
-    _slot("eigenvalue_report-size", "int", 1, 8, lambda v: eigenvalue_report(_SYS, v, 20)),
-    _slot("eigenvalue_report-budget", "int", 1, 20, lambda v: eigenvalue_report(_SYS, 8, v)),
+    _slot("build_truncation-size", "int", 1, 8, lambda v: build_truncation(_CFG, v), cap=_LEAVES),
+    _slot("truncated_eigenvalues-size", "int", 1, 8,
+          lambda v: truncated_eigenvalues(_SYS, v), cap=_LEAVES),
+    _slot("eigenvalue_report-size", "int", 1, 8,
+          lambda v: eigenvalue_report(_SYS, v, 20), cap=_LEAVES),
+    _slot("eigenvalue_report-budget", "int", 1, 20,
+          lambda v: eigenvalue_report(_SYS, 8, v), cap=_LEVELS),
     _slot("weyl_defect-lambda", "point", None, _LAM, lambda v: weyl_defect(_CFG, _SYS, v, 2)),
-    _slot("weyl_defect-level", "int", 1, 2, lambda v: weyl_defect(_CFG, _SYS, _LAM, v)),
+    _slot("weyl_defect-level", "int", 1, 2, lambda v: weyl_defect(_CFG, _SYS, _LAM, v), cap=19),
     _slot("weyl_defect-alpha", "real", 1, 1.5, lambda v: weyl_defect(_CFG, _SYS, _LAM, 2, v)),
     _slot("weyl_vector-level", "int", 1, 2, lambda v: weyl_vector(_SYS, _LAM, v, 8)),
-    _slot("weyl_vector-size", "int", 5, 8, lambda v: weyl_vector(_SYS, _LAM, 2, v)),
+    _slot("weyl_vector-size", "int", 5, 8, lambda v: weyl_vector(_SYS, _LAM, 2, v), cap=_LEAVES),
     _slot("column0_coefficient-level", "int", 0, 2, lambda v: column0_coefficient(_CFG, v)),
     _slot("SparseTruncation.entry-n", "int", 0, 3, lambda v: _TRUNC.entry(v, 0)),
     _slot("SparseTruncation.row_sum-n", "int", 0, 3, _TRUNC.row_sum),
+    _slot("SparseTruncation.to_dense-size", "int", 1, 8,
+          lambda v: build_truncation(_CFG, v).to_dense(), cap=4096),
     # chain
     _slot("simulate-start", "int", 0, 1, lambda v: _CFG.simulate(v, 20, 3)),
-    _slot("simulate-steps", "int", 0, 20, lambda v: _CFG.simulate(1, v, 3)),
+    _slot("simulate-steps", "int", 0, 20, lambda v: _CFG.simulate(1, v, 3), cap=_STEPS),
     _slot("simulate-seed", "int", 0, 3, lambda v: _CFG.simulate(1, 20, v)),
     _slot("return_statistics-start", "int", 0, 1, lambda v: _CFG.return_statistics(v, 4, 20, 3)),
     _slot("return_statistics-trajectories", "int", 1, 4,
@@ -132,7 +149,7 @@ SLOTS = [
     # numeration
     _slot("BaseSequence-capacity_bits", "int", 64, 70, lambda v: BaseSequence(2, v)),
     _slot("place_value-j", "int", 0, 3, lambda v: _CFG.base.place_value(v)),
-    _slot("digit_base-j", "int", 1, 3, lambda v: _CFG.base.digit_base(v)),
+    _slot("digit_base-j", "int", 1, 3, lambda v: _CFG.base.digit_base(v), cap=_LEVELS),
     _slot("to_digits-n", "int", 0, 11, lambda v: _CFG.base.to_digits(v)),
     _slot("counter-n", "int", 0, 11, lambda v: _CFG.base.counter(v)),
     # sequences
@@ -145,9 +162,12 @@ SLOTS = [
     _slot("random_base-d_max", "int", 2, 4, lambda v: random_base(v, 1)),
     _slot("ChainConfig.row_law-zeta", "int", 1, 3, lambda v: _CFG.row_law(v)),
     # render
-    _slot("GridSpec-width", "int", 1, 4, lambda v: GridSpec(**dict(_WINDOW, width=v))),
-    _slot("GridSpec-height", "int", 1, 4, lambda v: GridSpec(**dict(_WINDOW, height=v))),
-    _slot("GridSpec-max_iter", "int", 1, 10, lambda v: GridSpec(**dict(_WINDOW, max_iter=v))),
+    _slot("GridSpec-width", "int", 1, 4,
+          lambda v: GridSpec(**dict(_WINDOW, width=v)), cap=_PIXELS // 4),
+    _slot("GridSpec-height", "int", 1, 4,
+          lambda v: GridSpec(**dict(_WINDOW, height=v)), cap=_PIXELS // 4),
+    _slot("GridSpec-max_iter", "int", 1, 10,
+          lambda v: GridSpec(**dict(_WINDOW, max_iter=v)), cap=_LEVELS),
     _slot("GridSpec-re_min", "real", None, -1.5, lambda v: GridSpec(**dict(_WINDOW, re_min=v))),
     _slot("GridSpec-re_max", "real", None, 1.5, lambda v: GridSpec(**dict(_WINDOW, re_max=v))),
     _slot("GridSpec-im_min", "real", None, -1.5, lambda v: GridSpec(**dict(_WINDOW, im_min=v))),
@@ -175,16 +195,16 @@ def _refused(call, v):
     return False
 
 
-@pytest.mark.parametrize("kind, lo, good, call", SLOTS)
-def test_named_bad_values_are_refused(kind, lo, good, call):
+@pytest.mark.parametrize("kind, lo, good, call, cap", SLOTS)
+def test_named_bad_values_are_refused(kind, lo, good, call, cap):
     call(good)
     bad = BAD[kind] + ([] if lo is None else [lo - 1])
     accepted = [v for v in bad if not _refused(call, v)]
     assert accepted == []
 
 
-@pytest.mark.parametrize("kind, lo, good, call", [p for p in SLOTS if p.values[0] == "int"])
-def test_numpy_integers_act_as_python_ints(kind, lo, good, call):
+@pytest.mark.parametrize("kind, lo, good, call, cap", [p for p in SLOTS if p.values[0] == "int"])
+def test_numpy_integers_act_as_python_ints(kind, lo, good, call, cap):
     want = repr(call(good))
     for cast in (np.int64, np.uint16):
         assert repr(call(cast(good))) == want, cast
@@ -212,7 +232,20 @@ def _generated_bad(kind, lo):
 @settings(max_examples=150)
 @given(st.data())
 def test_every_bad_argument_raises_a_juliaspec_error(data):
-    kind, lo, _, call = data.draw(st.sampled_from([p.values for p in SLOTS]))
+    kind, lo, _, call, _ = data.draw(st.sampled_from([p.values for p in SLOTS]))
     v = data.draw(_generated_bad(kind, lo))
     with pytest.raises(JuliaspecError):
         call(v)
+
+
+@pytest.mark.parametrize("kind, lo, good, call, cap", [p for p in SLOTS if p.values[4] is not None])
+def test_every_cap_refuses_one_more_before_allocating(kind, lo, good, call, cap):
+    call(good)  # the memos a refusal may read are filled outside the measurement
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="exceeds"):
+            call(cap + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -389,6 +389,16 @@ def test_preimages_command(capsys):
         assert complex(re, im) == pytest.approx(0.5 + 0j, abs=1e-9)
 
 
+def test_preimages_of_a_target_past_the_float_range_exit_2(tmp_path, capsys):
+    out = tmp_path / "pts.csv"
+    rc = main(["preimages", "--canonical", "dendrite", "--depth", "2",
+               "--target=1.7e308+1.7e308j", "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "float range" in captured.err
+    assert not out.exists()
+
+
 def test_truncate_command(tmp_path, capsys):
     prefix = tmp_path / "tr"
     rc = main(["truncate", "--canonical", "dendrite", "--size", "8", "--out-prefix", str(prefix)])
@@ -445,6 +455,12 @@ def test_exit_code_2_bad_grid(capsys):
     [
         ["render", "--width", "4096", "--height", "4096", "--out-prefix", "{tmp}/img"],
         ["simulate", "--steps", str(1 << 30), "--out", "{tmp}/traj.csv"],
+        # Budgets and --max-iter above the level cap of 2^20.
+        ["classify", "--lambda", "0.3", "--space", "l1", "--budget", "1048577"],
+        ["spectrum-report", "--lambdas", "0.3", "--budget", "1048577"],
+        ["spectrum-report", "--budget", "1048577"],
+        ["render", "--max-iter", "1048577", "--out-prefix", "{tmp}/img"],
+        ["truncate", "--size", "8", "--budget", "1048577", "--out-prefix", "{tmp}/t"],
     ],
 )
 def test_exit_code_3_past_the_size_caps(argv, tmp_path, capsys):

@@ -323,6 +323,21 @@ def test_preimages_depth_zero_and_validation(systems):
         preimages(systems["ternary-p12"], 1.0, 13)  # 3^13 leaves exceed the cap
 
 
+def test_preimages_of_a_target_past_the_float_range_are_refused(systems):
+    # |1.7e308 + 1.7e308i| passes the float range: abs() of it raises
+    # OverflowError, so the tree cannot start and the target is refused.
+    big = 1.7e308 + 1.7e308j
+    for name in ("dendrite", "ternary-p12"):
+        assert preimages(systems[name], big, 0) == [big]
+        for depth in (1, 2):
+            with pytest.raises(OutOfRangeError, match="float range"):
+                preimages(systems[name], big, depth)
+    # The largest moduli that still work keep working, either sign.
+    for target in (1e300, -6e299 - 8e299j, 1.2e308 + 1.2e308j):
+        pts = preimages(systems["dendrite"], target, 2)
+        assert len(pts) == 4 and all(np.isfinite(pts))
+
+
 def test_polish_does_not_hurt(systems):
     sys = systems["mixed23-harmonic"]
     target = 0.3 + 0.4j

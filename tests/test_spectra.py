@@ -15,8 +15,8 @@ from eigvec_reference import dual_consistency_residual, series_partial_sum
 
 import juliaspec.spectra as spectra
 from juliaspec.chain import ChainConfig
-from juliaspec.dynamics import FiberedSystem, factor_values
-from juliaspec.errors import JuliaspecError, OutOfRangeError
+from juliaspec.dynamics import FiberedSystem, eigvec_head, factor_values
+from juliaspec.errors import BudgetExceededError, JuliaspecError, OutOfRangeError
 from juliaspec.numeration import BaseSequence
 from juliaspec.sequences import constant, geometric, periodic, random_uniform
 from juliaspec.spectra import (
@@ -148,7 +148,7 @@ def test_point_lalpha_monotone_summable_delegates_to_c0(systems):
 # -- series identities -------------------------------------------------------
 
 
-def brute_alpha_series(sys, lam, depth):
+def brute_alpha_series(sys, lam, depth, alpha=1.0):
     fac = factor_values(sys, lam, depth)
     total = 0.0
     for n in range(sys.base.place_value(depth)):
@@ -156,7 +156,7 @@ def brute_alpha_series(sys, lam, depth):
         term = 1.0
         for r, a in enumerate(digits, start=1):
             term *= abs(fac[r - 1]) ** a
-        total += term
+        total += term**alpha
     return total
 
 
@@ -170,11 +170,26 @@ def test_series_partial_sum_matches_brute_force(systems):
     for name, lam in cases:
         sys = systems[name]
         for depth in range(5):
-            closed = series_partial_sum(sys, lam, depth)
-            brute = brute_alpha_series(sys, lam, depth)
-            assert closed == pytest.approx(brute, rel=1e-12), (name, depth)
+            for alpha in (1, 1.5, 2):
+                closed = series_partial_sum(sys, lam, depth, alpha)
+                brute = brute_alpha_series(sys, lam, depth, alpha)
+                assert closed == pytest.approx(brute, rel=1e-12), (name, depth, alpha)
     with pytest.raises(OutOfRangeError):
         series_partial_sum(systems["dendrite"], 0.0, -1)
+
+
+def test_alpha_series_witness_is_the_alpha_series_partial_sum(systems):
+    # Binary-geometric at λ = 0 on l2 certifies after k = 2 factors: the
+    # witness is Σ_{n<q_2} |v(n)|², not (Σ_{n<q_2} |v(n)|)^{1/2} = 1.18426.
+    sys = systems["binary-geometric"]
+    v = point_lalpha(sys, 0.0, 2, budget=40)
+    assert v.witness["trace-length"] == 2
+    head = eigvec_head(sys, 0.0, sys.base.place_value(2))
+    assert v.witness["alpha-series-partial"] == pytest.approx(sum(abs(x) ** 2 for x in head), rel=1e-14)
+    assert v.witness["alpha-series-partial"] == pytest.approx(1.11410, abs=5e-6)
+    # At α = 1 the witness is the plain partial sum Σ_{n<q_k} |v(n)|.
+    w = point_lalpha(sys, 0.0, 1, budget=40)
+    assert w.witness["alpha-series-partial"] == series_partial_sum(sys, 0.0, 2)
 
 
 def test_dual_consistency_residual_exact_dyadic_tail(systems):
@@ -417,6 +432,17 @@ def test_summary_builds_one_l1_residual_report(monkeypatch, chains, systems):
     assert len(rep["lambdas"]) == 8
     assert rep["lambdas"][1]["l1"]["part"] == SpectralPart.RESIDUAL_CANDIDATE.value
     assert len(calls) == 1
+
+
+def test_budgets_past_the_cap_are_refused_before_the_l1_residual_set(monkeypatch, chains, systems):
+    built = []
+    monkeypatch.setattr(spectra, "residual_l1", lambda *args, **kwargs: built.append(args))
+    over = (1 << 20) + 1
+    with pytest.raises(BudgetExceededError):
+        classify(systems["dendrite"], 0.3, l_alpha(1), budget=over)
+    with pytest.raises(BudgetExceededError):
+        spectrum_summary(chains["dendrite"], systems["dendrite"], budget=over)
+    assert built == []
 
 
 _BASES = st.sampled_from([2, 3, periodic([2, 3], "d")])
