@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 from math import inf, sqrt
 
 import numpy as np
@@ -319,6 +320,7 @@ def _wilson_interval(hits: int, n: int):
 
 _BLOCK = 512  # steps whose uniforms a trajectory draws at once
 _STEPS_CAP = 1 << 20  # steps of one `simulate` trajectory, which is held whole as Python ints
+_CSV_BLOCK = 1 << 12  # rows per write of `write_trajectory_csv`
 _SCALAR_MAX = 32  # a block with at most this many live trajectories steps them as ints
 _DRAW_ROWS = 64  # trajectories drawn and classified at a time: bounds a block's temporaries
 _GROUP = 4096  # trajectories spawned and run at a time: bounds the generators held at once
@@ -522,16 +524,24 @@ def write_trajectory_csv(cfg: ChainConfig, trajectory, fileobj) -> None:
 
     Each distinct state's `state,zeta,digits` is formatted once.  No field
     holds a delimiter, a quote or a line break, so the bytes are those of the
-    csv module's default dialect, `\\r\\n` line ends included.
+    csv module's default dialect, `\\r\\n` line ends included.  Rows are
+    written `_CSV_BLOCK` at a time, and the memo of formatted states is
+    emptied when it outgrows a block, so the writer's memory does not grow
+    with the trajectory.
     """
     base = cfg.base
     tails = {}
-    rows = ["step,state,zeta,digits\r\n"]
-    for t, n in enumerate(trajectory):
-        key = (type(n), n)  # a bool is refused, not read as the int it equals
-        tail = tails.get(key)
-        if tail is None:
-            digits = ";".join(map(str, base.to_digits(n)))
-            tail = tails[key] = f"{n},{base.counter(n)},{digits}\r\n"
-        rows.append(f"{t},{tail}")
-    fileobj.write("".join(rows))
+    fileobj.write("step,state,zeta,digits\r\n")
+    steps = enumerate(trajectory)
+    while block := list(islice(steps, _CSV_BLOCK)):
+        if len(tails) > _CSV_BLOCK:
+            tails.clear()
+        rows = []
+        for t, n in block:
+            key = (type(n), n)  # a bool is refused, not read as the int it equals
+            tail = tails.get(key)
+            if tail is None:
+                digits = ";".join(map(str, base.to_digits(n)))
+                tail = tails[key] = f"{n},{base.counter(n)},{digits}\r\n"
+            rows.append(f"{t},{tail}")
+        fileobj.write("".join(rows))

@@ -32,6 +32,7 @@ from .config import RunConfig, load_config_file
 from .dynamics import ESCAPE_RADIUS
 from .dynamics import preimages as dyn_preimages
 from .errors import BudgetExceededError, ConfigError, IntegerOverflowError, JuliaspecError, VerificationError, json_int
+from .jsontext import indented_json
 from .operator import build_truncation, eigenvalue_report, truncated_eigenvalues, write_eigenvalue_csv, write_matrix_csv
 from .render import GridSpec, component_of_zero, count_components, render_field, write_field_csv, write_image, write_points_csv
 from .spectra import classify, parse_space, residual_l1, spectrum_summary
@@ -71,8 +72,8 @@ def _open_out(path):
             yield fh
 
 
-def _print_json(obj):
-    print(json.dumps(obj, indent=2, sort_keys=True))
+def _print_json(obj, file=None):
+    print(indented_json(obj), file=file)
 
 
 # -- command implementations -------------------------------------------------
@@ -119,9 +120,8 @@ def _cmd_simulate(rc: RunConfig, p: dict) -> int:
     if stats is not None:
         payload = dataclasses.asdict(stats)
         payload["ci95"] = [payload.pop("ci_low"), payload.pop("ci_high")]
-        text = json.dumps(payload, indent=2, sort_keys=True)
         # Keep the CSV stream clean when it goes to stdout.
-        print(text, file=sys.stderr if out is sys.stdout else sys.stdout)
+        _print_json(payload, file=sys.stderr if out is sys.stdout else sys.stdout)
     return 0
 
 

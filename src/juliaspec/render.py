@@ -274,18 +274,25 @@ def count_components(field: EscapeField) -> int:
 # -- artifact output ---------------------------------------------------------
 
 
+def _present_steps(steps: np.ndarray, max_iter: int) -> np.ndarray:
+    """The distinct values of steps, ascending: the rows a per-step table needs."""
+    return np.flatnonzero(np.bincount(steps.ravel(), minlength=max_iter + 1))
+
+
 def _palette(steps: np.ndarray, max_iter: int) -> np.ndarray:
-    """RGB image: fixed inside color, escape-ratio ramp elsewhere."""
-    h, w = steps.shape
-    img = np.empty((h, w, 3), dtype=np.uint8)
-    img[..., 0], img[..., 1], img[..., 2] = INSIDE_COLOR
-    esc = steps > 0
-    if esc.any():
-        t = steps[esc].astype(np.float64) / float(max_iter)
-        img[esc, 0] = np.clip(255.0 * np.sqrt(t), 0, 255).astype(np.uint8)
-        img[esc, 1] = np.clip(60.0 + 160.0 * t, 0, 255).astype(np.uint8)
-        img[esc, 2] = np.clip(255.0 * (1.0 - t), 0, 255).astype(np.uint8)
-    return img
+    """RGB image: fixed inside color, escape-ratio ramp elsewhere.
+
+    One color per step that occurs, gathered by step.
+    """
+    present = _present_steps(steps, max_iter)
+    lut = np.empty((max_iter + 1, 3), dtype=np.uint8)
+    lut[0] = INSIDE_COLOR
+    esc = present[present > 0]
+    t = esc.astype(np.float64) / float(max_iter)
+    lut[esc, 0] = np.clip(255.0 * np.sqrt(t), 0, 255).astype(np.uint8)
+    lut[esc, 1] = np.clip(60.0 + 160.0 * t, 0, 255).astype(np.uint8)
+    lut[esc, 2] = np.clip(255.0 * (1.0 - t), 0, 255).astype(np.uint8)
+    return np.take(lut, steps, axis=0)
 
 
 def write_image(field: EscapeField, fileobj, overlays=None) -> None:
@@ -315,19 +322,23 @@ def write_image(field: EscapeField, fileobj, overlays=None) -> None:
 def write_field_csv(field: EscapeField, fileobj) -> None:
     """Dump per-pixel verdicts: re,im,verdict,step (step = budget when inside).
 
-    Written one row per call: each column's "re," and each row's im are
-    formatted once, the "verdict,step" tail is looked up by step, and a row
-    is one join, so the whole file is never held as one string.
+    Written one row per call.  Each column's "re," and each row's im are
+    formatted once, and a "verdict,step" tail once per step that occurs; a
+    row's pieces are gathered into one object array and joined, so the
+    whole file is never held as one string.
     """
     grid = field.grid
     xs, ys = grid.axes()
-    heads = [repr(x) + "," for x in xs.tolist()]
-    tails = [f",inside,{grid.max_iter}\n"]
-    tails += [f",escaped,{s}\n" for s in range(1, grid.max_iter + 1)]
+    present = _present_steps(field.steps, grid.max_iter)
+    tails = np.empty(grid.max_iter + 1, dtype=object)
+    tails[present] = [f",escaped,{s}\n" if s else f",inside,{grid.max_iter}\n" for s in present.tolist()]
+    pieces = np.empty(3 * grid.width, dtype=object)
+    pieces[0::3] = [repr(x) + "," for x in xs.tolist()]
     fileobj.write("re,im,verdict,step\n")
-    for y, row in zip(ys.tolist(), field.steps.tolist()):
-        im = repr(y)
-        fileobj.write("".join([head + im + tails[s] for head, s in zip(heads, row)]))
+    for y, row in zip(ys.tolist(), field.steps):
+        pieces[1::3] = repr(y)
+        pieces[2::3] = tails[row]
+        fileobj.write("".join(pieces.tolist()))
 
 
 def write_points_csv(points, fileobj) -> None:

@@ -11,7 +11,6 @@ Each check yields (name, ok, detail); the suite passes only if all do.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from itertools import islice
@@ -35,6 +34,7 @@ from .dynamics import (
     preimages,
     residual_set,
 )
+from .jsontext import indented_json
 from .operator import (
     _block_outcome,
     _verdict,
@@ -456,6 +456,5 @@ def run_verify(out_dir: str, seed: int | None = None) -> list[CheckResult]:
         },
     }
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(indented_json(summary) + "\n")
     return results

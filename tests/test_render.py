@@ -16,7 +16,7 @@ from scipy import ndimage
 from juliaspec import render
 from juliaspec.dynamics import FiberedSystem, escape_classify
 from juliaspec.errors import BudgetExceededError, OriginEscapedError, OutOfRangeError
-from juliaspec.numeration import BaseSequence
+from juliaspec.numeration import _LEVEL_CAP, BaseSequence
 from juliaspec.render import (
     INSIDE_COLOR,
     EscapeField,
@@ -300,6 +300,51 @@ def test_run_labels_on_edge_masks():
 # -- artifacts ---------------------------------------------------------------
 
 
+def _reference_palette(steps, max_iter):
+    """The masked palette the per-step table replaced, kept verbatim."""
+    h, w = steps.shape
+    img = np.empty((h, w, 3), dtype=np.uint8)
+    img[..., 0], img[..., 1], img[..., 2] = INSIDE_COLOR
+    esc = steps > 0
+    if esc.any():
+        t = steps[esc].astype(np.float64) / float(max_iter)
+        img[esc, 0] = np.clip(255.0 * np.sqrt(t), 0, 255).astype(np.uint8)
+        img[esc, 1] = np.clip(60.0 + 160.0 * t, 0, 255).astype(np.uint8)
+        img[esc, 2] = np.clip(255.0 * (1.0 - t), 0, 255).astype(np.uint8)
+    return img
+
+
+def test_palette_matches_masked_reference(systems):
+    rng = np.random.default_rng(11)
+    cases = [(rng.integers(0, m + 1, (9, 13), dtype=np.int32), m) for m in (1, 7, 200)]
+    cases += [
+        (np.zeros((5, 6), dtype=np.int32), 7),  # all inside
+        (rng.integers(1, 201, (5, 6), dtype=np.int32), 200),  # all escaped
+        (rng.integers(0, _LEVEL_CAP + 1, (4, 4), dtype=np.int32), _LEVEL_CAP),
+    ]
+    for name, window in (("mixed23-harmonic", (-0.2, 0.8, -0.5, 0.5)), ("binary-p34", (-1.5, 1.5, -1.5, 1.5))):
+        cases.append((render_field(systems[name], GridSpec(*window, 64, 64, 200)).steps, 200))
+    for steps, max_iter in cases:
+        got, want = render._palette(steps, max_iter), _reference_palette(steps, max_iter)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (steps.shape, max_iter)
+
+
+def test_writers_at_the_level_cap_stay_small():
+    # A table over every possible step would hold 2^20 formatted tails.
+    grid = GridSpec(-1.5, 1.5, -1.5, 1.5, 4, 4, _LEVEL_CAP)
+    steps = np.random.default_rng(5).integers(0, _LEVEL_CAP + 1, (4, 4), dtype=np.int32)
+    field = EscapeField(grid, steps)
+    tracemalloc.start()
+    try:
+        write_field_csv(field, io.StringIO())
+        write_image(field, io.BytesIO())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20, peak
+
+
 def test_ppm_golden_inside_and_escaped():
     grid = GridSpec(0, 1, 0, 1, 2, 1, 7)
     field = EscapeField(grid, np.array([[0, 7]], dtype=np.int32))
@@ -367,6 +412,8 @@ CSV_GRIDS = [
     GridSpec(-0.1, 0.3, -1e-3, 2e-3, 13, 9, 1),
     GridSpec(-1.5, 1.5, -1.5, 1.5, 9, 9, 40),
     GridSpec(0.1, 0.2, 0.3, 0.4, 1, 1, 3),
+    GridSpec(-1.5, 1.5, -1.5, 1.5, 4, 4, 1),
+    GridSpec(-1.5, 1.5, -1.5, 1.5, 4, 4, _LEVEL_CAP),
 ]
 
 

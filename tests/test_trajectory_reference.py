@@ -1,17 +1,19 @@
 """The trajectory CSV writer against the csv-module writer it replaced.
 
 `write_trajectory_csv` formats each distinct state's `state,zeta,digits`
-once and writes every row in one join.  The reference below is the former
+once and writes the rows a block at a time.  The reference below is the former
 writer, kept verbatim: one `csv.writer` row per step, with the carry counter
 and a `DigitExpansion` per row.  The two must agree byte for byte.
 """
 
 import csv
+import tracemalloc
 from io import StringIO
 
 import numpy as np
 import pytest
 
+from juliaspec import chain
 from juliaspec.canonical import CANONICAL_NAMES, canonical_config
 from juliaspec.chain import write_trajectory_csv
 from juliaspec.errors import OutOfRangeError
@@ -51,6 +53,34 @@ def test_trajectory_csv_matches_the_csv_module(name):
         got, want = _both(cfg, trajectory)
         assert got == want
         assert got.count("\r\n") == len(trajectory) + 1
+
+
+@pytest.mark.parametrize("name", ["dendrite", "binary-geometric"])
+def test_trajectory_csv_across_blocks(monkeypatch, name):
+    # Blocks of 5 rows: the last block full or short, the memo emptied often.
+    monkeypatch.setattr(chain, "_CSV_BLOCK", 5)
+    cfg = canonical_config(name).chain()
+    for trajectory in (cfg.simulate(1, 599, 3), cfg.simulate(8, 600, 4), list(range(10)), [3]):
+        got, want = _both(cfg, trajectory)
+        assert got == want
+
+
+def test_trajectory_csv_memory_does_not_grow_with_the_steps():
+    # Written whole, 2^17 dendrite rows peaked at about 13 MiB.
+    cfg = canonical_config("dendrite").chain()
+    trajectory = cfg.simulate(1, 1 << 17, 5)
+    tracemalloc.start()
+    try:
+        write_trajectory_csv(cfg, trajectory, _Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+
+
+class _Discard:
+    def write(self, text):
+        pass
 
 
 def test_trajectory_csv_refuses_what_the_reference_refuses():
