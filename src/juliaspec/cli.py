@@ -148,7 +148,7 @@ def _cmd_preimages(rc: RunConfig, p: dict) -> int:
 
 
 def _cmd_residual_set(rc: RunConfig, p: dict) -> int:
-    rep = residual_l1(rc.system(), p["depth"], p["tol"])
+    rep = residual_l1(rc.system(), p["depth"])
     with _open_out(p["out"]) as out:
         write_points_csv(rep.points, out)
     note = {"regime": rep.regime, "note": rep.note, "conjecture": rep.conjecture}
@@ -234,7 +234,6 @@ _COMMANDS = {
     )),
     "residual-set": (_cmd_residual_set, "depth-truncated residual candidate set", (
         ("--depth", int, 5, "truncation depth"),
-        ("--tol", float, 1e-8, "distance below which two points are one"),
         ("--out", _path, None, f"CSV path {_STDOUT}"),
     )),
     "truncate": (_cmd_truncate, "finite truncation matrix and its eigenvalues", (

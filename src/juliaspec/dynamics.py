@@ -59,6 +59,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from functools import cached_property
 from itertools import count, islice
 
@@ -83,7 +84,6 @@ __all__ = [
     "preimages",
     "level_tree",
     "dedup_points",
-    "ResidualSets",
     "residual_set",
 ]
 
@@ -171,7 +171,7 @@ class FiberedSystem:
         self.p = p
         self._levels: list[tuple[float, float, int]] = []
         self._trees: dict[int, np.ndarray] = {}
-        self._residual: dict[tuple[int, float], ResidualSets] = {}
+        self._residual: dict[int, tuple[complex, ...]] = {}
 
     def level(self, j: int) -> tuple[float, float, int]:
         """(1 - p_j, p_j, d_j) for fiber index 1 <= j <= `_LEVEL_CAP`, from the level table."""
@@ -653,18 +653,6 @@ def level_tree(sys: FiberedSystem, k: int) -> np.ndarray:
     return tree
 
 
-def _check_tol(tol: float, *, positive: bool = False) -> float:
-    """tol as a float; refuse a non-finite or negative tol, and tol = 0 where `positive` is set.
-
-    Two polished float trees never agree to the last bit at a shared point, so
-    a residual set needs tol > 0: at tol = 0 its answer is rounding noise.
-    """
-    tol = check_real("tol", tol, 0)
-    if positive and tol == 0:
-        raise OutOfRangeError("tol must be > 0 to compare two preimage trees")
-    return tol
-
-
 def _near(pts: list, res: list[float], z, tol: float) -> list:
     """The points of `pts` (sorted by real part `res`) with |re - z.re| <= 2·tol.
 
@@ -675,13 +663,14 @@ def _near(pts: list, res: list[float], z, tol: float) -> list:
 
 
 def dedup_points(points, tol: float) -> list[complex]:
-    """Representatives of tol-clusters, in sorted (re, im) order.
+    """Representatives of tol-clusters (tol finite, >= 0), in sorted (re, im) order.
 
     Greedy: walking the points in sorted order, keep a point unless a kept one
     lies within tol.  Kept points are appended in order, so the candidates are
-    found by bisecting their real parts.
+    found by bisecting their real parts.  No program code calls it; it stays
+    while the benchmark's tracer (`perfbench/tracer.py`) wraps it.
     """
-    tol = _check_tol(tol)
+    tol = check_real("tol", tol, 0)
     kept: list[complex] = []
     res: list[float] = []
     for z in sorted(points, key=lambda w: (w.real, w.imag)):
@@ -691,43 +680,74 @@ def dedup_points(points, tol: float) -> list[complex]:
     return kept
 
 
-@dataclass(frozen=True)
-class ResidualSets:
-    """Depth-truncated residual candidate set X and its two ingredient unions.
+def _iroot(n: int, d: int) -> int | None:
+    """The integer r with r**d == n, for an integer n >= 1; None when there is none."""
+    r = 1 << -(-n.bit_length() // d)  # r**d > n: Newton's method descends from above
+    while (s := ((d - 1) * r + n // r ** (d - 1)) // d) < r:
+        r = s
+    return r if r**d == n else None
 
-    `ones` holds the preimages of 1 at `depth`, which contain those at every
-    smaller depth since f_j(1) = 1; `zeros` collects preimages of 0 at depths
-    0..depth: 0 itself and the level trees T_0, ..., T_{depth-1}, as
-    f̃_n⁻¹{0} is T_{n-1} taken d_n times.  `points` is ones minus zeros
-    (within tol).
+
+def _rational_roots(v: Fraction, d: int) -> list[Fraction]:
+    """The real rational w with w**d == v, for v != 0."""
+    num, den = _iroot(abs(v.numerator), d), _iroot(v.denominator, d)
+    if num is None or den is None or (v < 0 and d % 2 == 0):
+        return []
+    w = Fraction(num, den) if v > 0 else -Fraction(num, den)
+    return [w, -w] if d % 2 == 0 else [w]
+
+
+def _zero_ranges(sys: FiberedSystem, depth: int) -> Iterator[slice]:
+    """The leaf ranges of `preimages(sys, 1, depth)` under a tree node that is exactly 0.
+
+    The node at index n on a leaf z's path is f̃_n(z), the root (index depth)
+    being 1.  Above a zero node at index n the path is the forward orbit
+    f_{n+1}(0), f_{n+2}(f_{n+1}(0)), ..., 1 of 0, all real rationals: each
+    node is c_j + p_j·w for a real rational d_j-th root w of its parent.  So
+    a walk down from the root along the real rational roots of the nonzero
+    nodes, in exact arithmetic with p_j from `SequenceSpec.value_at` (a
+    random spec's float is exact as a Fraction), meets every zero node not
+    under another one; those under one hold no leaf it does not.  The tree
+    lists the children of the node at position i at positions i·d + k,
+    k the index of the root among `_droots` of the node's float value; that
+    float value is carried along the walk, computed as the tree computes it,
+    and k is that of the float root nearest the exact one.  The zero node at
+    index n and position i holds leaves i·q_n up to (i + 1)·q_n.
     """
+    walk = [(depth, Fraction(1), 1 + 0j, 0)]  # (index, exact node, float node, position)
+    while walk:
+        n, v, u, i = walk.pop()
+        c, p, d = sys.level(n)
+        exact_p = Fraction(sys.p.value_at(n))
+        roots = _droots(u, d, [_unit_root(k, d) for k in range(d)])
+        for w in _rational_roots(v, d):
+            k = min(range(d), key=lambda m: abs(roots[m] - float(w)))
+            child, pos = 1 - exact_p + exact_p * w, i * d + k
+            if child == 0:
+                q = sys.base.place_value(n - 1)
+                yield slice(pos * q, pos * q + q)
+            elif n > 1:
+                walk.append((n - 1, child, c + p * roots[k], pos))
 
-    depth: int
-    tol: float
-    points: tuple[complex, ...]
-    ones: tuple[complex, ...]
-    zeros: tuple[complex, ...]
 
+def residual_set(sys: FiberedSystem, depth: int) -> tuple[complex, ...]:
+    """X at the given depth: ∪ f̃_n⁻¹{1} minus ∪ f̃_n⁻¹{0} over n <= depth, each point once.
 
-def residual_set(sys: FiberedSystem, depth: int, tol: float = 1e-8) -> ResidualSets:
-    """Compute X at the given depth: ∪ f̃_n^{-1}{1} minus ∪ f̃_n^{-1}{0}.
-
-    Memoized per (depth, tol) on the system; the result is frozen.
+    Since f_j(1) = 1, the preimages of 1 at `depth` hold those at every
+    smaller depth.  In their tree a nonzero node has d distinct roots, and
+    distinct points have disjoint preimage sets, so two leaves are one point
+    only when their paths split at a node that is exactly 0; and a leaf z is a
+    preimage of 0 at depth n exactly when its node f̃_n(z) is 0.  So X is the
+    set of polished leaves of `preimages(sys, 1, depth)` off the ranges that
+    `_zero_ranges` finds, with no tolerance.  The points come in sorted
+    (re, im) order, memoized per depth on the system.
     """
     depth = check_int("depth", depth, 1)
-    tol = _check_tol(tol, positive=True)
-    key = (depth, tol)
-    if key in sys._residual:
-        return sys._residual[key]
-    ones = dedup_points(preimages(sys, 1.0, depth), tol)  # the largest tree: refused first
-    zeros_all: list[complex] = [0j]
-    for k in range(depth):
-        zeros_all.extend(level_tree(sys, k).tolist())
-    zeros = dedup_points(zeros_all, tol)
-    zeros_re = [w.real for w in zeros]
-    kept = tuple(
-        z for z in ones if all(abs(z - w) > tol for w in _near(zeros, zeros_re, z, tol))
-    )
-    rs = ResidualSets(depth=depth, tol=tol, points=kept, ones=tuple(ones), zeros=tuple(zeros))
-    sys._residual[key] = rs
-    return rs
+    if depth not in sys._residual:
+        leaves = np.array(preimages(sys, 1.0, depth), dtype=complex)
+        keep = np.ones(leaves.size, dtype=bool)
+        for zero in _zero_ranges(sys, depth):
+            keep[zero] = False
+        leaves = leaves[keep]
+        sys._residual[depth] = tuple(leaves[np.lexsort((leaves.imag, leaves.real))].tolist())
+    return sys._residual[depth]

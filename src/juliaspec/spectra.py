@@ -32,9 +32,7 @@ from .dynamics import (
     EscapeOutcome,
     FactorTrace,
     FiberedSystem,
-    ResidualSets,
     TraceStatus,
-    _check_tol,
     escape_classify,
     factor_trace,
     residual_set,
@@ -335,13 +333,12 @@ class ResidualReport:
     """
 
     depth: int
-    tol: float
     regime: str
     points: tuple[complex, ...]
     note: str
     conjecture: bool
-    ones_count: int
-    zeros_count: int
+    #: A λ within this distance of a point is taken for that point on l^1.
+    tol: float = 1e-8
 
     def to_json(self) -> dict:
         """The fields in order, '_' read as '-', with the points as [re, im] pairs."""
@@ -367,27 +364,26 @@ _RESIDUAL_NOTES = {
 }
 
 
-def residual_l1(sys: FiberedSystem, depth: int, tol: float = 1e-8) -> ResidualReport:
-    """Depth-truncated residual set of l^1 with its regime annotation."""
+def residual_l1(sys: FiberedSystem, depth: int) -> ResidualReport:
+    """Depth-truncated residual set of l^1 (`residual_set`) with its regime annotation.
+
+    The transient regime reports no points and builds no tree.
+    """
     depth = check_int("depth", depth, 1)
-    tol = _check_tol(tol, positive=True)
     pv = product_verdict(sys.p)
-    rs, regime = ResidualSets(depth, tol, (), (), ()), "transient"
+    points, regime = (), "transient"
     if pv is not ProductVerdict.CONVERGES_POSITIVE:
-        rs = residual_set(sys, depth, tol)
+        points = residual_set(sys, depth)
         if pv is ProductVerdict.TENDS_TO_ZERO:
             regime = "equality" if limsup_below_one(sys.p) else "subset"
         else:
             regime = "unresolved"
     return ResidualReport(
         depth=depth,
-        tol=tol,
         regime=regime,
-        points=rs.points,
+        points=points,
         note=_RESIDUAL_NOTES[regime],
         conjecture=regime == "transient",
-        ones_count=len(rs.ones),
-        zeros_count=len(rs.zeros),
     )
 
 
@@ -454,9 +450,10 @@ def classify(
 ) -> SpectralVerdict:
     """Full verdict for one λ on one space: membership plus part resolution.
 
-    On l^1 the residual candidates are `residual_l1` at this depth and its
-    default tol, as in `spectrum_summary`.  λ and the budget are checked
-    before that set is built.
+    On l^1 the residual candidates are `residual_l1` at this depth, as in
+    `spectrum_summary`, and λ is one of them when it lies within the
+    report's `tol` of a point.  λ and the budget are checked before that set
+    is built.
     """
     orbit = _Orbit(sys, lam, budget)
     return _classify(orbit, space, residual_l1(sys, depth) if space == _L1 else None)

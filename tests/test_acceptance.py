@@ -30,6 +30,7 @@ from juliaspec.dynamics import (
     escape_classify,
     factor_trace,
     factor_values,
+    level_tree,
     preimages,
     residual_set,
 )
@@ -43,6 +44,7 @@ from juliaspec.spectra import (
     point_c,
     point_c0,
     point_lalpha,
+    residual_l1,
 )
 
 IN = Membership.IN_SPECTRUM
@@ -302,9 +304,9 @@ def test_criterion_06_recurrence_dichotomy_and_monte_carlo(chains):
 
 def test_criterion_07_dendrite_residual_candidate_is_one(systems):
     """Constant 1/2, binary: the depth-5 residual candidate set is exactly {1}."""
-    report = residual_set(systems["dendrite"], 5)
-    assert len(report.points) == 1
-    gap = abs(report.points[0] - 1.0)
+    points = residual_set(systems["dendrite"], 5)
+    assert len(points) == 1
+    gap = abs(points[0] - 1.0)
     assert gap < 1e-8
     print(f"criterion-07 dendrite-residual: PASS (single point, |z - 1| = {gap:.2e})")
 
@@ -315,12 +317,15 @@ def test_criterion_08_residual_sets_without_collisions(systems):
     figures = []
     for name, depth in (("ternary-p12", 3), ("binary-p34", 4)):
         sys = systems[name]
-        report = residual_set(sys, depth)
-        gap = min(abs(a - b) for a in report.ones for b in report.zeros)
-        assert gap > 1e-8, (name, gap)
-        distinct = dedup_points(preimages(sys, 1.0, depth), report.tol)
-        assert len(report.points) == len(distinct), name
-        assert len(report.points) == sys.base.place_value(depth), name
+        report = residual_l1(sys, depth)
+        ones = preimages(sys, 1.0, depth)
+        # The preimages of 0 at depths 0..depth: 0 and the level trees T_0 ... T_{depth-1}.
+        zeros = [0j] + [z for k in range(depth) for z in level_tree(sys, k).tolist()]
+        gap = min(abs(a - b) for a in ones for b in zeros)
+        assert gap > report.tol, (name, gap)
+        spread = min(abs(a - b) for i, a in enumerate(ones) for b in ones[:i])
+        assert spread > report.tol, (name, spread)  # the q_depth ones are distinct
+        assert len(report.points) == len(ones) == sys.base.place_value(depth), name
         figures.append(f"{name}: {len(report.points)} points, min gap {gap:.2e}")
     print(f"criterion-08 no-collisions: PASS ({'; '.join(figures)})")
 
@@ -333,10 +338,10 @@ def test_criterion_09_dendrite_half_is_excluded(systems):
     as_zero = min(abs(z - 0.5) for z in preimages(sys, 0.0, 1))
     assert as_one < 1e-9
     assert as_zero < 1e-9
-    report = residual_set(sys, 2)
-    assert any(abs(z - 0.5) <= report.tol for z in report.ones)
+    report = residual_l1(sys, 2)
+    assert any(abs(z - 0.5) <= report.tol for z in preimages(sys, 1.0, 2))
     assert all(abs(z - 0.5) > report.tol for z in report.points)
-    assert len(report.points) == 1 and abs(report.points[0] - 1.0) < 1e-8
+    assert report.points == (1 + 0j,)
     print(
         f"criterion-09 half-excluded: PASS "
         f"(1/2 hit as preimage of 1 to {as_one:.2e} and of 0 to {as_zero:.2e}; "

@@ -87,7 +87,6 @@ SLOTS = [
     _slot("preimages-depth", "int", 0, 3, lambda v: preimages(_SYS, 1.0, v), cap=20),
     _slot("level_tree-k", "int", 0, 2, lambda v: level_tree(_SYS, v), cap=20),
     _slot("residual_set-depth", "int", 1, 2, lambda v: residual_set(_SYS, v), cap=20),
-    _slot("residual_set-tol", "real", 0, 1e-6, lambda v: residual_set(_SYS, 2, v)),
     _slot("dedup_points-tol", "real", 0, 0.5, lambda v: dedup_points([0j, 0.1 + 0j, 1j], v)),
     _slot("FiberedSystem.level-j", "int", 1, 3, lambda v: _SYS.level(v), cap=_LEVELS),
     _slot("FiberedSystem.composed-j", "int", 0, 3, lambda v: _SYS.composed(v, _LAM), cap=_LEVELS),
@@ -104,7 +103,6 @@ SLOTS = [
     _slot("point_c0-lambda", "point", None, _LAM, lambda v: point_c0(_SYS, v, 20)),
     _slot("point_lalpha-alpha", "real", 1, 2.0, lambda v: point_lalpha(_SYS, _LAM, v, 20)),
     _slot("residual_l1-depth", "int", 1, 2, lambda v: residual_l1(_SYS, v)),
-    _slot("residual_l1-tol", "real", 0, 1e-6, lambda v: residual_l1(_SYS, 2, v)),
     _slot("spectrum_summary-lambdas", "point", None, _LAM,
           lambda v: spectrum_summary(_CFG, _SYS, lams=(v,), budget=20, depth=2)),
     _slot("spectrum_summary-budget", "int", 1, 20,

@@ -270,13 +270,15 @@ def test_residual_set_transient_note(tmp_path, capsys):
     assert note["conjecture"] is True
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1", "0"])
+# The residual set compares no two trees, so the command takes no --tol at all.
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "1e-8"])
 def test_residual_set_rejects_bad_tol(tol, capsys):
-    rc = main(["residual-set", "--canonical", "binary-p34", "--depth", "4", f"--tol={tol}"])
-    assert rc == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["residual-set", "--canonical", "binary-p34", "--depth", "4", f"--tol={tol}"])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "tol" in captured.err
+    assert f"unrecognized arguments: --tol={tol}" in captured.err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -712,7 +714,7 @@ def _run_with_command(tmp_path, cmd, command, *flags):
         ("residual-set", {"depth": [1]}),  # used to end in a TypeError traceback
         ("residual-set", {"out": 1}),  # used to write the CSV to file descriptor 1
         ("residual-set", {"depth": "5"}),  # strings are not integers
-        ("residual-set", {"tol": "1e-8"}),
+        ("residual-set", {"depth": True}),  # booleans are not integers
         ("residual-set", {"depth": 2.5}),
         ("simulate", {"trajectories": False}),
         ("simulate", {"horizon": 1e400}),  # JSON overflows to inf
@@ -740,9 +742,9 @@ def test_command_entries_read_the_way_json_writes_them(tmp_path, capsys):
     assert _run_with_command(tmp_path, "preimages", {"target": 1, "out": str(out)}, "--depth", "2") == 0
     assert capsys.readouterr().out == ""
     assert len(out.read_text().splitlines()) == 1 + 4
-    assert _run_with_command(tmp_path, "residual-set", {"depth": 2.0, "out": str(out), "tol": None}) == 0
+    assert _run_with_command(tmp_path, "residual-set", {"depth": 2.0, "out": str(out)}) == 0
     assert out.read_text().splitlines()[1:] == ["1.0,0.0"]  # dendrite's residual set is {1}
-    assert _run_with_command(tmp_path, "residual-set", {"depth": 2, "out": ""}) == 0
+    assert _run_with_command(tmp_path, "residual-set", {"depth": None, "out": ""}) == 0
     assert capsys.readouterr().out.splitlines() == ["re,im", "1.0,0.0"]
 
 

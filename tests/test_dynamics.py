@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from eigvec_reference import DivisionByZeroIotaError, dual_eigvec_entry, eigvec_entry
 
+from juliaspec.canonical import canonical_config
 from juliaspec.dynamics import (
     RHO,
     FiberedSystem,
@@ -359,20 +360,34 @@ def test_dedup_points_clusters():
 
 
 def test_residual_set_dendrite_collapses_to_one(systems):
-    rs = residual_set(systems["dendrite"], depth=4)
-    assert len(rs.points) == 1
-    assert rs.points[0] == pytest.approx(1.0, abs=1e-8)
-    # 0 and 1/2 are reachable as preimages of 1 but excluded by zero preimages.
-    assert any(abs(z) < 1e-9 for z in rs.ones)
-    assert any(abs(z - 0.5) < 1e-9 for z in rs.ones)
-    assert any(abs(z) < 1e-12 for z in rs.zeros)
-    assert any(abs(z - 0.5) < 1e-9 for z in rs.zeros)
+    sys = systems["dendrite"]
+    assert residual_set(sys, depth=4) == (1 + 0j,)
+    # 0 and 1/2 are reachable as preimages of 1 but excluded as preimages of 0
+    # (0 itself at depth 0, 1/2 at depth 1).
+    ones = preimages(sys, 1.0, 4)
+    assert any(abs(z) < 1e-9 for z in ones)
+    assert any(abs(z - 0.5) < 1e-9 for z in ones)
+    assert all(abs(z - 0.5) < 1e-9 for z in preimages(sys, 0.0, 1))
+
+
+@pytest.mark.parametrize("depth", [14, 16, 20])
+def test_residual_set_dendrite_is_exactly_one_at_depth(depth):
+    # A float route that drops a one within 1e-8 of a zero returned the empty set
+    # here: the nearest preimage of 0 to 1 comes 4 times closer per level.
+    assert residual_set(canonical_config("dendrite").system(), depth) == (1 + 0j,)
 
 
 def test_residual_set_ternary_keeps_everything(systems):
-    rs = residual_set(systems["ternary-p12"], depth=2)
-    assert rs.points == rs.ones  # no exclusions in the odd-base case
-    assert len(rs.points) == 9  # distinct depth-<=2 preimages of the fixed point
+    sys = systems["ternary-p12"]
+    rs = residual_set(sys, depth=2)
+    # No exclusions in the odd-base case: every preimage of 1, in sorted order.
+    assert rs == tuple(sorted(preimages(sys, 1.0, 2), key=lambda z: (z.real, z.imag)))
+    assert len(rs) == 9  # distinct depth-<=2 preimages of the fixed point
+
+
+def test_residual_set_ternary_keeps_every_leaf_at_depth_12():
+    # f(0) = -1 escapes, so 0 is never a preimage of 1: all 3^12 leaves stay.
+    assert len(residual_set(canonical_config("ternary-p12").system(), 12)) == 3**12
 
 
 def test_preimages_of_one_are_nested(systems):

@@ -4,11 +4,15 @@
 `preimages` polishes them in numpy blocks and `dedup_points` searches a
 sorted window; each must give exactly what the straightforward per-node and
 per-point code below gives: the same leaves bit for bit (signs of zero
-included) and the same representatives in the same order.
+included) and the same representatives in the same order.  `residual_set`
+must give the leaves that a brute force leaves over: exact forward iteration
+of 0 finds the zero nodes, and the list tree places them.
 """
 
 import cmath
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ import pytest
 from juliaspec.canonical import CANONICAL_NAMES, canonical_config
 from juliaspec.dynamics import (
     _POLISH_BLOCK,
+    FiberedSystem,
     _PREIMAGE_CAP,
     _c_div,
     _c_div_real,
@@ -33,6 +38,8 @@ from juliaspec.dynamics import (
     residual_set,
 )
 from juliaspec.errors import OutOfRangeError
+from juliaspec.numeration import BaseSequence
+from juliaspec.sequences import constant, prefix_then, random_uniform
 from juliaspec.spectra import residual_l1, spectrum_summary
 
 
@@ -290,39 +297,38 @@ def test_window_dedup_matches_quadratic(systems, name):
 
 @pytest.mark.parametrize("name", CANONICAL_NAMES)
 def test_residual_set_matches_quadratic_filter(name):
+    # The float route that `residual_set` replaced: dedup the ones and the zeros
+    # within tol, then drop every one within tol of a zero.  At these depths and
+    # tol = 1e-8 it is right, and the exact route gives its bits.
     sys = canonical_config(name).system()
+    tol = 1e-8
     for depth in (3, 6, 8):
         if sys.base.place_value(depth) > 1300:
             break
-        for tol in (1e-8, 1e-3):
-            rs = residual_set(sys, depth, tol)
-            # The level trees T_{n-1} = f̃_{n-1}⁻¹{1 - p_n}: f̃_n⁻¹{0} without its d_n-fold copies.
-            zeros_all = [0j]
-            for n in range(1, depth + 1):
-                zeros_all.extend(preimages(sys, 1.0 - sys.p_float(n), n - 1))
-            zeros = quadratic_dedup(zeros_all, tol)
-            ones = quadratic_dedup(preimages(sys, 1.0, depth), tol)
-            kept = [z for z in ones if all(abs(z - w) > tol for w in zeros)]
-            assert bits(rs.zeros) == bits(zeros)
-            assert bits(rs.ones) == bits(ones)
-            assert bits(rs.points) == bits(kept)
+        # The level trees T_{n-1} = f̃_{n-1}⁻¹{1 - p_n}: f̃_n⁻¹{0} without its d_n-fold copies.
+        zeros_all = [0j]
+        for n in range(1, depth + 1):
+            zeros_all.extend(preimages(sys, 1.0 - sys.p_float(n), n - 1))
+        zeros = quadratic_dedup(zeros_all, tol)
+        ones = quadratic_dedup(preimages(sys, 1.0, depth), tol)
+        kept = [z for z in ones if all(abs(z - w) > tol for w in zeros)]
+        assert bits(residual_set(sys, depth)) == bits(kept), depth
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, -1e-12])
-def test_tol_must_be_finite_and_nonnegative(systems, tol):
+def test_tol_must_be_finite_and_nonnegative(tol):
     with pytest.raises(OutOfRangeError):
         dedup_points([0j, 1 + 0j], tol)
-    with pytest.raises(OutOfRangeError):
-        residual_set(systems["binary-p34"], 3, tol)
 
 
 def test_residual_sets_refuse_tol_zero(systems):
-    # Exact comparison of two polished trees is rounding noise; dedup alone may use it.
+    # Exact comparison of two polished trees is rounding noise; dedup alone may use
+    # it.  The residual sets compare no trees, so they take no tol at all.
     assert dedup_points([0j, 0j, 1 + 0j], 0.0) == [0j, 1 + 0j]
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(TypeError):
         residual_set(systems["dendrite"], 3, 0.0)
     for name in ("dendrite", "binary-geometric"):  # the transient report returns early
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(TypeError):
             residual_l1(systems[name], 3, 0.0)
 
 
@@ -343,7 +349,115 @@ def test_residual_set_built_once_per_system(monkeypatch):
     lams = [0.1 + 0.2j, -0.3j, 0.5, 0.9 + 0.1j, 1.0]
     report = spectrum_summary(rc.chain(), sys, lams=lams, depth=depth, alphas=(1.0,))
     assert len(report["lambdas"]) == 5
-    # One level tree T_k per k < depth and one tree for the ones: a single build.
-    assert sorted(calls) == sorted(list(range(depth)) + [depth])
+    # One tree, that of the ones, in a single build: no zero trees.
+    assert calls == [depth]
     assert residual_set(sys, depth) is residual_set(sys, depth)
-    assert residual_set(sys, depth, 1e-6) is not residual_set(sys, depth)
+    assert calls == [depth]
+
+
+# -- the residual set against brute force ------------------------------------
+
+
+def topmost_zero_indices(sys, depth):
+    """The indices n < depth at which the tree of f̃_depth⁻¹{1} has a node exactly 0 not under another.
+
+    Brute force in `Fraction`: 0 at index n is such a node when its forward
+    orbit f_{n+1}(0), ..., f_depth(...) ends at 1 and meets no 0 on the way.
+    """
+    levels = [(Fraction(sys.p.value_at(j)), sys.digit_base(j)) for j in range(1, depth + 1)]
+    out = []
+    for n in range(depth):
+        x, orbit = Fraction(0), []
+        for p, d in levels[n:]:
+            x = ((x - (1 - p)) / p) ** d
+            orbit.append(x)
+        if orbit[-1] == 1 and 0 not in orbit:
+            out.append(n)
+    return out
+
+
+def brute_force_residual(sys, depth):
+    """The leaves of `preimages(sys, 1, depth)` under no zero node, in sorted (re, im) order.
+
+    A topmost zero index holds one zero node (its path to the root is the
+    orbit of 0), and the float list tree puts it at the node of that index
+    nearest 0; its leaves are the q_n from its position times q_n on.
+    """
+    nodes_at = [nodes for nodes, _ in list_levels(sys, 1 + 0j, depth)]  # index depth, ..., 0
+    drop = set()
+    for n in topmost_zero_indices(sys, depth):
+        nodes = nodes_at[depth - n]
+        i = min(range(len(nodes)), key=lambda i: abs(nodes[i]))
+        assert abs(nodes[i]) <= 1e-9, (n, nodes[i])
+        q = sys.base.place_value(n)
+        drop.update(range(i * q, i * q + q))
+    kept = [z for k, z in enumerate(preimages(sys, 1.0, depth)) if k not in drop]
+    return sorted(kept, key=lambda z: (z.real, z.imag))
+
+
+def prefix_system(p, d):
+    return FiberedSystem(
+        BaseSequence(prefix_then(d, constant(2, "d"))), prefix_then(p, constant(Fraction(1, 2)))
+    )
+
+
+# 1/2 three times over: p = 1/2 with d = 2 sends 0 to 1, so most specs have zero nodes.
+_P_CHOICES = [Fraction(k, m) for k, m in ((1, 2), (1, 2), (1, 2), (1, 3), (2, 3), (3, 8), (5, 8), (1, 1))]
+
+
+def test_residual_set_matches_brute_force_on_random_prefix_specs():
+    rng = random.Random(2028)
+    with_zero = 0
+    for _ in range(200):
+        d = [rng.choice((2, 3)) for _ in range(rng.randint(1, 8))]
+        while math.prod(d) > 2048:
+            d.pop()
+        p = [rng.choice(_P_CHOICES) for _ in d]
+        sys = prefix_system(p, d)
+        with_zero += bool(topmost_zero_indices(sys, len(d)))
+        assert bits(residual_set(sys, len(d))) == bits(brute_force_residual(sys, len(d))), (p, d)
+    assert with_zero >= 100  # most of the specs exercise the zero paths
+
+
+def test_a_zero_node_the_float_tree_misses():
+    # The float tree computes this spec's zero node at index 0 (a leaf) as
+    # 5.55e-17, not 0.0; the exact walk still finds it.
+    p = [Fraction(2, 3), Fraction(1, 2), Fraction(3, 8), Fraction(5, 8),
+         Fraction(2, 3), Fraction(1, 2), Fraction(1, 3), Fraction(1, 2)]
+    sys = prefix_system(p, [2, 2, 2, 2, 2, 2, 3, 2])
+    nodes_at = [nodes for nodes, _ in list_levels(sys, 1 + 0j, 8)]
+    nearest = {n: min(map(abs, nodes_at[8 - n])) for n in topmost_zero_indices(sys, 8)}
+    assert sorted(nearest) == [0, 1, 5, 7] and 0 < nearest[0] < 1e-16
+    assert sys.base.place_value(8) == 384
+    got = residual_set(sys, 8)
+    assert len(got) == 157
+    assert bits(got) == bits(brute_force_residual(sys, 8))
+
+
+def test_a_zero_path_through_a_negative_node():
+    # 0 -> -1 under p = 1/2, d = 3, then -1 -> 1 under p = 1, d = 2: the leaf 0
+    # sits under the cube root -1 of the float node -1, whose place in `_droots`
+    # follows the sign of that node's phase.
+    sys = prefix_system([Fraction(1, 2), Fraction(1), Fraction(3, 4), Fraction(3, 4)], [3, 2, 2, 2])
+    assert topmost_zero_indices(sys, 4) == [0]
+    got = residual_set(sys, 4)
+    assert len(got) == 23 and 0j not in got
+    assert bits(got) == bits(brute_force_residual(sys, 4))
+
+
+@pytest.mark.parametrize("name", CANONICAL_NAMES)
+def test_residual_set_matches_brute_force_on_the_canonicals(name):
+    sys = canonical_config(name).system()
+    for depth in range(1, 9):
+        if sys.base.place_value(depth) > 4096:
+            break
+        assert bits(residual_set(sys, depth)) == bits(brute_force_residual(sys, depth)), depth
+
+
+def test_random_specs_read_their_floats_exactly():
+    # A random p̄ holds floats; through Fraction they are exact dyadic rationals.
+    # low = high = 1/2 draws 0.5 at every index: the dendrite, X = {1}.
+    d = BaseSequence(2)
+    assert residual_set(FiberedSystem(d, random_uniform("1/2", "1/2", 5)), 6) == (1 + 0j,)
+    sys = FiberedSystem(d, random_uniform("1/4", "3/4", 5))
+    assert bits(residual_set(sys, 6)) == bits(brute_force_residual(sys, 6))
