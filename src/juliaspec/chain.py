@@ -99,13 +99,15 @@ class ChainConfig:
     # -- parameter access ---------------------------------------------------
 
     def level(self, j: int) -> tuple:
-        """(p_j, P_j = p_1···p_j, (1 - p_j) P_{j-1}) for j >= 1.
+        """(p_j, P_j = p_1···p_j, (1 - p_j) P_{j-1}) for 1 <= j <= `_EXACT_LEVELS`.
 
         All three are exact where the spec is rational; the third is the mass
         of the move that fails at write j.  Every partial product of the
-        program is a P_j of this table.
+        program is a P_j of this table.  On a geometric spec P_j has the
+        denominator 4^{j(j+1)/2}, so an index above the cap is refused
+        (BudgetExceededError) before any Fraction is built.
         """
-        j = check_int("probability index", j, 1)
+        j = check_int("probability index", j, 1, _EXACT_LEVELS)
         while len(self._levels) < j:
             p = self.p.value_at(len(self._levels) + 1)
             prev = self._levels[-1][1] if self._levels else Fraction(1)
@@ -122,7 +124,7 @@ class ChainConfig:
 
     def success_prefix(self, r: int):
         """∏_{j<=r} p_j (empty product 1), exact where possible."""
-        r = check_int("prefix length", r, 0)
+        r = check_int("prefix length", r, 0, _EXACT_LEVELS)
         return self.level(r)[1] if r else Fraction(1)
 
     # -- transition structure ----------------------------------------------
@@ -135,7 +137,7 @@ class ChainConfig:
         Law ζ is the fall of level ζ - 1, then law ζ - 1 without its move up,
         then the move up P_ζ.  Each law is built once per chain.
         """
-        zeta = check_int("zeta", zeta, 1)
+        zeta = check_int("zeta", zeta, 1, _EXACT_LEVELS)
         for z in range(len(self._laws), zeta + 1):
             _, up, fall = self.level(z)
             below = self._laws[-1]
@@ -151,7 +153,7 @@ class ChainConfig:
         law = self.row_law(zeta)
         if law[-1][0] == 1 and n + 1 > self.base.capacity:
             raise IntegerOverflowError(
-                f"successor of {n} exceeds {self.base.capacity_bits}-bit capacity"
+                f"successor of {n} exceeds 64-bit capacity"
             )
         return TransitionRow(source=n, zeta=zeta, entries=tuple((n + d, s) for d, s in law))
 
@@ -181,7 +183,7 @@ class ChainConfig:
                 traj.append(_walk(traj[-1], (w,), qs))  # one step
         if max(traj) > self.base.capacity:  # states rise by at most 1 per step
             raise IntegerOverflowError(
-                f"successor of {self.base.capacity} exceeds {self.base.capacity_bits}-bit capacity"
+                f"successor of {self.base.capacity} exceeds 64-bit capacity"
             )
         return traj
 
@@ -318,6 +320,9 @@ def _wilson_interval(hits: int, n: int):
     return max(0.0, center - half), min(1.0, center + half)
 
 
+#: Levels of the exact table: a 64-bit state has at most 64 digits, so ζ <= 65,
+#: and `_move_table` reads one level past the top (q_65 > start + steps + 2).
+_EXACT_LEVELS = 65
 _BLOCK = 512  # steps whose uniforms a trajectory draws at once
 _STEPS_CAP = 1 << 20  # steps of one `simulate` trajectory, which is held whole as Python ints
 _CSV_BLOCK = 1 << 12  # rows per write of `write_trajectory_csv`

@@ -248,6 +248,10 @@ _COMMANDS = {
 }
 
 
+# Every key a "command" object may hold: the flag names of all subcommands.
+_COMMAND_KEYS = {row[0][2:] for _, _, rows in _COMMANDS.values() for row in rows}
+
+
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="path to a JSON configuration file")
     p.add_argument("--canonical", choices=CANONICAL_NAMES,
@@ -311,7 +315,14 @@ def _entry(key: str, kind, v):
 
 def _params(args, rc: RunConfig | None) -> dict:
     """The command's parameters by flag name (underscored): the flag if given,
-    else the config's command entry, else the default."""
+    else the config's command entry, else the default.
+
+    A command key that no subcommand declares is refused; one that another
+    subcommand declares is ignored, so one document serves every command.
+    """
+    unknown = sorted(set(rc.command) - _COMMAND_KEYS) if rc is not None else []
+    if unknown:
+        raise ConfigError(f"config command has unknown key {unknown[0]!r}")
     out = {}
     for flag, kind, default, _ in _COMMANDS[args.cmd][2]:
         key = flag[2:]

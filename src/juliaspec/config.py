@@ -1,9 +1,10 @@
 """Run configuration: one JSON document describing (p̄, d̄, seed, command).
 
 The document's top level is checked before any computation: an object with
-keys p and d, optionally seed, command and capacity_bits, each in range.  The
-sequence descriptions are then parsed with the stricter per-kind range checks.
-CLI flags may override individual fields after loading.
+keys p and d, optionally seed and command, each in range.  The sequence
+descriptions are then parsed with the stricter per-kind range checks.  CLI
+flags may override individual fields after loading.  States are 64-bit
+(`BaseSequence.capacity`); no key sets a wider ceiling.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .sequences import SequenceSpec, spec_from_json, spec_to_json
 
 __all__ = ["RunConfig", "parse_config", "load_config_file"]
 
-_KEYS = ("p", "d", "seed", "command", "capacity_bits")
-_INT_RANGES = {"seed": (0, 2**64 - 1), "capacity_bits": (64, 512)}
+_KEYS = ("p", "d", "seed", "command")
+_SEED_RANGE = (0, 2**64 - 1)
 
 
 @dataclass(frozen=True)
@@ -32,11 +33,10 @@ class RunConfig:
     d: SequenceSpec
     seed: int = 0
     command: dict = field(default_factory=dict)
-    capacity_bits: int = 64
 
     @cached_property
     def _base(self) -> BaseSequence:
-        return BaseSequence(self.d, capacity_bits=self.capacity_bits)
+        return BaseSequence(self.d)
 
     def base(self) -> BaseSequence:
         """The one BaseSequence (and digit memo) shared by chain() and system()."""
@@ -49,7 +49,7 @@ class RunConfig:
         return FiberedSystem(self.base(), self.p)
 
     def with_seed(self, seed: int) -> "RunConfig":
-        return replace(self, seed=json_int("config seed", seed, *_INT_RANGES["seed"]))
+        return replace(self, seed=json_int("config seed", seed, *_SEED_RANGE))
 
     def to_json(self) -> dict:
         out = {
@@ -59,8 +59,6 @@ class RunConfig:
         }
         if self.command:
             out["command"] = self.command
-        if self.capacity_bits != 64:
-            out["capacity_bits"] = self.capacity_bits
         return out
 
 
@@ -74,10 +72,7 @@ def parse_config(obj) -> RunConfig:
     for key in ("p", "d"):
         if key not in obj:
             raise ConfigError(f"config is missing key {key!r}")
-    ints = {
-        key: json_int(f"config {key}", obj.get(key, lo), lo, hi)
-        for key, (lo, hi) in _INT_RANGES.items()
-    }
+    seed = json_int("config seed", obj.get("seed", 0), *_SEED_RANGE)
     if not isinstance(obj.get("command", {}), dict):
         raise ConfigError("config command must be an object")
     p = spec_from_json(obj["p"], "p")
@@ -85,8 +80,8 @@ def parse_config(obj) -> RunConfig:
     return RunConfig(
         p=p,
         d=d,
+        seed=seed,
         command=dict(obj.get("command", {})),
-        **ints,
     )
 
 

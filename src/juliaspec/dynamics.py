@@ -385,13 +385,14 @@ def eigvec_head(sys: FiberedSystem, lam: complex, length: int) -> list[complex]:
     """v_λ(0..length-1) as kron_r (1, ι_r, ..., ι_r^{d_r-1}), length >= 1.
 
     Entry n is Π_r ι_r^{a_r(n)} over the digits of n, each power by `_ipow`
-    and the product taken from the lowest digit up.
+    and the product taken from the lowest digit up.  Digit r runs only the
+    powers a < ⌈length / q_{r-1}⌉ that the head still needs.
     """
     length = check_int("length", length, 1, _PREIMAGE_CAP)
     head = [1 + 0j]
     for r, iota in enumerate(factor_values(sys, lam, sys.base.level_of(length - 1)), 1):
         q = len(head)
-        for a in range(1, sys.digit_base(r)):
+        for a in range(1, min(sys.digit_base(r), -(-length // q))):
             pw = _ipow(iota, a)
             head.extend([v * pw for v in head[: min(q, length - len(head))]])
     return head

@@ -17,10 +17,12 @@ Every integer, exponent and point argument of the library API is checked by
 An integer that sizes work or memory also has a cap: `check_int(what, v, lo,
 cap)` refuses v > cap with BudgetExceededError (CLI exit code 3), one
 comparison before the caller allocates anything.  The caps are 2^20 levels
-for every iteration budget and level index (`numeration._LEVEL_CAP`), 2^20
-leaves or rows for preimage trees, truncations and eigenvector heads
-(`dynamics._PREIMAGE_CAP`), 4096 rows for a dense matrix, 2^22 pixels for a
-raster and 2^20 steps for a trajectory.
+for every iteration budget and level or sequence index
+(`sequences._LEVEL_CAP`), 65 levels for the chain's exact level table
+(`chain._EXACT_LEVELS`: a 64-bit state has at most 64 digits), 2^20 for a
+digit base, 2^20 leaves or rows for preimage trees, truncations and
+eigenvector heads (`dynamics._PREIMAGE_CAP`), 4096 rows for a dense matrix,
+2^22 pixels for a raster and 2^20 steps for a trajectory.
 
 JSON documents and CLI text keep their own rule (`json_int`,
 `cli.parse_complex`): there 1.0 counts as an integer and a refusal is a
@@ -60,7 +62,7 @@ class ConfigError(JuliaspecError):
 
 
 class IntegerOverflowError(JuliaspecError):
-    """A state or place value exceeded the configured integer capacity."""
+    """A state or place value exceeded the 64-bit integer capacity."""
 
 
 class DigitOutOfRangeError(JuliaspecError):

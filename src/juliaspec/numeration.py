@@ -12,8 +12,8 @@ nonzero position ξ_m of m >= 1.  Both read one scan,
 ν(m) = 1 + max{r : q_r | m}: ξ_m = ν(m) and ζ_n = ν(n + 1), so
 ξ_{n+1} = ζ_n.
 
-All state arithmetic is exact integer arithmetic; exceeding the configured
-capacity raises instead of wrapping.
+All state arithmetic is exact integer arithmetic on states up to the fixed
+capacity 2^64 - 1; exceeding it raises instead of wrapping.
 """
 
 from __future__ import annotations
@@ -28,49 +28,40 @@ from .errors import (
     UndefinedForZeroError,
     check_int,
 )
-from .sequences import SequenceSpec, constant
+from .sequences import _LEVEL_CAP, SequenceSpec, constant
 
 __all__ = ["BaseSequence", "DigitExpansion"]
-
-#: Levels: the largest digit index, fiber level and iteration budget taken.
-#: The digit memo and the fiber level table keep one entry per level, and an
-#: orbit costs about 130 B per level it runs (a 10^6-level one peaked at
-#: 123 MiB), so about 136 MB at the cap.
-_LEVEL_CAP = 1 << 20
 
 
 class BaseSequence:
     """Handle for one base sequence d̄ with memoized digit bases and place values.
 
-    The memos of d_j and q_j are append-only and guarded by one lock, so a
-    single instance may serve concurrent readers.
+    States, place values and successors are bounded by `capacity`, 2^64 - 1,
+    so a state has at most 64 digits.  The memos of d_j and q_j are
+    append-only and guarded by one lock, so a single instance may serve
+    concurrent readers.
     """
 
-    def __init__(self, spec: SequenceSpec | int, capacity_bits: int = 64):
+    capacity = (1 << 64) - 1
+
+    def __init__(self, spec: SequenceSpec | int):
         if isinstance(spec, int):
             spec = constant(spec, "d")
         if spec.codomain != "d":
             raise OutOfRangeError("BaseSequence needs a base-sequence spec (codomain 'd')")
-        capacity_bits = check_int("capacity_bits", capacity_bits, 64)
         self.spec = spec
-        self.capacity_bits = capacity_bits
-        self.capacity = (1 << capacity_bits) - 1
         self._d: list[int] = []  # d_1, d_2, ...
         self._q = [1]  # q_0 = d_0 = 1
         self._lock = threading.RLock()
 
     def __repr__(self):
-        return f"BaseSequence({self.spec!r}, capacity_bits={self.capacity_bits})"
+        return f"BaseSequence({self.spec!r})"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, BaseSequence)
-            and self.spec == other.spec
-            and self.capacity_bits == other.capacity_bits
-        )
+        return isinstance(other, BaseSequence) and self.spec == other.spec
 
     def __hash__(self):
-        return hash((self.spec, self.capacity_bits))
+        return hash(self.spec)
 
     def digit_base(self, j: int) -> int:
         """d_j for 1 <= j <= `_LEVEL_CAP` (d_0 = 1 is implicit and never queried)."""
@@ -90,7 +81,7 @@ class BaseSequence:
                     nxt = self._q[-1] * self.digit_base(len(self._q))
                     if nxt > self.capacity:
                         raise IntegerOverflowError(
-                            f"place value q_{len(self._q)} exceeds {self.capacity_bits}-bit capacity"
+                            f"place value q_{len(self._q)} exceeds 64-bit capacity"
                         )
                     self._q.append(nxt)
         return self._q[j]
@@ -98,7 +89,7 @@ class BaseSequence:
     def _check_state(self, n: int, what: str = "state") -> int:
         n = check_int(what, n, 0)
         if n > self.capacity:
-            raise IntegerOverflowError(f"{what} {n} exceeds {self.capacity_bits}-bit capacity")
+            raise IntegerOverflowError(f"{what} {n} exceeds 64-bit capacity")
         return n
 
     def to_digits(self, n: int) -> tuple[int, ...]:

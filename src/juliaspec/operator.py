@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain import ChainConfig, _check_model
+from .chain import _EXACT_LEVELS, ChainConfig, _check_model
 from .dynamics import (
     _PREIMAGE_CAP,
     EscapeOutcome,
@@ -273,14 +273,19 @@ def column0_coefficient(cfg: ChainConfig, level: int):
     """Σ_{i>=level+1} (1-p_{i+1}) Π_{j<=i} p_j, by telescoping.
 
     Equals Π_{j<=level+1} p_j minus the limit of the success products; exact
-    Fraction when the sequence is rational and the limit is exactly 0.
+    Fraction when the sequence is rational and the limit is exactly 0.  The
+    head reads `success_prefix(level + 1)`, so a level of `_EXACT_LEVELS` or
+    more is refused (BudgetExceededError).  On an inconclusive (random) spec
+    the limit is the partial product P_4096: the exact table's P_65, then
+    one float factor p_j at a time.
     """
     head = cfg.success_prefix(check_int("level", level, 0) + 1)
     try:
         limit = tail_product(cfg.p)
     except ConfigError:
-        # Inconclusive fate: fall back to a long partial product as the limit.
-        limit = cfg.success_prefix(4096)
+        limit = cfg.success_prefix(_EXACT_LEVELS)
+        for j in range(_EXACT_LEVELS + 1, 4097):
+            limit *= cfg.p.float_at(j)
     return head - limit
 
 
@@ -336,6 +341,9 @@ def weyl_defect(
 def truncated_eigenvalues(sys: FiberedSystem, size: int) -> np.ndarray:
     """Eigenvalues of the size×size truncation, sorted by decreasing modulus.
 
+    The modulus is `abs` of the Python complex, as `write_eigenvalue_csv`
+    prints it, so the printed column does not increase.
+
     They are the multiset union of a_k copies of T_{k-1} = f̃_{k-1}⁻¹{1 - p_k},
     where (a_1, a_2, ...) are the digits of size: size leaves in all.  A
     size above `_PREIMAGE_CAP` is refused before any tree is built.
@@ -388,7 +396,8 @@ def truncated_eigenvalues(sys: FiberedSystem, size: int) -> np.ndarray:
     size = check_int("truncation size", size, 1, _PREIMAGE_CAP)
     digits = sys.base.to_digits(size)
     vals = np.concatenate([level_tree(sys, k) for k, a in enumerate(digits) for _ in range(a)])
-    order = np.lexsort((vals.imag, vals.real, -np.abs(vals)))
+    # np.hypot gives Python's abs, the modulus the CSV prints; np.abs may not.
+    order = np.lexsort((vals.imag, vals.real, -np.hypot(vals.real, vals.imag)))
     return vals[order]
 
 

@@ -62,6 +62,17 @@ _D_KINDS = ("constant", "periodic", "prefix", "random")
 # threshold_index certifies on a geometric tail (its exact check computes γ^j).
 _SCAN_CAP = 100_000
 
+#: Levels: the largest sequence index, digit index, fiber level and iteration
+#: budget taken.  The digit memo and the fiber level table keep one entry per
+#: level, and an orbit costs about 130 B per level it runs (a 10^6-level one
+#: peaked at 123 MiB), so about 136 MB at the cap.  A geometric value_at(j)
+#: holds γ^j exactly: at the cap, for γ = 1/4, a 0.93 MiB peak in 14 ms.
+_LEVEL_CAP = 1 << 20
+
+#: The largest digit base.  A base above it fits no preimage tree, truncation
+#: or eigenvector head under their 2^20 caps, and `_series_product` sums d terms.
+_BASE_CAP = 1 << 20
+
 
 def _rat(x) -> Fraction:
     """Coerce x to an exact Fraction; floats go through their decimal repr."""
@@ -145,9 +156,10 @@ class SequenceSpec:
         """Exact value of the sequence at 1-based index j.
 
         Returns a Fraction (p̄) or int (d̄) except for random probability
-        specs, which return floats.  Raises OutOfRangeError for j < 1.
+        specs, which return floats.  Raises OutOfRangeError for j < 1 and
+        BudgetExceededError for j > `_LEVEL_CAP`.
         """
-        j = check_int("sequence index", j, 1)
+        j = check_int("sequence index", j, 1, _LEVEL_CAP)
         k = self.kind
         if k == "constant":
             return self.value
@@ -166,8 +178,8 @@ class SequenceSpec:
         raise AssertionError(k)
 
     def float_at(self, j: int) -> float:
-        """Value at index j as a float, avoiding huge exact intermediates."""
-        j = check_int("sequence index", j, 1)
+        """Value at index j <= `_LEVEL_CAP` as a float, avoiding huge exact intermediates."""
+        j = check_int("sequence index", j, 1, _LEVEL_CAP)
         k = self.kind
         if k == "geometric":
             return 1.0 - float(self.c) * float(self.gamma) ** j
@@ -210,7 +222,7 @@ def _check_p(v: Fraction, what: str) -> Fraction:
 def _check_d(v, what: str) -> int:
     if isinstance(v, Fraction) and v.denominator == 1:
         v = v.numerator
-    return check_int(what, v, 2)
+    return check_int(what, v, 2, _BASE_CAP)
 
 
 def _check_seed(seed) -> int:

@@ -26,7 +26,6 @@ from juliaspec.dynamics import (
     residual_set,
 )
 from juliaspec.errors import BudgetExceededError, JuliaspecError
-from juliaspec.numeration import BaseSequence
 from juliaspec.operator import (
     build_truncation,
     column0_coefficient,
@@ -67,6 +66,8 @@ _LEVELS = 1 << 20  # fiber levels and iteration budgets
 _LEAVES = 1 << 20  # preimage leaves, truncation rows and eigenvector head entries
 _STEPS = 1 << 20  # steps of one trajectory
 _PIXELS = 1 << 22  # pixels of one raster
+_EXACT = 65  # exact level indices: a 64-bit state has at most 64 digits, plus one level
+_BASE = 1 << 20  # digit bases
 
 # One row per (entry point, argument): kind, lower bound (None for none), a good value, the
 # call with that argument filled and every other one fixed and valid, and the largest value
@@ -124,7 +125,8 @@ SLOTS = [
     _slot("weyl_defect-alpha", "real", 1, 1.5, lambda v: weyl_defect(_CFG, _SYS, _LAM, 2, v)),
     _slot("weyl_vector-level", "int", 1, 2, lambda v: weyl_vector(_SYS, _LAM, v, 8)),
     _slot("weyl_vector-size", "int", 5, 8, lambda v: weyl_vector(_SYS, _LAM, 2, v), cap=_LEAVES),
-    _slot("column0_coefficient-level", "int", 0, 2, lambda v: column0_coefficient(_CFG, v)),
+    _slot("column0_coefficient-level", "int", 0, 2,
+          lambda v: column0_coefficient(_CFG, v), cap=_EXACT - 1),
     _slot("SparseTruncation.entry-n", "int", 0, 3, lambda v: _TRUNC.entry(v, 0)),
     _slot("SparseTruncation.row_sum-n", "int", 0, 3, _TRUNC.row_sum),
     _slot("SparseTruncation.to_dense-size", "int", 1, 8,
@@ -139,26 +141,27 @@ SLOTS = [
     _slot("return_statistics-horizon", "int", 0, 20, lambda v: _CFG.return_statistics(1, 4, v, 3)),
     _slot("return_statistics-seed", "int", 0, 3, lambda v: _CFG.return_statistics(1, 4, 20, v)),
     _slot("transition_row-n", "int", 0, 5, lambda v: _CFG.transition_row(v)),
-    _slot("ChainConfig.level-j", "int", 1, 3, lambda v: _CFG.level(v)),
+    _slot("ChainConfig.level-j", "int", 1, 3, lambda v: _CFG.level(v), cap=_EXACT),
+    _slot("ChainConfig.p_at-j", "int", 1, 3, lambda v: _CFG.p_at(v), cap=_EXACT),
     _slot("ChainConfig.p_float-j", "int", 1, 3, lambda v: _CFG.p_float(v)),
-    _slot("success_prefix-r", "int", 0, 3, lambda v: _CFG.success_prefix(v)),
+    _slot("success_prefix-r", "int", 0, 3, lambda v: _CFG.success_prefix(v), cap=_EXACT),
     _slot("harmonic_value-m", "int", 1, 5, lambda v: _CFG.harmonic_value(v)),
     _slot("return_probability-m", "int", 0, 5, lambda v: _CFG.return_probability(v)),
     # numeration
-    _slot("BaseSequence-capacity_bits", "int", 64, 70, lambda v: BaseSequence(2, v)),
     _slot("place_value-j", "int", 0, 3, lambda v: _CFG.base.place_value(v)),
     _slot("digit_base-j", "int", 1, 3, lambda v: _CFG.base.digit_base(v), cap=_LEVELS),
     _slot("to_digits-n", "int", 0, 11, lambda v: _CFG.base.to_digits(v)),
     _slot("counter-n", "int", 0, 11, lambda v: _CFG.base.counter(v)),
     # sequences
-    _slot("value_at-j", "int", 1, 3, lambda v: _CFG.p.value_at(v)),
-    _slot("float_at-j", "int", 1, 3, lambda v: _CFG.p.float_at(v)),
+    _slot("value_at-j", "int", 1, 3, lambda v: _CFG.p.value_at(v), cap=_LEVELS),
+    _slot("float_at-j", "int", 1, 3, lambda v: _CFG.p.float_at(v), cap=_LEVELS),
     _slot("sum_alpha_verdict-alpha", "real", 1, 1.5, lambda v: sum_alpha_verdict(_CFG.p, v)),
-    _slot("constant-base", "int", 2, 3, lambda v: constant(v, "d")),
-    _slot("periodic-base", "int", 2, 3, lambda v: periodic([2, v], "d")),
-    _slot("prefix_then-base", "int", 2, 3, lambda v: prefix_then([v], constant(2, "d"))),
-    _slot("random_base-d_max", "int", 2, 4, lambda v: random_base(v, 1)),
-    _slot("ChainConfig.row_law-zeta", "int", 1, 3, lambda v: _CFG.row_law(v)),
+    _slot("constant-base", "int", 2, 3, lambda v: constant(v, "d"), cap=_BASE),
+    _slot("periodic-base", "int", 2, 3, lambda v: periodic([2, v], "d"), cap=_BASE),
+    _slot("prefix_then-base", "int", 2, 3,
+          lambda v: prefix_then([v], constant(2, "d")), cap=_BASE),
+    _slot("random_base-d_max", "int", 2, 4, lambda v: random_base(v, 1), cap=_BASE),
+    _slot("ChainConfig.row_law-zeta", "int", 1, 3, lambda v: _CFG.row_law(v), cap=_EXACT),
     # render
     _slot("GridSpec-width", "int", 1, 4,
           lambda v: GridSpec(**dict(_WINDOW, width=v)), cap=_PIXELS // 4),

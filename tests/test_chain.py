@@ -25,7 +25,14 @@ from scipy import sparse, stats
 from strategies import P_SPECS
 
 from juliaspec.canonical import CANONICAL_NAMES
-from juliaspec.chain import _STEPS_CAP, ChainConfig, Recurrence, write_trajectory_csv
+from juliaspec.chain import (
+    _EXACT_LEVELS,
+    _STEPS_CAP,
+    ChainConfig,
+    Recurrence,
+    _move_table,
+    write_trajectory_csv,
+)
 from juliaspec.dynamics import FiberedSystem
 from juliaspec.errors import (
     BudgetExceededError,
@@ -35,6 +42,7 @@ from juliaspec.errors import (
     OutOfRangeError,
 )
 from juliaspec.numeration import BaseSequence
+from juliaspec.operator import column0_coefficient
 from juliaspec.sequences import (
     constant,
     geometric,
@@ -152,6 +160,32 @@ def test_transition_row_overflow_at_capacity():
     cfg = ChainConfig(BaseSequence(2), constant("1/2"))
     with pytest.raises(IntegerOverflowError):
         cfg.transition_row((1 << 64) - 1)  # all digits maximal: carry overflows
+
+
+def test_the_exact_level_table_stops_at_the_levels_a_64_bit_state_reaches():
+    # A 64-bit state has at most 64 digits, and the move table of a path from the
+    # capacity reads one level past them, P_65; no index above that is served.  On
+    # binary-geometric P_j has the denominator 4^{j(j+1)/2}: success_prefix(1024)
+    # once took 6.3 s and 183 MiB.
+    cfg = ChainConfig(BaseSequence(2), geometric(1, "1/4"))
+    qs, pref = _move_table(cfg, cfg.base.capacity, _STEPS_CAP)
+    assert len(qs) == _EXACT_LEVELS + 1 == 66 and pref[-1] > 0
+    calls = [
+        lambda: cfg.level(66),
+        lambda: cfg.p_at(66),
+        lambda: cfg.success_prefix(1024),
+        lambda: cfg.row_law(66),
+        lambda: column0_coefficient(cfg, 65),
+    ]
+    tracemalloc.start()
+    try:
+        for call in calls:
+            with pytest.raises(BudgetExceededError, match="exceeds the cap 65"):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # -- harmonic vector ---------------------------------------------------------

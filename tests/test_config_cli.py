@@ -21,7 +21,7 @@ from juliaspec import cli
 from juliaspec.canonical import CANONICAL_NAMES, all_canonical, canonical_config
 from juliaspec.cli import _COMMANDS, _REQUIRED, _path, main, parse_complex
 from juliaspec.config import load_config_file, parse_config
-from juliaspec.errors import ConfigError, JuliaspecError
+from juliaspec.errors import BudgetExceededError, ConfigError, JuliaspecError
 from juliaspec.sequences import spec_to_json
 from strategies import D_SPECS, P_SPECS
 
@@ -44,13 +44,12 @@ def test_parse_config_minimal_defaults():
     rc = parse_config(MINIMAL)
     assert rc.seed == 0
     assert rc.command == {}
-    assert rc.capacity_bits == 64
+    assert rc.base().capacity == 2**64 - 1
     assert rc.chain().p_at(1) == Fraction(1, 2)
     assert rc.base().digit_base(5) == 2
     # Integral floats count as JSON integers.
-    rc = parse_config({**MINIMAL, "seed": 1.0, "capacity_bits": 128.0})
-    assert (rc.seed, rc.capacity_bits) == (1, 128)
-    assert type(rc.seed) is int and type(rc.capacity_bits) is int
+    rc = parse_config({**MINIMAL, "seed": 1.0})
+    assert rc.seed == 1 and type(rc.seed) is int
 
 
 @pytest.mark.parametrize(
@@ -60,8 +59,8 @@ def test_parse_config_minimal_defaults():
         {**MINIMAL, "extra": 1},
         {**MINIMAL, "seed": -1},
         {**MINIMAL, "seed": 2**64},
-        {**MINIMAL, "capacity_bits": 63},
-        {**MINIMAL, "capacity_bits": 513},
+        {**MINIMAL, "capacity_bits": 64},  # states are 64-bit: no key sets the ceiling
+        {**MINIMAL, "capacity_bits": 128},
         {**MINIMAL, "p": {"kind": "fibonacci"}},
         {**MINIMAL, "p": {"value": "1/2"}},  # kind missing
         {**MINIMAL, "command": "render"},  # must be an object
@@ -82,7 +81,6 @@ def test_config_json_roundtrip():
         **MINIMAL,
         "seed": 99,
         "command": {"depth": 4},
-        "capacity_bits": 128,
     }
     rc = parse_config(doc)
     again = parse_config(rc.to_json())
@@ -166,7 +164,7 @@ def _documents(draw):
 def test_parsed_configs_work_or_refuse(doc):
     try:
         rc = parse_config(doc)
-    except ConfigError:
+    except (ConfigError, BudgetExceededError):  # the latter for a digit base past its cap
         return
     chain, system = rc.chain(), rc.system()
     for n in range(8):
@@ -746,6 +744,51 @@ def test_command_entries_read_the_way_json_writes_them(tmp_path, capsys):
     assert out.read_text().splitlines()[1:] == ["1.0,0.0"]  # dendrite's residual set is {1}
     assert _run_with_command(tmp_path, "residual-set", {"depth": None, "out": ""}) == 0
     assert capsys.readouterr().out.splitlines() == ["re,im", "1.0,0.0"]
+
+
+@pytest.mark.parametrize("command", [{"dpeth": 7}, {"tol": "1e-8"}, {"dpeth": 7, "tol": "1e-8"}])
+def test_exit_code_2_command_key_no_subcommand_declares(command, tmp_path, capsys):
+    # A misspelt key used to be ignored, and dendrite's depth-5 set was printed with exit 0.
+    assert _run_with_command(tmp_path, "residual-set", command) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: config command has unknown key" in captured.err
+
+
+def test_command_keys_of_other_subcommands_are_ignored(tmp_path, capsys):
+    # One document serves every subcommand: size is truncate's and width render's.
+    assert _run_with_command(tmp_path, "residual-set", {"size": 4, "width": 8, "depth": 2}) == 0
+    assert capsys.readouterr().out.splitlines() == ["re,im", "1.0,0.0"]
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+def test_exit_code_2_capacity_bits_is_an_unknown_key(bits, tmp_path, capsys):
+    # States are 64-bit: the key that once widened them is refused like any unknown key.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**MINIMAL, "capacity_bits": bits}))
+    assert main(["classify", "--config", str(path), "--lambda", "0.5", "--space", "c0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown key 'capacity_bits'" in captured.err
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        {"kind": "constant", "value": 2**20 + 1},
+        {"kind": "periodic", "values": [2, 10**8]},
+        {"kind": "prefix", "prefix": [2**21], "tail": {"kind": "constant", "value": 2}},
+        {"kind": "random", "max": 2**20 + 1, "seed": 1},
+    ],
+)
+def test_exit_code_3_digit_base_past_its_cap(d, tmp_path, capsys):
+    # classify on l2 at d = 10^8 used to sum 10^8 terms per level for 17 s, then exit 0.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"p": {"kind": "harmonic", "c": "1/2", "a": 1}, "d": d}))
+    assert main(["classify", "--config", str(path), "--lambda=0.05", "--space", "l2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the cap 1048576" in captured.err
 
 
 @pytest.mark.parametrize("cmd", ["classify", "spectrum-report"])

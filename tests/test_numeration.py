@@ -115,7 +115,7 @@ NU_BASES = {
     "d3": BaseSequence(3),
     "periodic23": BaseSequence(periodic([2, 3], "d")),
     "random5": BaseSequence(random_base(5, 7)),
-    "prefix42-then-3": BaseSequence(prefix_then([4, 2], constant(3, "d")), capacity_bits=100),
+    "prefix42-then-3": BaseSequence(prefix_then([4, 2], constant(3, "d"))),
 }
 
 
@@ -132,7 +132,7 @@ def test_one_scan_gives_counter_and_first_nonzero(name):
         base.capacity - 1,
         base.capacity,
         *(rng.randrange(base.capacity + 1) for _ in range(1000)),
-        *(rng.randrange(1 << rng.randrange(1, base.capacity_bits + 1)) for _ in range(1000)),
+        *(rng.randrange(1 << rng.randrange(1, 65)) for _ in range(1000)),
     ]
     for n in states:
         assert base.counter(n) == scan_counter(base, n), (name, n)
@@ -185,18 +185,20 @@ def test_state_validation():
     with pytest.raises(OutOfRangeError):
         base.counter("7")
     with pytest.raises(IntegerOverflowError):
-        base.to_digits(1 << 64)  # beyond the 64-bit default capacity
+        base.to_digits(1 << 64)  # beyond the 64-bit capacity
 
 
 def test_capacity_bounds_place_values():
-    base = BaseSequence(2, capacity_bits=64)
+    base = BaseSequence(2)
+    assert base.capacity == (1 << 64) - 1
     assert base.place_value(63) == 1 << 63
     with pytest.raises(IntegerOverflowError):
         base.place_value(64)
-    wide = BaseSequence(2, capacity_bits=128)
-    assert wide.place_value(100) == 1 << 100
-    with pytest.raises(OutOfRangeError):
-        BaseSequence(2, capacity_bits=32)
+    assert BaseSequence(3).place_value(40) == 3**40
+    with pytest.raises(IntegerOverflowError):
+        BaseSequence(3).place_value(41)  # 3^41 > 2^64
+    with pytest.raises(TypeError):  # the ceiling is fixed: no argument widens it
+        BaseSequence(2, capacity_bits=64)
 
 
 def test_base_sequence_rejects_probability_specs():
@@ -209,7 +211,7 @@ def test_base_sequence_equality_and_hash():
     b = BaseSequence(constant(2, "d"))
     assert a == b and hash(a) == hash(b)
     assert a != BaseSequence(3)
-    assert a != BaseSequence(2, capacity_bits=128)
+    assert repr(a) == f"BaseSequence({constant(2, 'd')!r})"
 
 
 def test_digit_expansion_round_trip_and_format():

@@ -32,6 +32,7 @@ from juliaspec.operator import (
     truncated_eigenvalues,
     weyl_defect,
     weyl_vector,
+    write_eigenvalue_csv,
     write_matrix_csv,
 )
 from juliaspec.sequences import constant, prefix_then, random_uniform
@@ -343,7 +344,8 @@ def test_tree_route_matches_dense_eigensolve(chains, systems):
         for size in sizes:
             vals = truncated_eigenvalues(systems[name], size)
             assert vals.shape == (size,)
-            assert np.all(np.diff(np.abs(vals)) <= 0), (name, size)
+            moduli = [abs(lam) for lam in vals.tolist()]  # the modulus the CSV prints
+            assert all(a >= b for a, b in zip(moduli, moduli[1:])), (name, size)
             dense = np.linalg.eigvals(build_truncation(cfg, size).to_dense())
             assert _multiset_gap(vals, dense) <= 1e-11, (name, size)
     assert truncated_eigenvalues(systems["dendrite"], 1).tolist() == [0.5]  # [1 - p_1]
@@ -516,3 +518,45 @@ def test_a_move_up_that_underflows_is_left_out():
     assert dense[1, 2] == dense[3, 0] == 0.0 and dense[2, 3] == cfg.p_float(1)
     e = np.eye(4)
     assert tr.apply(e[2])[1] == 0 and tr.apply_dual(e[1])[2] == 0
+
+
+def test_numpy_hypot_equals_python_abs_bit_for_bit(systems):
+    # truncated_eigenvalues sorts by np.hypot and write_eigenvalue_csv prints Python's abs;
+    # the printed modulus column is non-increasing only while the two agree to the last bit.
+    pts = [lam for sys in systems.values() for lam in truncated_eigenvalues(sys, 4096).tolist()]
+    rng = np.random.default_rng(20261021)
+    pts.extend(complex(x, y) for x, y in rng.normal(size=(200_000, 2)).tolist())
+    pts.extend([0j, 1j, -1 + 0j, complex(3, 4), complex(1e-300, 1e-300), complex(1e300, -1e300)])
+    z = np.array(pts)
+    want = np.array([abs(w) for w in pts])
+    differ = np.flatnonzero(np.hypot(z.real, z.imag).view(np.uint64) != want.view(np.uint64))
+    assert differ.size == 0, z[differ[:5]]
+
+
+@pytest.mark.parametrize("size", [1000, 1024, 1296, 4096])
+def test_printed_modulus_never_increases(systems, size):
+    # np.abs differs from Python's abs in the last bit on about a third of all points,
+    # so sorting by it let the CSV's modulus column rise between neighbours.
+    for name, sys in systems.items():
+        out = io.StringIO()
+        write_eigenvalue_csv(eigenvalue_report(sys, size, budget=8), out)
+        moduli = [float(row.split(",")[2]) for row in out.getvalue().splitlines()[1:]]
+        assert len(moduli) == size
+        assert all(a >= b for a, b in zip(moduli, moduli[1:])), name
+
+
+@pytest.mark.parametrize(
+    "spec, want",
+    [
+        (random_uniform("0.999", 1, 0), ("0x1.becada350d87ep-1", "0x1.afaa97b58245ap-1")),
+        (random_uniform("0.999", 1, 1), ("0x1.bdf0df2a53c0ap-1", "0x1.ad35bdb09e470p-1")),
+        (prefix_then(["1/3", "2/3", "3/4", "1/2", "5/6", "7/8"], random_uniform("0.999", 1, 0)),
+         ("0x1.4d64d512af9afp-2", "0x1.a483ba44feaafp-5")),
+    ],
+)
+def test_inconclusive_column0_limit_keeps_its_bits(spec, want):
+    # The limit P_4096 of an inconclusive spec is the exact table's P_65 times one float
+    # p_j at a time, the products the 4096-level table once took; the bits are that table's.
+    cfg = ChainConfig(BaseSequence(2), spec)
+    got = (float(column0_coefficient(cfg, 0)).hex(), float(column0_coefficient(cfg, 64)).hex())
+    assert got == want
