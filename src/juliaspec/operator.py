@@ -341,8 +341,7 @@ def weyl_defect(
 def truncated_eigenvalues(sys: FiberedSystem, size: int) -> np.ndarray:
     """Eigenvalues of the size×size truncation, sorted by decreasing modulus.
 
-    The modulus is `abs` of the Python complex, as `write_eigenvalue_csv`
-    prints it, so the printed column does not increase.
+    The modulus is Python's `abs`, the one `write_eigenvalue_csv` prints.
 
     They are the multiset union of a_k copies of T_{k-1} = f̃_{k-1}⁻¹{1 - p_k},
     where (a_1, a_2, ...) are the digits of size: size leaves in all.  A
@@ -396,7 +395,7 @@ def truncated_eigenvalues(sys: FiberedSystem, size: int) -> np.ndarray:
     size = check_int("truncation size", size, 1, _PREIMAGE_CAP)
     digits = sys.base.to_digits(size)
     vals = np.concatenate([level_tree(sys, k) for k, a in enumerate(digits) for _ in range(a)])
-    # np.hypot gives Python's abs, the modulus the CSV prints; np.abs may not.
+    # np.abs may differ from Python's abs in the last bit; np.hypot does not.
     order = np.lexsort((vals.imag, vals.real, -np.hypot(vals.real, vals.imag)))
     return vals[order]
 
