@@ -246,17 +246,17 @@ class ChainConfig:
     def harmonic_value(self, m: int):
         """Entry m >= 1 of the harmonic vector fixed by the chain off state 0.
 
-        Piecewise constant on the blocks [q_l, q_{l+1}): equal to
-        1 / (p_2 ··· p_{l+1}) there, with value 1 on [1, q_1).  In the
-        transient regime this is (up to scale) the probability of never
-        visiting 0.  OutOfRangeError when a float product p_2 ··· p_{l+1}
-        underflows, so that its reciprocal leaves the float range.
+        Piecewise constant on the blocks [q_{L-1}, q_L): equal to
+        1 / (p_2 ··· p_L) = p_1 / P_L there, with P_L from the level table,
+        and 1 on [1, q_1).  In the transient regime this is (up to scale)
+        the probability of never visiting 0.  OutOfRangeError when a float
+        quotient p_1 / P_L leaves the float range.
         """
         level = self.base.level_of(check_int("m", m, 1))  # q_{level-1} <= m < q_level
-        den = self._harmonic_denominator(level)
-        value = 1 / den if den else inf
+        prefix = self.success_prefix(level)
+        value = self.p_at(1) / prefix if prefix else inf
         if value == inf:
-            raise OutOfRangeError(f"harmonic value at m={m} overflows: p_2···p_{level} underflows")
+            raise OutOfRangeError(f"harmonic value at m={m} overflows: p_1 / P_{level} leaves the float range")
         return value
 
     def return_probability(self, m: int) -> float:
@@ -296,12 +296,6 @@ class ChainConfig:
         if m == 0 or recurrence is Recurrence.NULL_RECURRENT:
             return 1.0
         return 1.0 - float(self.harmonic_value(m)) * (tail_product(self.p) / self.p_float(1))
-
-    def _harmonic_denominator(self, level: int):
-        den = Fraction(1) if self.p.is_rational() else 1.0
-        for j in range(2, level + 1):
-            den *= self.p_at(j)
-        return den
 
 
 def _check_model(cfg: ChainConfig, sys) -> None:

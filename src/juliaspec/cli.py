@@ -89,7 +89,7 @@ def _cmd_render(rc: RunConfig, p: dict) -> int:
         rep = residual_l1(sys_, p["depth"])
         overlays.append((rep.points, (255, 255, 255)))
     elif p["overlay"] == "eigenvalues":
-        overlays.append((truncated_eigenvalues(sys_, p["trunc_size"]).tolist(), (255, 215, 0)))
+        overlays.append((truncated_eigenvalues(sys_, p["trunc_size"])[0], (255, 215, 0)))
 
     ppm_path, csv_path = f"{p['out_prefix']}.ppm", f"{p['out_prefix']}.csv"
     with open(ppm_path, "wb") as fh:

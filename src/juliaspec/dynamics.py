@@ -373,7 +373,11 @@ def factor_trace(sys: FiberedSystem, lam: complex, budget: int) -> FactorTrace:
 
 
 def factor_values(sys: FiberedSystem, lam: complex, count: int) -> list[complex]:
-    """Raw factors ι_λ(1..count) without stopping rules (may grow huge)."""
+    """Raw factors ι_λ(1..count) without stopping rules.
+
+    Past an overflow the entries are inf or NaN; `factor_trace` is the
+    checked route.
+    """
     count = check_int("count", count, 0, _LEVEL_CAP)
     lam = check_point("lambda", lam)
     if lam == 1:
@@ -386,7 +390,8 @@ def eigvec_head(sys: FiberedSystem, lam: complex, length: int) -> list[complex]:
 
     Entry n is Π_r ι_r^{a_r(n)} over the digits of n, each power by `_ipow`
     and the product taken from the lowest digit up.  Digit r runs only the
-    powers a < ⌈length / q_{r-1}⌉ that the head still needs.
+    powers a < ⌈length / q_{r-1}⌉ that the head still needs.  A head with an
+    inf or NaN entry, where λ escapes, is refused (OutOfRangeError).
     """
     length = check_int("length", length, 1, _PREIMAGE_CAP)
     head = [1 + 0j]
@@ -395,6 +400,8 @@ def eigvec_head(sys: FiberedSystem, lam: complex, length: int) -> list[complex]:
         for a in range(1, min(sys.digit_base(r), -(-length // q))):
             pw = _ipow(iota, a)
             head.extend([v * pw for v in head[: min(q, length - len(head))]])
+    if not all(map(cmath.isfinite, head)):
+        raise OutOfRangeError(f"eigenvector head at λ={lam}, length {length} overflows: λ escapes")
     return head
 
 

@@ -63,6 +63,9 @@ __all__ = [
 #: Rows of a dense matrix (128 MiB of float64 at the cap).
 _DENSE_CAP = 4096
 
+#: Eigenvalue CSV rows formatted per write.
+_CSV_BLOCK = 4096
+
 
 @dataclass(frozen=True, eq=False)
 class SparseTruncation:
@@ -338,8 +341,9 @@ def weyl_defect(
 # -- eigenvalue clouds -------------------------------------------------------
 
 
-def truncated_eigenvalues(sys: FiberedSystem, size: int) -> np.ndarray:
-    """Eigenvalues of the size×size truncation, sorted by decreasing modulus.
+def truncated_eigenvalues(sys: FiberedSystem, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(values, levels): the eigenvalues of the size×size truncation, sorted by
+    decreasing modulus, and levels[i] = k with values[i] in T_k.
 
     The modulus is Python's `abs`, the one `write_eigenvalue_csv` prints.
 
@@ -393,11 +397,12 @@ def truncated_eigenvalues(sys: FiberedSystem, size: int) -> np.ndarray:
     that of A_r, and r has the lower digits of size: induction on size.
     """
     size = check_int("truncation size", size, 1, _PREIMAGE_CAP)
-    digits = sys.base.to_digits(size)
-    vals = np.concatenate([level_tree(sys, k) for k, a in enumerate(digits) for _ in range(a)])
+    ks = [k for k, a in enumerate(sys.base.to_digits(size)) for _ in range(a)]
+    vals = np.concatenate([level_tree(sys, k) for k in ks])
+    levels = np.repeat(ks, list(map(sys.base.place_value, ks)))
     # np.abs may differ from Python's abs in the last bit; np.hypot does not.
     order = np.lexsort((vals.imag, vals.real, -np.hypot(vals.real, vals.imag)))
-    return vals[order]
+    return vals[order], levels[order]
 
 
 def _verdict(o: EscapeOutcome) -> str:
@@ -418,39 +423,42 @@ def _block_outcome(sys: FiberedSystem, k: int, budget: int) -> EscapeOutcome:
     return escape_classify(sys, sys.level(k + 1)[0], budget, start=k + 1)
 
 
-def eigenvalue_report(sys: FiberedSystem, size: int, budget: int = 60) -> list[dict]:
-    """Eigenvalues of the truncation tagged with their escape-test verdicts.
+def eigenvalue_report(
+    sys: FiberedSystem, size: int, budget: int = 60
+) -> tuple[np.ndarray, np.ndarray]:
+    """(values, verdicts): the truncation's eigenvalues, as `truncated_eigenvalues`
+    returns them, and the escape-test verdict of each.
 
     Each tree T_k of the union with k < budget is tagged once
-    (`_block_outcome`).  A tree with k >= budget ends its test before
-    f̃_{k+1} = 0: no point of it escapes, and only a trap disk can certify
-    one, so its points are tested one by one.  At a place value the
-    spectrum is one tree, so the escaped fraction is 0 or 1.  A point in two
-    trees T_j and T_k, j < k, gets the same tag from both: the orbit tested
-    from level j + 1 is 0 again at level k + 1, where the test of T_k
-    starts, and a trap it entered before that level still holds there.
+    (`_block_outcome`), and every point of it gets that tag.  A tree with
+    k >= budget ends its test before f̃_{k+1} = 0: no point of it escapes,
+    and only a trap disk can certify one, so its points are tested one by
+    one.  At a place value the spectrum is one tree, so the escaped fraction
+    is 0 or 1.  `verdicts` is an object array of the three verdict strings.
     """
     budget = check_int("budget", budget, 1, _LEVEL_CAP)
-    vals = truncated_eigenvalues(sys, size).tolist()
-    tags: dict[complex, str] = {}
-    for k, a in enumerate(sys.base.to_digits(size)):
-        if a and k < budget:
-            tag = _verdict(_block_outcome(sys, k, budget))
-            tags.update(dict.fromkeys(level_tree(sys, k).tolist(), tag))
-        elif a:
-            tags.update((lam, _verdict(escape_classify(sys, lam, budget)))
-                        for lam in level_tree(sys, k).tolist())
-    return [
-        {"re": lam.real, "im": lam.imag, "modulus": abs(lam), "verdict": tags[lam]}
-        for lam in vals
-    ]
+    values, levels = truncated_eigenvalues(sys, size)
+    verdicts = np.empty(values.size, dtype=object)
+    for k in np.flatnonzero(sys.base.to_digits(size)).tolist():
+        at = levels == k
+        if k < budget:
+            verdicts[at] = _verdict(_block_outcome(sys, k, budget))
+        else:
+            verdicts[at] = [_verdict(escape_classify(sys, lam, budget)) for lam in values[at].tolist()]
+    return values, verdicts
 
 
-def write_eigenvalue_csv(report: list[dict], fileobj) -> None:
-    """Write eigenvalue_report rows as re,im,modulus,verdict (floats by repr)."""
+def write_eigenvalue_csv(report: tuple[np.ndarray, np.ndarray], fileobj) -> None:
+    """Write eigenvalue_report's (values, verdicts) as re,im,modulus,verdict rows.
+
+    Floats by repr; the modulus is Python's `abs`.  One block of rows is
+    formatted at a time.
+    """
+    values, verdicts = report
     fileobj.write("re,im,modulus,verdict\n")
-    for row in report:
-        fileobj.write(f"{row['re']!r},{row['im']!r},{row['modulus']!r},{row['verdict']}\n")
+    for i in range(0, values.size, _CSV_BLOCK):
+        rows = zip(values[i : i + _CSV_BLOCK].tolist(), verdicts[i : i + _CSV_BLOCK].tolist())
+        fileobj.write("".join([f"{z.real!r},{z.imag!r},{abs(z)!r},{v}\n" for z, v in rows]))
 
 
 def write_matrix_csv(trunc: SparseTruncation, fileobj) -> None:

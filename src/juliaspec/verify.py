@@ -144,7 +144,7 @@ def _tree_vs_dense(cfg: ChainConfig, levels, sizes=()) -> tuple[bool, str]:
     sys = FiberedSystem(cfg.base, cfg.p)
     worst, worst_ratio, largest = 0.0, 0.0, 1
     for size in [cfg.base.place_value(n) for n in levels] + list(sizes):
-        tree = truncated_eigenvalues(sys, size)
+        tree, _ = truncated_eigenvalues(sys, size)
         dense = np.linalg.eigvals(build_truncation(cfg, size).to_dense())
         near = np.abs(tree[:, None] - tree[None, :]) <= 1e-6
         cluster, mult = near.argmax(axis=1), near.sum(axis=1)  # a cluster is named by its first point

@@ -235,11 +235,37 @@ def test_harmonic_vector_at_the_capacity_ceiling(chains):
 
 
 def test_harmonic_value_refuses_an_underflowed_product():
-    # p_j ~ 1e-200: p_2 alone is a float, p_2 p_3 underflows to 0.0.
-    cfg = ChainConfig(BaseSequence(2), random_uniform("1e-200", "1e-199", 3))
-    assert cfg.harmonic_value(2) == 1 / cfg.p_at(2) == 8.130997816363798e199
+    # harmonic_value(m) is p_1 / P_L with P_L from the level table, L = level_of(m).
+    # p_j ~ 1e-100: P_3 is a float, P_4 underflows to 0.0.
+    cfg = ChainConfig(BaseSequence(2), random_uniform("1e-100", "1e-99", 3))
+    assert cfg.harmonic_value(1) == 1.0
+    assert cfg.harmonic_value(4) == cfg.p_at(1) / cfg.success_prefix(3) == 4.223463771038372e199
     with pytest.raises(OutOfRangeError):
+        cfg.harmonic_value(8)
+    # p_j ~ 1e-200: P_2 = p_1 p_2 underflows already, so m = 2 is refused.
+    cfg = ChainConfig(BaseSequence(2), random_uniform("1e-200", "1e-199", 3))
+    assert cfg.success_prefix(2) == 0.0
+    with pytest.raises(OutOfRangeError):
+        cfg.harmonic_value(2)
+    # P_3 = (1/2) p_2 p_3 is subnormal but not 0; the quotient 1/2 / P_3 leaves the float range.
+    cfg = ChainConfig(BaseSequence(2), prefix_then(["1/2"], random_uniform("1e-155", "2e-155", 3)))
+    assert 0.0 < cfg.success_prefix(3) < 2.0**-1022
+    with pytest.raises(OutOfRangeError, match="m=4"):
         cfg.harmonic_value(4)
+
+
+def test_return_probability_never_reads_a_float_spec(monkeypatch):
+    # Only a random tail makes p̄ a float spec. With p_j = 1 throughout the chain is
+    # not irreducible, below 1 it is null recurrent and straddling 1 inconclusive:
+    # never transient, the one branch that reads harmonic_value.
+    monkeypatch.setattr(ChainConfig, "harmonic_value", None)
+    base = BaseSequence(2)
+    assert ChainConfig(base, random_uniform("1/2", "9/10", 3)).return_probability(5) == 1.0
+    assert ChainConfig(base, prefix_then(["1/3"], random_uniform("1/2", "9/10", 3))).return_probability(5) == 1.0
+    with pytest.raises(ConfigError):
+        ChainConfig(base, random_uniform("1/2", 1, 3)).return_probability(5)
+    with pytest.raises(NotIrreducibleError):
+        ChainConfig(base, random_uniform(1, 1, 3)).return_probability(5)
 
 
 def test_tail_product_lies_below_every_success_prefix(chains):

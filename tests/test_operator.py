@@ -6,6 +6,7 @@ support fits in the head; the column-0 coefficient telescopes to a closed
 form that a brute-force series sum must reproduce.
 """
 
+import cmath
 import io
 import json
 import tracemalloc
@@ -18,7 +19,7 @@ from eigvec_reference import eigvec_entry
 from scipy.optimize import linear_sum_assignment
 
 from juliaspec.chain import ChainConfig
-from juliaspec.dynamics import FiberedSystem, escape_classify, level_tree, preimages
+from juliaspec.dynamics import FiberedSystem, eigvec_head, escape_classify, level_tree, preimages
 from juliaspec.errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -207,6 +208,20 @@ def test_weyl_defect_raises_where_it_would_overflow(chains, systems):
         assert np.isfinite(weyl_defect(cfg, sys, 0.3 + 0.2j, level=9).defect)
 
 
+def test_a_head_with_an_inf_or_nan_entry_is_refused(chains, systems):
+    # λ = 3+i escapes the dendrite's filled set fast: its head of length 4096 once came
+    # back with 3,795 NaN entries, and weyl_vector at level 11 with 1,748.
+    cfg, sys = chains["dendrite"], systems["dendrite"]
+    with pytest.raises(OutOfRangeError, match=r"λ=\(3\+1j\), length 4096"):
+        eigvec_head(sys, 3 + 1j, 4096)
+    with pytest.raises(OutOfRangeError, match=r"eigenvector head at λ=\(3\+1j\)"):
+        weyl_vector(sys, 3 + 1j, 11, 4096)
+    with pytest.raises(OutOfRangeError, match=r"eigenvector head at λ=\(3\+1j\)"):
+        weyl_defect(cfg, sys, 3 + 1j, 11)
+    head = eigvec_head(sys, 3 + 1j, 16)  # short enough to stay finite
+    assert all(map(cmath.isfinite, head)) and abs(head[-1]) > 1e6
+
+
 def test_weyl_rows_inside_head_are_annihilated(chains, systems):
     # (A - lambda I) w vanishes on every row n < q_level: those rows read
     # only head columns, where w satisfies the eigen identity exactly.
@@ -285,8 +300,9 @@ def test_column0_coefficient_inconclusive_fallback():
 
 
 def test_truncated_eigenvalues_shape_and_bounds(systems):
-    vals = truncated_eigenvalues(systems["dendrite"], 32)
-    assert vals.shape == (32,)
+    vals, levels = truncated_eigenvalues(systems["dendrite"], 32)
+    assert vals.shape == levels.shape == (32,)
+    assert (levels == 5).all()  # 32 = q_5: the one tree T_5
     mods = np.abs(vals)
     # Sub-stochastic real matrix: spectrum in the closed unit disk,
     # sorted by non-increasing modulus, closed under conjugation.
@@ -299,9 +315,10 @@ def test_truncated_eigenvalues_shape_and_bounds(systems):
 
 def test_truncated_eigenvalues_cap(monkeypatch, systems):
     # Past the old 4096 cap of the dense route: q_12 + 1 is T_12 plus T_0.
-    vals = truncated_eigenvalues(systems["dendrite"], 4097)
+    vals, levels = truncated_eigenvalues(systems["dendrite"], 4097)
     assert vals.shape == (4097,)
     assert np.count_nonzero(vals == 0.5) == 1  # T_0 = {1 - p_1}
+    assert levels[vals == 0.5].tolist() == [0] and np.count_nonzero(levels == 12) == 4096
     # The 2^20 leaf cap refuses before any tree is built.
     import juliaspec.operator as op
 
@@ -342,13 +359,13 @@ def test_tree_route_matches_dense_eigensolve(chains, systems):
     for name, cfg in chains.items():
         sizes = [cfg.base.place_value(n) for n in range(7)] + [45, 100, 199]
         for size in sizes:
-            vals = truncated_eigenvalues(systems[name], size)
+            vals, _ = truncated_eigenvalues(systems[name], size)
             assert vals.shape == (size,)
             moduli = [abs(lam) for lam in vals.tolist()]  # the modulus the CSV prints
             assert all(a >= b for a, b in zip(moduli, moduli[1:])), (name, size)
             dense = np.linalg.eigvals(build_truncation(cfg, size).to_dense())
             assert _multiset_gap(vals, dense) <= 1e-11, (name, size)
-    assert truncated_eigenvalues(systems["dendrite"], 1).tolist() == [0.5]  # [1 - p_1]
+    assert truncated_eigenvalues(systems["dendrite"], 1)[0].tolist() == [0.5]  # [1 - p_1]
 
 
 def test_level_tree_is_the_zeros_tree_without_its_multiplicity(systems):
@@ -370,7 +387,7 @@ def test_tree_route_keeps_repeated_roots():
     # eigenvalue of the q_n truncation is then a d-fold root.
     base = BaseSequence(3)
     cfg = ChainConfig(base, prefix_then(["1/2", "1/2", "1"], constant("1/2")))
-    vals = truncated_eigenvalues(FiberedSystem(base, cfg.p), 9)
+    vals, _ = truncated_eigenvalues(FiberedSystem(base, cfg.p), 9)
     dense = np.linalg.eigvals(build_truncation(cfg, 9).to_dense())
     assert _multiset_gap(vals, dense) <= 1e-9
     assert len({complex(round(z.real, 6), round(z.imag, 6)) for z in vals}) == 3
@@ -383,7 +400,7 @@ def _lsa_tree_vs_dense(cfg, levels, sizes=()):
     sys = FiberedSystem(cfg.base, cfg.p)
     worst, worst_ratio, largest = 0.0, 0.0, 1
     for size in [cfg.base.place_value(n) for n in levels] + list(sizes):
-        tree = truncated_eigenvalues(sys, size)
+        tree, _ = truncated_eigenvalues(sys, size)
         dense = np.linalg.eigvals(build_truncation(cfg, size).to_dense())
         dist = np.abs(tree[:, None] - dense[None, :])
         rows, cols = linear_sum_assignment(dist)
@@ -441,21 +458,17 @@ def test_tree_vs_dense_fails_on_an_eigenvalue_past_its_tolerance(chains, monkeyp
 
 
 def test_tree_route_past_the_dense_cap(systems):
-    vals = truncated_eigenvalues(systems["dendrite"], 8192)  # q_13
+    vals, _ = truncated_eigenvalues(systems["dendrite"], 8192)  # q_13
     assert vals.shape == (8192,)
     err = max(abs(systems["dendrite"].composed(13, z) - 0.5) for z in vals)
     assert err <= 1e-8
 
 
 def test_eigenvalue_report_tags(systems):
-    rep = eigenvalue_report(systems["ternary-p12"], 27)
-    assert len(rep) == 27
-    allowed = {"escaped", "certified-bounded", "bounded-at-budget"}
-    for item in rep:
-        assert set(item) == {"re", "im", "modulus", "verdict"}
-        assert item["verdict"] in allowed
-        assert item["modulus"] == pytest.approx(abs(complex(item["re"], item["im"])))
-    json.dumps(rep)
+    values, verdicts = eigenvalue_report(systems["ternary-p12"], 27)
+    assert values.shape == verdicts.shape == (27,) and verdicts.dtype == object
+    assert values.tobytes() == truncated_eigenvalues(systems["ternary-p12"], 27)[0].tobytes()
+    assert set(verdicts.tolist()) <= {"escaped", "certified-bounded", "bounded-at-budget"}
 
 
 def test_eigenvalue_report_block_tags_match_per_lambda_tests(systems):
@@ -464,9 +477,9 @@ def test_eigenvalue_report_block_tags_match_per_lambda_tests(systems):
                (False, False): "bounded-at-budget"}
     for name, sys in systems.items():
         for size, budget in ((45, 40), (100, 3), (199, 60)):
-            for item in eigenvalue_report(sys, size, budget):
-                o = escape_classify(sys, complex(item["re"], item["im"]), budget)
-                assert item["verdict"] == verdict[o.escaped, o.certified_bounded], (name, size)
+            for lam, tag in zip(*eigenvalue_report(sys, size, budget)):
+                o = escape_classify(sys, complex(lam), budget)
+                assert tag == verdict[o.escaped, o.certified_bounded], (name, size)
 
 
 # -- CSV output --------------------------------------------------------------
@@ -523,7 +536,7 @@ def test_a_move_up_that_underflows_is_left_out():
 def test_numpy_hypot_equals_python_abs_bit_for_bit(systems):
     # truncated_eigenvalues sorts by np.hypot and write_eigenvalue_csv prints Python's abs;
     # the printed modulus column is non-increasing only while the two agree to the last bit.
-    pts = [lam for sys in systems.values() for lam in truncated_eigenvalues(sys, 4096).tolist()]
+    pts = [lam for sys in systems.values() for lam in truncated_eigenvalues(sys, 4096)[0].tolist()]
     rng = np.random.default_rng(20261021)
     pts.extend(complex(x, y) for x, y in rng.normal(size=(200_000, 2)).tolist())
     pts.extend([0j, 1j, -1 + 0j, complex(3, 4), complex(1e-300, 1e-300), complex(1e300, -1e300)])
