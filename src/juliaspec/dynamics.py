@@ -62,6 +62,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import count, islice
+from operator import attrgetter
 
 import numpy as np
 
@@ -570,7 +571,7 @@ def preimages(sys: FiberedSystem, target: complex, depth: int) -> list[complex]:
     (OutOfRangeError).
     """
     depth = check_int("depth", depth, 0)
-    check_int("preimage leaves", sys.base.place_value(depth), 1, _PREIMAGE_CAP)
+    _check_leaves(sys, depth)
     target = check_point("target", target)
     if depth == 0:
         return [target]
@@ -578,18 +579,28 @@ def preimages(sys: FiberedSystem, target: complex, depth: int) -> list[complex]:
         abs(target)  # the tree's first |u|
     except OverflowError:
         raise OutOfRangeError(f"target {target} has a modulus past the float range") from None
+    return _polished_tree(sys, target, depth).tolist()
+
+
+def _check_leaves(sys: FiberedSystem, depth: int) -> None:
+    """Refuse a tree of more than `_PREIMAGE_CAP` leaves, before anything is allocated for it."""
+    check_int("preimage leaves", sys.base.place_value(depth), 1, _PREIMAGE_CAP)
+
+
+def _polished_tree(sys: FiberedSystem, target: complex, depth: int, zeros=()) -> np.ndarray:
+    """The polished leaves of `_tree(sys, target, depth, zeros)`, as a complex array in tree order."""
     levels = _split_levels(sys, depth)
     # Overflow and NaN pass silently, as they do in `complex` arithmetic.
     with np.errstate(all="ignore"):
-        zr, zi = _tree(sys, target, depth)
+        zr, zi = _tree(sys, target, depth, zeros)
         out = np.empty(zr.size, dtype=complex)
         for lo in range(0, zr.size, _POLISH_BLOCK):
             block = slice(lo, lo + _POLISH_BLOCK)
             _polish_block(levels, target, zr[block], zi[block], out[block])
-    return out.tolist()
+    return out
 
 
-def _tree(sys: FiberedSystem, target: complex, depth: int):
+def _tree(sys: FiberedSystem, target: complex, depth: int, zeros=()):
     """The unpolished leaves of f̃_depth^{-1}{target} by branch recursion, as (re, im) arrays.
 
     Levels are peeled outermost-first: solutions of f̃_n = w are preimages
@@ -597,9 +608,17 @@ def _tree(sys: FiberedSystem, target: complex, depth: int):
     of u (`_droots`), and each root w becomes the child c + p·w.  A level
     with fewer than `_ARRAY_CHILDREN` children is built node by node in
     Python, a larger one by one array pass (`_children`); both give the same
-    bits, and the tree only grows, so the array passes come last.
+    bits.  `zeros` lists (index, position) pairs of nodes to leave out, with
+    every node under them, as each level is built: the node at index n and
+    position i of the whole tree is f̃_n of the leaves i·q_n up to
+    (i + 1)·q_n, and its children are at positions i·d + k.  The leaves left
+    come in tree order.
     """
+    drop: dict[int, list[int]] = {}
+    for n, i in zeros:
+        drop.setdefault(n, []).append(i)
     points, j = [target], depth
+    pos = [0] if drop else None  # the whole tree's positions of the nodes kept
     while j:
         c, p, d = sys.level(j)
         if len(points) * d >= _ARRAY_CHILDREN:
@@ -607,10 +626,22 @@ def _tree(sys: FiberedSystem, target: complex, depth: int):
         units = [_unit_root(k, d) for k in range(d)]
         points = [c + p * w for u in points for w in _droots(u, d, units)]
         j -= 1
+        if pos is not None:
+            pos = [i * d + k for i in pos for k in range(d)]
+            if j in drop:
+                gone = set(drop[j])
+                points = [z for z, i in zip(points, pos) if i not in gone]
+                pos = [i for i in pos if i not in gone]
     leaves = np.array(points, dtype=complex)
     zr, zi = leaves.real, leaves.imag
     for j in range(j, 0, -1):
-        zr, zi = _children(zr, zi, *sys.level(j))
+        c, p, d = sys.level(j)
+        zr, zi = _children(zr, zi, c, p, d)
+        if pos is not None:
+            pos = (np.asarray(pos)[:, None] * d + np.arange(d)).ravel()
+            if j - 1 in drop:
+                keep = ~np.isin(pos, drop[j - 1])
+                zr, zi, pos = zr[keep], zi[keep], pos[keep]
     return zr, zi
 
 
@@ -661,13 +692,18 @@ def level_tree(sys: FiberedSystem, k: int) -> np.ndarray:
     return tree
 
 
-def _near(pts: list, res: list[float], z, tol: float) -> list:
-    """The points of `pts` (sorted by real part `res`) with |re - z.re| <= 2·tol.
+_real_part = attrgetter("real")
+
+
+def _near(pts, z, tol: float) -> list:
+    """The points of `pts` (sorted by real part) with |re - z.re| <= 2·tol, by bisection.
 
     Any w with abs(z - w) <= tol lies in this window: the factor 2 covers the
-    rounding of z.re ± 2·tol and of z - w.
+    rounding of z.re ± 2·tol and of z - w.  The l^1 lookup of
+    `spectra.classify` reads the residual candidates through it.
     """
-    return pts[bisect_left(res, z.real - 2 * tol) : bisect_right(res, z.real + 2 * tol)]
+    lo = bisect_left(pts, z.real - 2 * tol, key=_real_part)
+    return pts[lo : bisect_right(pts, z.real + 2 * tol, lo, key=_real_part)]
 
 
 def dedup_points(points, tol: float) -> list[complex]:
@@ -675,16 +711,15 @@ def dedup_points(points, tol: float) -> list[complex]:
 
     Greedy: walking the points in sorted order, keep a point unless a kept one
     lies within tol.  Kept points are appended in order, so the candidates are
-    found by bisecting their real parts.  No program code calls it; it stays
-    while the benchmark's tracer (`perfbench/tracer.py`) wraps it.
+    found by bisecting their real parts (`_near`, which the l^1 lookup also
+    reads).  No program code calls it; it stays while the benchmark's tracer
+    (`perfbench/tracer.py`) wraps it.
     """
     tol = check_real("tol", tol, 0)
     kept: list[complex] = []
-    res: list[float] = []
     for z in sorted(points, key=lambda w: (w.real, w.imag)):
-        if not any(abs(z - w) <= tol for w in _near(kept, res, z, tol)):
+        if not any(abs(z - w) <= tol for w in _near(kept, z, tol)):
             kept.append(z)
-            res.append(z.real)
     return kept
 
 
@@ -705,8 +740,8 @@ def _rational_roots(v: Fraction, d: int) -> list[Fraction]:
     return [w, -w] if d % 2 == 0 else [w]
 
 
-def _zero_ranges(sys: FiberedSystem, depth: int) -> Iterator[slice]:
-    """The leaf ranges of `preimages(sys, 1, depth)` under a tree node that is exactly 0.
+def _zero_nodes(sys: FiberedSystem, depth: int) -> Iterator[tuple[int, int]]:
+    """(index, position) of each node of `preimages(sys, 1, depth)`'s tree that is exactly 0.
 
     The node at index n on a leaf z's path is f̃_n(z), the root (index depth)
     being 1.  Above a zero node at index n the path is the forward orbit
@@ -715,12 +750,11 @@ def _zero_ranges(sys: FiberedSystem, depth: int) -> Iterator[slice]:
     a walk down from the root along the real rational roots of the nonzero
     nodes, in exact arithmetic with p_j from `SequenceSpec.value_at` (a
     random spec's float is exact as a Fraction), meets every zero node not
-    under another one; those under one hold no leaf it does not.  The tree
-    lists the children of the node at position i at positions i·d + k,
-    k the index of the root among `_droots` of the node's float value; that
-    float value is carried along the walk, computed as the tree computes it,
-    and k is that of the float root nearest the exact one.  The zero node at
-    index n and position i holds leaves i·q_n up to (i + 1)·q_n.
+    under another one; those under one hold no leaf it does not, and are not
+    reported.  The tree lists the children of the node at position i at
+    positions i·d + k, k the index of the root among `_droots` of the node's
+    float value; that float value is carried along the walk, computed as the
+    tree computes it, and k is that of the float root nearest the exact one.
     """
     walk = [(depth, Fraction(1), 1 + 0j, 0)]  # (index, exact node, float node, position)
     while walk:
@@ -732,8 +766,7 @@ def _zero_ranges(sys: FiberedSystem, depth: int) -> Iterator[slice]:
             k = min(range(d), key=lambda m: abs(roots[m] - float(w)))
             child, pos = 1 - exact_p + exact_p * w, i * d + k
             if child == 0:
-                q = sys.base.place_value(n - 1)
-                yield slice(pos * q, pos * q + q)
+                yield n - 1, pos
             elif n > 1:
                 walk.append((n - 1, child, c + p * roots[k], pos))
 
@@ -746,16 +779,15 @@ def residual_set(sys: FiberedSystem, depth: int) -> tuple[complex, ...]:
     distinct points have disjoint preimage sets, so two leaves are one point
     only when their paths split at a node that is exactly 0; and a leaf z is a
     preimage of 0 at depth n exactly when its node f̃_n(z) is 0.  So X is the
-    set of polished leaves of `preimages(sys, 1, depth)` off the ranges that
-    `_zero_ranges` finds, with no tolerance.  The points come in sorted
-    (re, im) order, memoized per depth on the system.
+    set of polished leaves of `preimages(sys, 1, depth)` under no node that
+    `_zero_nodes` finds, with no tolerance.  The tree is built without those
+    nodes and what lies under them (`_tree`), so only the leaves of X are
+    built and polished: dendrite's X = {1} costs one leaf at any depth.  The
+    points come in sorted (re, im) order, memoized per depth on the system.
     """
     depth = check_int("depth", depth, 1)
     if depth not in sys._residual:
-        leaves = np.array(preimages(sys, 1.0, depth), dtype=complex)
-        keep = np.ones(leaves.size, dtype=bool)
-        for zero in _zero_ranges(sys, depth):
-            keep[zero] = False
-        leaves = leaves[keep]
+        _check_leaves(sys, depth)
+        leaves = _polished_tree(sys, 1 + 0j, depth, list(_zero_nodes(sys, depth)))
         sys._residual[depth] = tuple(leaves[np.lexsort((leaves.imag, leaves.real))].tolist())
     return sys._residual[depth]

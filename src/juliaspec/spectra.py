@@ -12,16 +12,20 @@ Decision rules are cited by descriptive identifiers in the witness payloads
 "point-empty-when-p-does-not-approach-1") so reports are self-describing.
 
 One orbit per λ: the escape test and the factor trace run at most once for
-a λ, and every space reads the same two results; `spectrum_summary` shares
-them across all its spaces.  Whether the point spectrum of a space is empty
-for every λ is decided in one place, in this order: on l^α the summability
-gate (Σ (1-p_j)^α diverges), then on c_0, c and l^α the gate "p̄ does not
-tend to 1" (c keeps its constant eigenvector at λ = 1).  The summary's
-per-space point entries and the per-λ verdicts both read that decision.
+a λ, and every space reads the same two results, and the same membership
+witness off l^∞; `spectrum_summary` shares them across all its spaces.  What
+a space's verdicts read of the space and of p̄ alone is worked out once per
+space, not once per λ (`_space_rules`).  That includes whether the point
+spectrum of a space is empty for every λ, decided in one place, in this
+order: on l^α the summability gate (Σ (1-p_j)^α diverges), then on c_0, c
+and l^α the gate "p̄ does not tend to 1" (c keeps its constant eigenvector
+at λ = 1).  The summary's per-space point entries and the per-λ verdicts
+both read that decision.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -33,6 +37,7 @@ from .dynamics import (
     FactorTrace,
     FiberedSystem,
     TraceStatus,
+    _near,
     escape_classify,
     factor_trace,
     residual_set,
@@ -79,6 +84,11 @@ class Space:
     alpha: float | None = None
 
     def __str__(self):
+        return self.name
+
+    @cached_property
+    def name(self) -> str:
+        """The space as the reports name it: linf, c0, c, or l followed by α."""
         if self.family == "lalpha":
             a = self.alpha
             return f"l{int(a)}" if float(a) == int(a) else f"l{a}"
@@ -148,6 +158,9 @@ class SpectralVerdict:
         }
 
 
+_SPECTRUM_RULE = "spectrum-equals-filled-set"
+
+
 class _Orbit:
     """One λ's orbit: its escape test and its factor trace, each run at most once, on first use."""
 
@@ -163,59 +176,89 @@ class _Orbit:
     def trace(self) -> FactorTrace:
         return factor_trace(self.sys, self.lam, self.budget)
 
+    @cached_property
+    def membership(self) -> tuple[Membership, dict]:
+        """λ's membership in the spectrum and its witness, read by every space.
 
-def _verdict(
-    lam, space, membership, rules, part=SpectralPart.NOT_APPLICABLE, trace=None, **fields
-) -> SpectralVerdict:
-    """A verdict whose witness holds the trace summary, the rules and `fields` ('_' read as '-')."""
-    wit: dict = {}
-    if trace is not None:
-        wit = {
+        The witness is shared: a caller adding to it copies it first.  On l^∞
+        a certified member also gets the point part (`_membership`).
+        """
+        out = self.escape
+        if out.escaped:
+            rules = [_SPECTRUM_RULE, "escape-certificate"]
+            return Membership.NOT_IN_SPECTRUM, {
+                "rules": rules, "escape-step": out.step, "modulus": out.modulus,
+            }
+        if out.certified_bounded:
+            return Membership.IN_SPECTRUM, {"rules": [_SPECTRUM_RULE, "bounded-orbit-certificate"]}
+        return Membership.INSIDE_BUDGET_UNKNOWN, {
+            "rules": [_SPECTRUM_RULE], "modulus-at-budget": out.modulus, "budget": self.budget,
+        }
+
+    @cached_property
+    def trace_witness(self) -> dict:
+        """The trace's summary, which every witness resting on the trace starts from.
+
+        Shared like `membership`'s witness.
+        """
+        trace = self.trace
+        return {
             "trace-status": trace.status.value,
             "trace-index": trace.status_index,
             "trace-length": len(trace.values),
             "last-factors": [[v.real, v.imag] for v in trace.values[-3:]],
         }
-    wit["rules"] = list(rules)
-    wit.update((k.replace("_", "-"), v) for k, v in fields.items())
-    return SpectralVerdict(lam, space, membership, part, wit)
 
 
-def _point_gate(p, space: Space) -> str | None:
-    """The rule emptying the point spectrum on c_0, c or l^α for every λ (on c: every λ ≠ 1).
+@dataclass(frozen=True)
+class _SpaceRules:
+    """What every verdict on one space reads of the space and of p̄ alone, worked out once.
 
-    The only place this is decided.  On l^α the summability gate comes
-    first; then, on every space, p̄ provably not tending to 1 (l^α ⊂ c_0,
-    and the eigenvector is unique up to scale).  None: no gate holds.
+    gate: the rule emptying the point spectrum for every λ (on c: every
+    λ ≠ 1), or None.  tag: the rules an l^α point verdict adds to the c_0
+    reading, or None where that reading is not certified.  residual: the
+    space's `residual_verdict`.  report: the l^1 residual report, on l^1
+    only.
     """
-    if space.family == "lalpha" and sum_alpha_verdict(p, space.alpha) is SumVerdict.DIVERGES:
-        return "summability-gate-alpha"
-    if not limit_is_one(p):
-        return "point-empty-when-p-does-not-approach-1"
-    return None
+
+    space: Space
+    gate: str | None
+    tag: tuple[str, ...] | None
+    residual: dict
+    extra: dict  # {"alpha": α} on l^α, else empty
+    report: ResidualReport | None
+
+
+def _space_rules(p, space: Space, report: ResidualReport | None = None) -> _SpaceRules:
+    """The `_SpaceRules` of space for p̄, with the l^1 residual report when space is l^1.
+
+    The point gate is decided here only.  On l^α the summability gate comes
+    first; then, on every space, p̄ provably not tending to 1 (l^α ⊂ c_0,
+    and the eigenvector is unique up to scale).  On l^α the c_0 reading
+    needs p̄ monotone with a convergent series.
+    """
+    lalpha = space.family == "lalpha"
+    gate, tag = None, ()
+    if lalpha and sum_alpha_verdict(p, space.alpha) is SumVerdict.DIVERGES:
+        gate = "summability-gate-alpha"
+    elif not limit_is_one(p):
+        gate = "point-empty-when-p-does-not-approach-1"
+    elif lalpha:
+        summable = sum_alpha_verdict(p, space.alpha) is SumVerdict.CONVERGES
+        tag = ("monotone-summable-matches-c0",) if monotone_increasing(p) and summable else None
+    extra = {"alpha": space.alpha} if lalpha else {}
+    return _SpaceRules(space, gate, tag, residual_verdict(space), extra, report)
 
 
 # -- membership in the spectrum (= the filled set) --------------------------
 
 
 def _membership(orbit: _Orbit, space: Space) -> SpectralVerdict:
-    out, lam = orbit.escape, orbit.lam
-    if out.escaped:
-        return _verdict(
-            lam, space, Membership.NOT_IN_SPECTRUM,
-            ["spectrum-equals-filled-set", "escape-certificate"],
-            escape_step=out.step, modulus=out.modulus,
-        )
-    if out.certified_bounded:
-        rules = ["spectrum-equals-filled-set", "bounded-orbit-certificate"]
-        if space.family == "linf":
-            rules.append("linf-spectrum-is-point-spectrum")
-            return _verdict(lam, space, Membership.IN_SPECTRUM, rules, SpectralPart.POINT)
-        return _verdict(lam, space, Membership.IN_SPECTRUM, rules)
-    return _verdict(
-        lam, space, Membership.INSIDE_BUDGET_UNKNOWN, ["spectrum-equals-filled-set"],
-        modulus_at_budget=out.modulus, budget=orbit.budget,
-    )
+    memb, wit = orbit.membership
+    if memb is Membership.IN_SPECTRUM and space.family == "linf":
+        rules = [*wit["rules"], "linf-spectrum-is-point-spectrum"]
+        return SpectralVerdict(orbit.lam, space, memb, SpectralPart.POINT, {"rules": rules})
+    return SpectralVerdict(orbit.lam, space, memb, SpectralPart.NOT_APPLICABLE, wit)
 
 
 def spectrum_membership(
@@ -236,40 +279,40 @@ def spectrum_membership(
 # -- point spectra ----------------------------------------------------------
 
 
-def _point(orbit: _Orbit, space: Space) -> SpectralVerdict:
-    """Point-spectrum verdict on c_0, c or l^α: c's unit eigenvalue, the gate, then the trace."""
-    lam, p = orbit.lam, orbit.sys.p
-    if space.family == "c" and lam == 1:
+def _point(orbit: _Orbit, sr: _SpaceRules) -> tuple[Membership, SpectralPart, dict]:
+    """Point-spectrum (membership, part, witness) on c_0, c or l^α, the witness a new dict.
+
+    c's unit eigenvalue first, then the gate, then the trace.
+    """
+    if sr.space.family == "c" and orbit.lam == 1:
         rules = ["unit-eigenvalue-constant-eigenvector"]
-        return _verdict(lam, space, Membership.IN_SPECTRUM, rules, SpectralPart.POINT)
-    lalpha = space.family == "lalpha"
-    extra = {"alpha": space.alpha} if lalpha else {}
-    gate = _point_gate(p, space)
-    if gate:
-        return _verdict(lam, space, Membership.NOT_IN_SPECTRUM, [gate], **extra)
-    trace = orbit.trace
+        return Membership.IN_SPECTRUM, SpectralPart.POINT, {"rules": rules}
+    out, unknown = Membership.NOT_IN_SPECTRUM, Membership.INSIDE_BUDGET_UNKNOWN
+    na = SpectralPart.NOT_APPLICABLE
+    if sr.gate:
+        return out, na, {"rules": [sr.gate], **sr.extra}
+    trace, tw = orbit.trace, orbit.trace_witness
     if trace.status is TraceStatus.ESCAPED:
-        return _verdict(lam, space, Membership.NOT_IN_SPECTRUM, ["escape-certificate"], trace=trace)
-    tag = []
-    if lalpha:
-        # On l^α the c_0 reading below needs p̄ monotone with a convergent series.
-        summable = sum_alpha_verdict(p, space.alpha) is SumVerdict.CONVERGES
-        if not (monotone_increasing(p) and summable):
-            return _verdict(lam, space, Membership.INSIDE_BUDGET_UNKNOWN, [], trace=trace, **extra)
-        tag = ["monotone-summable-matches-c0"]
+        return out, na, {**tw, "rules": ["escape-certificate"]}
+    tag = sr.tag
+    if tag is None:
+        return unknown, na, {**tw, "rules": [], **sr.extra}
     if trace.status is TraceStatus.CONVERGES_TO_ONE:
-        rules = ["factors-approach-1-no-decay", *tag]
-        return _verdict(lam, space, Membership.NOT_IN_SPECTRUM, rules, trace=trace, **extra)
+        return out, na, {**tw, "rules": ["factors-approach-1-no-decay", *tag], **sr.extra}
     if trace.status is TraceStatus.BOUNDED_AT_BUDGET:
-        return _verdict(lam, space, Membership.INSIDE_BUDGET_UNKNOWN, tag, trace=trace, **extra)
+        return unknown, na, {**tw, "rules": [*tag], **sr.extra}
     k = trace.status_index
-    if lalpha:
-        extra["alpha_series_partial"] = _series_product(orbit.sys, trace.values[:8], space.alpha)
-    rules = ["contraction-certificate-rho", *tag]
-    return _verdict(
-        lam, space, Membership.IN_SPECTRUM, rules, SpectralPart.POINT, trace=trace,
-        rho=RHO, certificate_index=k, factor_modulus=abs(trace.values[k - 1]), **extra,
-    )
+    wit = {
+        **tw, "rules": ["contraction-certificate-rho", *tag],
+        "rho": RHO, "certificate-index": k, "factor-modulus": abs(trace.values[k - 1]), **sr.extra,
+    }
+    if sr.space.family == "lalpha":
+        wit["alpha-series-partial"] = _series_product(orbit.sys, trace.values[:8], sr.space.alpha)
+    return Membership.IN_SPECTRUM, SpectralPart.POINT, wit
+
+
+def _point_verdict(orbit: _Orbit, space: Space) -> SpectralVerdict:
+    return SpectralVerdict(orbit.lam, space, *_point(orbit, _space_rules(orbit.sys.p, space)))
 
 
 def point_c0(sys: FiberedSystem, lam: complex, budget: int) -> SpectralVerdict:
@@ -283,12 +326,12 @@ def point_c0(sys: FiberedSystem, lam: complex, budget: int) -> SpectralVerdict:
     and λ is a certified eigenvalue; factors locked at 1 certify a
     non-decaying eigenvector.
     """
-    return _point(_Orbit(sys, lam, budget), C0)
+    return _point_verdict(_Orbit(sys, lam, budget), C0)
 
 
 def point_c(sys: FiberedSystem, lam: complex, budget: int) -> SpectralVerdict:
     """Point spectrum on c: that of c_0, plus λ = 1 (constant eigenvector)."""
-    return _point(_Orbit(sys, lam, budget), C)
+    return _point_verdict(_Orbit(sys, lam, budget), C)
 
 
 def point_lalpha(
@@ -303,7 +346,7 @@ def point_lalpha(
     "monotone-summable-matches-c0" (and, for an eigenvalue, with a partial
     sum of the eigenvector's α-series).  Otherwise only escape decides.
     """
-    return _point(_Orbit(sys, lam, budget), l_alpha(alpha))
+    return _point_verdict(_Orbit(sys, lam, budget), l_alpha(alpha))
 
 
 def _series_product(sys: FiberedSystem, factors, alpha: float) -> float:
@@ -330,6 +373,7 @@ class ResidualReport:
     set X equals the residual spectrum), "subset" (∏p_j = 0 only — X is a
     certified subset), "transient" (∏p_j > 0 — preimages of 1 are certified
     outside; emptiness is conjectured, not proven), or "unresolved".
+    points: X in sorted (re, im) order, which the l^1 lookup bisects.
     """
 
     depth: int
@@ -402,42 +446,46 @@ def residual_verdict(space: Space) -> dict:
 # -- combined per-λ classification and per-config summary -------------------
 
 
-def _classify(orbit: _Orbit, space: Space, report: ResidualReport | None) -> SpectralVerdict:
-    """The verdict on `space`; `report` is the l^1 residual report, read only on l^1."""
-    lam = orbit.lam
+def _classify(orbit: _Orbit, sr: _SpaceRules) -> SpectralVerdict:
+    """The verdict on sr's space; on l^1 λ is first looked up among the residual candidates.
+
+    The candidates are sorted by (re, im), so only those whose real part lies
+    within 2·tol of λ's are read (`dynamics._near`): any point within tol of
+    λ is among them.  The nearest of them is the nearest of all whenever it
+    lies within tol, so the distance has the bits of a scan over every point.
+    """
+    lam, space = orbit.lam, sr.space
     if space.family == "linf":
         return _membership(orbit, space)
 
-    if space == _L1:
-        hit = min((abs(lam - z) for z in report.points), default=float("inf"))
+    report = sr.report
+    if report is not None:
+        hit = min((abs(lam - z) for z in _near(report.points, lam, report.tol)), default=math.inf)
         if hit <= report.tol:
-            return _verdict(
-                lam, space, Membership.IN_SPECTRUM,
-                ["residual-l1-subset-of-one-preimages", f"residual-l1-{report.regime}-regime"],
-                SpectralPart.RESIDUAL_CANDIDATE, distance=hit, depth=report.depth,
-            )
+            rules = ["residual-l1-subset-of-one-preimages", f"residual-l1-{report.regime}-regime"]
+            wit = {"rules": rules, "distance": hit, "depth": report.depth}
+            part = SpectralPart.RESIDUAL_CANDIDATE
+            return SpectralVerdict(lam, space, Membership.IN_SPECTRUM, part, wit)
 
-    memb = _membership(orbit, space)
-    if memb.membership is Membership.NOT_IN_SPECTRUM:
-        return memb
-    pointv = _point(orbit, space)
-    if pointv.membership is Membership.IN_SPECTRUM:
-        return pointv
-    unknown = Membership.INSIDE_BUDGET_UNKNOWN
-    if pointv.membership is unknown:
-        wit = {**memb.witness, "point-part": "undecided at budget"}
-        return SpectralVerdict(lam, space, memb.membership, SpectralPart.NOT_APPLICABLE, wit)
-    wit = {**pointv.witness, "point-part": "excluded"}
-    if memb.membership is unknown:
-        return SpectralVerdict(lam, space, unknown, SpectralPart.NOT_APPLICABLE, wit)
-    wit["rules"] = memb.witness["rules"] + wit["rules"]  # in-spectrum rests on this certificate
-    resid = residual_verdict(space)
-    if resid["residual"] == "empty":
-        wit["rules"] = wit["rules"] + [resid["rule"]]
+    memb, mwit = orbit.membership
+    na = SpectralPart.NOT_APPLICABLE
+    if memb is Membership.NOT_IN_SPECTRUM:
+        return SpectralVerdict(lam, space, memb, na, mwit)
+    point, part, wit = _point(orbit, sr)
+    if point is Membership.IN_SPECTRUM:
+        return SpectralVerdict(lam, space, point, part, wit)
+    if point is Membership.INSIDE_BUDGET_UNKNOWN:
+        return SpectralVerdict(lam, space, memb, na, {**mwit, "point-part": "undecided at budget"})
+    wit["point-part"] = "excluded"
+    if memb is Membership.INSIDE_BUDGET_UNKNOWN:
+        return SpectralVerdict(lam, space, memb, na, wit)
+    wit["rules"] = mwit["rules"] + wit["rules"]  # in-spectrum rests on this certificate
+    if sr.residual["residual"] == "empty":
+        wit["rules"].append(sr.residual["rule"])
         part = SpectralPart.CONTINUOUS_BY_ELIMINATION
     else:
         wit["residual"] = "excluded only to truncation depth"
-        part = SpectralPart.NOT_APPLICABLE
+        part = na
     return SpectralVerdict(lam, space, Membership.IN_SPECTRUM, part, wit)
 
 
@@ -452,11 +500,14 @@ def classify(
 
     On l^1 the residual candidates are `residual_l1` at this depth, as in
     `spectrum_summary`, and λ is one of them when it lies within the
-    report's `tol` of a point.  λ and the budget are checked before that set
-    is built.
+    report's `tol` of a point.  The lookup bisects the sorted candidates to
+    those whose real part lies within 2·tol of λ's, which hold every point
+    within tol (`dynamics._near`), so it reads O(log |X|) points, not |X|.
+    λ and the budget are checked before that set is built.
     """
     orbit = _Orbit(sys, lam, budget)
-    return _classify(orbit, space, residual_l1(sys, depth) if space == _L1 else None)
+    report = residual_l1(sys, depth) if space == _L1 else None
+    return _classify(orbit, _space_rules(sys.p, space, report))
 
 
 _CONTRACTION_POINT = {
@@ -485,9 +536,11 @@ def spectrum_summary(
 ) -> dict:
     """Per-space summary report (JSON-ready) with optional per-λ verdicts.
 
-    Each λ's orbit is run once and read on every space, and the l^1 residual
-    report is built once, for the l^1 entry, and read by every λ.  chain_cfg
-    and sys must be built from the same (d̄, p̄).
+    Each λ's orbit is run once and read on every space, what each space's
+    verdicts read of the space and of p̄ is worked out once, and the l^1
+    residual report is built once, for the l^1 entry, and read by every λ.
+    A λ's verdicts on c_0, c and l^α may share witness objects; the report
+    is for reading.  chain_cfg and sys must be built from the same (d̄, p̄).
     """
     _check_model(chain_cfg, sys)
     budget = check_int("budget", budget, 1, _LEVEL_CAP)  # before the residual set is built
@@ -501,25 +554,29 @@ def spectrum_summary(
         "recurrence": recurrence,
         "spectrum": {
             "description": "spectrum equals the filled set of the fibered dynamics",
-            "rule": "spectrum-equals-filled-set",
+            "rule": _SPECTRUM_RULE,
         },
         "spaces": {},
     }
     l1_report = None
+    space_rules = []
     for space in spaces:
-        entry: dict = {"residual": residual_verdict(space)}
-        gate = _point_gate(sys.p, space)
+        res = None
+        if space == _L1:
+            l1_report = res = l1_report or residual_l1(sys, depth)
+        sr = _space_rules(sys.p, space, res)
+        space_rules.append(sr)
+        entry: dict = {"residual": sr.residual}
         entry["point"] = dict(
             _STATIC_POINT.get(space.family)
-            or ({"description": "empty", "rule": gate} if gate else _CONTRACTION_POINT)
+            or ({"description": "empty", "rule": sr.gate} if sr.gate else _CONTRACTION_POINT)
         )
-        if space == _L1:
-            l1_report = l1_report or residual_l1(sys, depth)
-            entry["residual-set"] = l1_report.to_json()
+        if res is not None:
+            entry["residual-set"] = res.to_json()
         report["spaces"][str(space)] = entry
     if lams:
         report["lambdas"] = [
-            {str(space): _classify(orbit, space, l1_report).to_json() for space in spaces}
+            {str(sr.space): _classify(orbit, sr).to_json() for sr in space_rules}
             for orbit in (_Orbit(sys, lam, budget) for lam in lams)
         ]
     return report

@@ -63,6 +63,39 @@ def test_indented_json_on_reports():
         assert indented_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
+# The writer keeps each nonzero float's text for the rest of the document, and
+# 0.0 == -0.0 as dict keys, so these put both zeros, and NaN and ±inf, into one
+# document beside repeated values: a shared zero would print one with the other's sign.
+_NP = np.float64
+_MIXED = [
+    {"a": 0.0, "b": -0.0},
+    {"a": -0.0, "b": 0.0, "c": -0.0},
+    [0.0, -0.0, 0.0, -0.0],
+    [-0.0, 0.0],
+    (0.0, -0.0),
+    {"x": 0.0, "y": [-0.0, [0.0, {"z": -0.0}]]},
+    [{"deep": [[[-0.0]]]}, 0.0, [[0.0]], -0.0],
+    {"a": _NP(0.0), "b": _NP(-0.0), "c": [-0.0, _NP(0.0)]},
+    [math.nan, math.nan, float("nan"), _NP("nan"), -math.nan],
+    [math.inf, -math.inf, math.inf, _NP("inf"), _NP("-inf"), -math.inf],
+    {"n": math.nan, "p": math.inf, "m": -math.inf, "z": 0.0, "w": -0.0, "l": [math.nan, -0.0, math.inf]},
+    [0.1, 0.1, _NP(0.1), [0.1, {"k": 0.1}], -0.1, _NP(-0.1), 1e-320, 1e-320, -1e-320],
+    {"a": [1.5, -1.5], "b": [1.5, -1.5], "c": {"d": 1.5, "e": _NP(1.5), "f": -0.0}},
+    [1.0, 1, 1.0, True, 1.0, _NP(1.0), 2.5e300, 2.5e300, -2.5e300],
+]
+
+
+@pytest.mark.parametrize("obj", _MIXED)
+def test_signed_zeros_specials_and_repeats_in_one_document(obj):
+    assert indented_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_signed_zeros_keep_their_signs():
+    assert indented_json({"a": 0.0, "b": -0.0}) == '{\n  "a": 0.0,\n  "b": -0.0\n}'
+    assert indented_json([-0.0, 0.0]) == "[\n  -0.0,\n  0.0\n]"
+    assert indented_json(-0.0) == "-0.0" and indented_json(0.0) == "0.0"
+
+
 @pytest.mark.parametrize("obj", [
     1j,
     np.int64(3),

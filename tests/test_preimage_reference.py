@@ -336,23 +336,40 @@ def test_residual_set_built_once_per_system(monkeypatch):
     import juliaspec.dynamics as dyn
 
     calls = []
-    real = dyn.preimages
+    real = dyn._polished_tree
 
-    def counting(*args, **kwargs):
-        calls.append(args[2] if len(args) > 2 else kwargs["depth"])
-        return real(*args, **kwargs)
+    def counting(sys, target, depth, *args):
+        calls.append(depth)
+        return real(sys, target, depth, *args)
 
-    monkeypatch.setattr(dyn, "preimages", counting)
+    monkeypatch.setattr(dyn, "_polished_tree", counting)
     rc = canonical_config("binary-p34")
     sys = rc.system()
     depth = 4
     lams = [0.1 + 0.2j, -0.3j, 0.5, 0.9 + 0.1j, 1.0]
     report = spectrum_summary(rc.chain(), sys, lams=lams, depth=depth, alphas=(1.0,))
     assert len(report["lambdas"]) == 5
-    # One tree, that of the ones, in a single build: no zero trees.
+    # One tree, that of the ones without its zero nodes, in a single build: no zero trees.
     assert calls == [depth]
     assert residual_set(sys, depth) is residual_set(sys, depth)
     assert calls == [depth]
+
+
+def test_residual_set_builds_only_the_leaves_off_the_zero_paths(monkeypatch):
+    # Dendrite's X is {1}: at every level one child of the node 1 is 0, so the
+    # tree without its zero nodes has one node per level and one leaf to polish.
+    import juliaspec.dynamics as dyn
+
+    sizes, real = [], dyn._polish_block
+
+    def counting(levels, target, zr, zi, out):
+        sizes.append(zr.size)
+        return real(levels, target, zr, zi, out)
+
+    monkeypatch.setattr(dyn, "_polish_block", counting)
+    sys = canonical_config("dendrite").system()
+    assert residual_set(sys, 20) == (1 + 0j,)
+    assert sizes == [1]
 
 
 # -- the residual set against brute force ------------------------------------

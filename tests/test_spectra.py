@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from eigvec_reference import dual_consistency_residual, series_partial_sum
 
 import juliaspec.spectra as spectra
+from juliaspec.canonical import CANONICAL_NAMES, canonical_config
 from juliaspec.chain import ChainConfig
-from juliaspec.dynamics import FiberedSystem, eigvec_head, factor_values
+from juliaspec.dynamics import FiberedSystem, eigvec_head, factor_values, preimages
 from juliaspec.errors import BudgetExceededError, JuliaspecError, OutOfRangeError
 from juliaspec.numeration import BaseSequence
 from juliaspec.sequences import constant, geometric, periodic, random_uniform
@@ -233,6 +234,62 @@ def test_residual_l1_regimes(systems):
         FiberedSystem(BaseSequence(2), random_uniform("1/2", 1, 4)), depth=2
     )
     assert unres.regime == "unresolved"
+
+
+# The l^1 lookup reads only the candidates whose real part lies within 2·tol of
+# λ's.  Against a scan of every point it must give the same verdict and the same
+# distance bits; λ sits on a point, at tol·(1 ± 1e-6) from it along re and im
+# (either side of the hit radius), and with the point just inside and just
+# outside the window's edge.  The scan takes np.hypot, which is Python's abs
+# bit for bit (tests/test_operator.py pins that).
+_HIT_EDGES = [f * r for r in (1 - 1e-6, 1 + 1e-6) for f in (1, -1, 1j, -1j)]
+_WINDOW_EDGES = [f * 2 * r for r in (1 - 1e-6, 1 + 1e-6) for f in (1, -1)]
+
+
+@pytest.mark.parametrize("name", CANONICAL_NAMES)
+def test_l1_lookup_matches_a_scan_of_every_point(name):
+    sys = canonical_config(name).system()
+    rng = np.random.default_rng(2031)
+    for depth in range(1, 9):
+        report = residual_l1(sys, depth)
+        tol = report.tol
+        pts = np.array(report.points, dtype=complex)
+        # A transient system has no candidates: λ then goes where the preimages of 1 are.
+        around = pts if pts.size else np.array(preimages(sys, 1.0, min(depth, 6)))
+        if around.size > 256:
+            around = around[rng.choice(around.size, 256, replace=False)]
+        for z in around.tolist():
+            for off in [0j, *(tol * e for e in _HIT_EDGES), *(tol * e for e in _WINDOW_EDGES)]:
+                lam = z + off
+                v = classify(sys, lam, l_alpha(1), budget=1, depth=depth)
+                scan = np.hypot(lam.real - pts.real, lam.imag - pts.imag).min() if pts.size else np.inf
+                if scan <= tol:
+                    assert v.part is SpectralPart.RESIDUAL_CANDIDATE, (name, depth, lam)
+                    assert v.witness["distance"].hex() == float(scan).hex(), (name, depth, lam)
+                else:
+                    assert v.part is not SpectralPart.RESIDUAL_CANDIDATE, (name, depth, lam)
+
+
+def test_l1_lookup_reads_a_handful_of_candidates(monkeypatch):
+    reads, real = [], spectra._near
+
+    def counting(pts, z, tol):
+        out = real(pts, z, tol)
+        reads.append(len(out))
+        return out
+
+    monkeypatch.setattr(spectra, "_near", counting)
+    rc = canonical_config("mixed23-harmonic")
+    sys = rc.system()
+    points = residual_l1(sys, 10).points
+    assert len(points) == 7776
+    rng = np.random.default_rng(2031)
+    lams = [complex(a, b) for a, b in rng.uniform(-1, 1, (128, 2))]
+    lams += [points[i] for i in rng.choice(len(points), 128, replace=False)]
+    rep = spectrum_summary(rc.chain(), sys, lams=lams, budget=60, depth=10)
+    hits = [row["l1"]["part"] == SpectralPart.RESIDUAL_CANDIDATE.value for row in rep["lambdas"]]
+    assert sum(hits) >= 128
+    assert len(reads) == 256 and max(reads) <= 4
 
 
 def test_residual_verdict_families():
