@@ -12,6 +12,7 @@ binary-geometric   d≡2, p_j = 1 - 4^{-j}               p -> 1 geometrically,
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
 
@@ -29,14 +30,23 @@ CANONICAL_NAMES = (
 )
 
 
+@functools.cache
+def _packaged_text(name: str) -> str:
+    """The packaged JSON document of one canonical name, read once per process."""
+    return resources.files("juliaspec.configs").joinpath(f"{name}.json").read_text("utf-8")
+
+
 def canonical_config(name: str) -> RunConfig:
-    """Load one packaged canonical configuration by name."""
+    """Load one packaged canonical configuration by name.
+
+    The package data is read once per process (`_packaged_text`); every call
+    parses that text into a fresh `RunConfig`, so no caller shares one.
+    """
     if name not in CANONICAL_NAMES:
         raise ConfigError(
             f"unknown canonical config {name!r}; choose one of {', '.join(CANONICAL_NAMES)}"
         )
-    text = resources.files("juliaspec.configs").joinpath(f"{name}.json").read_text("utf-8")
-    return parse_config(json.loads(text))
+    return parse_config(json.loads(_packaged_text(name)))
 
 
 def all_canonical() -> dict[str, RunConfig]:

@@ -59,7 +59,6 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
 from itertools import count, islice
 from operator import attrgetter
@@ -101,7 +100,8 @@ _CYCLE_SEARCH = 1000
 #: Leaves of a preimage tree, rows of a truncation and entries of an
 #: eigenvector head: about 16 B each per array, several arrays at once.
 _PREIMAGE_CAP = 1 << 20
-#: Leaves per array pass of the Newton polish; bounds its working memory.
+#: Leaves per block of the Newton polish; bounds its working memory, whose
+#: largest pass holds 3 candidates per leaf.
 _POLISH_BLOCK = 4096
 #: Children of a tree level from which it is built as one array pass.  A pass
 #: makes ~40 numpy calls whatever its size: it breaks even with the node-by-node
@@ -529,11 +529,16 @@ def _composed_arrays(levels, zr, zi, derivative: bool):
 def _polish_block(levels, target: complex, zr, zi, out):
     """One damped Newton pass on f̃_depth(z) - target for every point z = zr + i·zi, into out.
 
-    Per point: take the Newton step, then keep the first of z - step,
-    z - step/2, z - step/4, z - step/8 whose residual is no larger than that of
-    z, else z itself.  Each try evaluates only the points still undecided.
-    `out` is a complex array the size of zr; its real and imaginary parts are
-    assigned apart, which keeps every sign of zero.
+    Per point: take the Newton step s, then keep the first of z - s, z - s/2,
+    z - s/4, z - s/8 whose residual is no larger than that of z, else z
+    itself; each halving divides the step before it by 2 + 0j.  Three
+    composition passes at most: one with the derivative over every point,
+    one for z - s over the points it can move, and one for the three halved
+    steps together over the points that z - s left undecided.  The last
+    pass evaluates up to 3·`_POLISH_BLOCK` candidates, and a point's bits
+    are those of trying its candidates one after another.  `out` is a
+    complex array the size of zr; its real and imaginary parts are assigned
+    apart, which keeps every sign of zero.
     """
     out.real, out.imag = zr, zi
     vr, vi, dr, di = _composed_arrays(levels, zr, zi, derivative=True)
@@ -544,16 +549,19 @@ def _polish_block(levels, target: complex, zr, zi, out):
         return
     sr, si = _c_div(er[idx], ei[idx], dr[idx], di[idx])
     best = best[idx]
-    for _ in range(4):
-        cr, ci = zr[idx] - sr, zi[idx] - si
-        vr, vi, _, _ = _composed_arrays(levels, cr, ci, derivative=False)
-        ok = np.hypot(vr - target.real, vi - target.imag) <= best
-        out.real[idx[ok]], out.imag[idx[ok]] = cr[ok], ci[ok]
-        miss = ~ok
-        if not miss.any():
-            break
-        idx, best = idx[miss], best[miss]
-        sr, si = _c_div_real(sr[miss], si[miss], _HALVE)
+    for tries in (1, 3):  # z - s, then z - s/2, z - s/4 and z - s/8 in one pass
+        hr, hi = np.empty((tries, idx.size)), np.empty((tries, idx.size))
+        for t in range(tries):
+            hr[t], hi[t] = sr, si
+            sr, si = _c_div_real(sr, si, _HALVE)
+        cr, ci = zr[idx] - hr, zi[idx] - hi
+        vr, vi, _, _ = _composed_arrays(levels, cr.ravel(), ci.ravel(), derivative=False)
+        ok = np.hypot(vr - target.real, vi - target.imag).reshape(cr.shape) <= best
+        hit, first = ok.any(axis=0), ok.argmax(axis=0)  # argmax: the first candidate accepted
+        out.real[idx[hit]], out.imag[idx[hit]] = cr[first[hit], hit], ci[first[hit], hit]
+        if hit.all():
+            return
+        idx, best, sr, si = idx[~hit], best[~hit], sr[~hit], si[~hit]
 
 
 def preimages(sys: FiberedSystem, target: complex, depth: int) -> list[complex]:
@@ -614,9 +622,9 @@ def _tree(sys: FiberedSystem, target: complex, depth: int, zeros=()):
     (i + 1)·q_n, and its children are at positions i·d + k.  The leaves left
     come in tree order.
     """
-    drop: dict[int, list[int]] = {}
+    drop: dict[int, set[int]] = {}
     for n, i in zeros:
-        drop.setdefault(n, []).append(i)
+        drop.setdefault(n, set()).add(i)
     points, j = [target], depth
     pos = [0] if drop else None  # the whole tree's positions of the nodes kept
     while j:
@@ -629,9 +637,8 @@ def _tree(sys: FiberedSystem, target: complex, depth: int, zeros=()):
         if pos is not None:
             pos = [i * d + k for i in pos for k in range(d)]
             if j in drop:
-                gone = set(drop[j])
-                points = [z for z, i in zip(points, pos) if i not in gone]
-                pos = [i for i in pos if i not in gone]
+                points = [z for z, i in zip(points, pos) if i not in drop[j]]
+                pos = [i for i in pos if i not in drop[j]]
     leaves = np.array(points, dtype=complex)
     zr, zi = leaves.real, leaves.imag
     for j in range(j, 0, -1):
@@ -640,7 +647,7 @@ def _tree(sys: FiberedSystem, target: complex, depth: int, zeros=()):
         if pos is not None:
             pos = (np.asarray(pos)[:, None] * d + np.arange(d)).ravel()
             if j - 1 in drop:
-                keep = ~np.isin(pos, drop[j - 1])
+                keep = ~np.isin(pos, list(drop[j - 1]))
                 zr, zi, pos = zr[keep], zi[keep], pos[keep]
     return zr, zi
 
@@ -731,15 +738,6 @@ def _iroot(n: int, d: int) -> int | None:
     return r if r**d == n else None
 
 
-def _rational_roots(v: Fraction, d: int) -> list[Fraction]:
-    """The real rational w with w**d == v, for v != 0."""
-    num, den = _iroot(abs(v.numerator), d), _iroot(v.denominator, d)
-    if num is None or den is None or (v < 0 and d % 2 == 0):
-        return []
-    w = Fraction(num, den) if v > 0 else -Fraction(num, den)
-    return [w, -w] if d % 2 == 0 else [w]
-
-
 def _zero_nodes(sys: FiberedSystem, depth: int) -> Iterator[tuple[int, int]]:
     """(index, position) of each node of `preimages(sys, 1, depth)`'s tree that is exactly 0.
 
@@ -749,26 +747,38 @@ def _zero_nodes(sys: FiberedSystem, depth: int) -> Iterator[tuple[int, int]]:
     node is c_j + p_j·w for a real rational d_j-th root w of its parent.  So
     a walk down from the root along the real rational roots of the nonzero
     nodes, in exact arithmetic with p_j from `SequenceSpec.value_at` (a
-    random spec's float is exact as a Fraction), meets every zero node not
-    under another one; those under one hold no leaf it does not, and are not
-    reported.  The tree lists the children of the node at position i at
+    random spec's float is an exact ratio of integers), meets every zero node
+    not under another one; those under one hold no leaf it does not, and are
+    not reported.  The tree lists the children of the node at position i at
     positions i·d + k, k the index of the root among `_droots` of the node's
     float value; that float value is carried along the walk, computed as the
     tree computes it, and k is that of the float root nearest the exact one.
+
+    An exact node is a pair of Python ints a/b in lowest terms, b > 0, so its
+    d-th roots are those of a and b (`_iroot`).  The levels' floats, exact
+    p_j and unit roots are read once per walk, and a node's float roots are
+    formed only when it has a rational root.
     """
-    walk = [(depth, Fraction(1), 1 + 0j, 0)]  # (index, exact node, float node, position)
+    levels = {n: (*sys.level(n), *sys.p.value_at(n).as_integer_ratio()) for n in range(1, depth + 1)}
+    units = {d: [_unit_root(k, d) for k in range(d)] for _, _, d, _, _ in levels.values()}
+    walk = [(depth, 1, 1, 1 + 0j, 0)]  # (index, exact node a/b, float node, position)
     while walk:
-        n, v, u, i = walk.pop()
-        c, p, d = sys.level(n)
-        exact_p = Fraction(sys.p.value_at(n))
-        roots = _droots(u, d, [_unit_root(k, d) for k in range(d)])
-        for w in _rational_roots(v, d):
-            k = min(range(d), key=lambda m: abs(roots[m] - float(w)))
-            child, pos = 1 - exact_p + exact_p * w, i * d + k
-            if child == 0:
-                yield n - 1, pos
+        n, a, b, u, i = walk.pop()
+        c, p, d, pn, pd = levels[n]
+        rn, rd = _iroot(abs(a), d), _iroot(b, d)
+        if rn is None or rd is None or (a < 0 and d % 2 == 0):
+            continue
+        roots = _droots(u, d, units[d])
+        for wn in (rn, -rn) if d % 2 == 0 else (rn if a > 0 else -rn,):
+            # wn / rd is float(Fraction(wn, rd)): one correctly rounded quotient.
+            k = min(range(d), key=lambda m: abs(roots[m] - wn / rd))
+            # The child 1 - p + p·w, as ((pd - pn)·rd + pn·wn) / (pd·rd).
+            num, den = (pd - pn) * rd + pn * wn, pd * rd
+            if num == 0:
+                yield n - 1, i * d + k
             elif n > 1:
-                walk.append((n - 1, child, c + p * roots[k], pos))
+                g = math.gcd(num, den)
+                walk.append((n - 1, num // g, den // g, c + p * roots[k], i * d + k))
 
 
 def residual_set(sys: FiberedSystem, depth: int) -> tuple[complex, ...]:

@@ -53,6 +53,8 @@ __all__ = [
 INSIDE_COLOR = (18, 26, 92)
 #: Pixels per grid (2048 x 2048): `render_field` holds several arrays of this size.
 _PIXEL_CAP = 1 << 22
+#: Rows per write of `write_points_csv`.
+_CSV_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -342,7 +344,10 @@ def write_field_csv(field: EscapeField, fileobj) -> None:
 
 
 def write_points_csv(points, fileobj) -> None:
-    """Write complex points as re,im rows (floats by repr, so they round-trip)."""
+    """Write a sequence of complex points as re,im rows (floats by repr, so they round-trip).
+
+    One block of `_CSV_BLOCK` rows is formatted and written at a time.
+    """
     fileobj.write("re,im\n")
-    for z in points:
-        fileobj.write(f"{z.real!r},{z.imag!r}\n")
+    for i in range(0, len(points), _CSV_BLOCK):
+        fileobj.write("".join([f"{z.real!r},{z.imag!r}\n" for z in points[i : i + _CSV_BLOCK]]))

@@ -205,6 +205,42 @@ def test_canonical_configs():
         canonical_config("nope")
 
 
+def test_canonical_configs_read_package_data_once(monkeypatch):
+    from juliaspec import canonical
+
+    reads = []
+    real_files = canonical.resources.files
+
+    class Counting:
+        def __init__(self, path):
+            self.path = path
+
+        def joinpath(self, name):
+            return Counting(self.path.joinpath(name))
+
+        def read_text(self, encoding):
+            reads.append(self.path.name)
+            return self.path.read_text(encoding)
+
+    monkeypatch.setattr(canonical.resources, "files", lambda package: Counting(real_files(package)))
+    canonical._packaged_text.cache_clear()
+    try:
+        with pytest.raises(ConfigError):
+            canonical_config("nope")
+        assert reads == []
+        for k in range(100):
+            name = CANONICAL_NAMES[k % len(CANONICAL_NAMES)]
+            first, second = canonical_config(name), canonical_config(name)
+            assert first == second and first is not second
+            assert first.with_seed(7).seed == 7
+            first.command["probe"] = k  # a caller's change stays in its own RunConfig
+            third = canonical_config(name)
+            assert third.seed == 20260823 and "probe" not in third.command
+        assert sorted(reads) == sorted(f"{name}.json" for name in CANONICAL_NAMES)
+    finally:
+        canonical._packaged_text.cache_clear()
+
+
 def test_parse_complex_forms():
     assert parse_complex("0.3+0.2i") == 0.3 + 0.2j
     assert parse_complex("1+0j") == 1.0

@@ -26,6 +26,7 @@ from juliaspec.render import (
     render_field,
     write_field_csv,
     write_image,
+    write_points_csv,
 )
 from juliaspec.sequences import constant
 
@@ -454,3 +455,25 @@ def test_field_csv_golden():
         "0.25,0.5,inside,7\n"
         "0.75,0.5,escaped,3\n"
     )
+
+
+def _per_row_points_csv(points, fileobj):
+    """The per-row writer `write_points_csv` replaced: one write per point."""
+    fileobj.write("re,im\n")
+    for z in points:
+        fileobj.write(f"{z.real!r},{z.imag!r}\n")
+
+
+def test_points_csv_matches_the_per_row_writer():
+    nan, inf = float("nan"), float("inf")
+    parts = [0.0, -0.0, nan, inf, -inf, 1e308, -1e308, 5e-324, 0.1, -2.5]
+    edge = [complex(x, y) for x in parts for y in parts]
+    rng = np.random.default_rng(2032)
+    many = (rng.normal(size=9000) + 1j * rng.normal(size=9000)).tolist()  # three blocks
+    for points in ([], edge, tuple(edge), many, tuple(many + edge)):
+        want = io.StringIO()
+        _per_row_points_csv(points, want)
+        got = io.StringIO()
+        write_points_csv(points, got)
+        assert got.getvalue() == want.getvalue()
+
